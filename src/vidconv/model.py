@@ -490,7 +490,21 @@ def build_model(config: ModelConfig, rng_seed: int) -> VidConvModel:
 # checkpoint container: JSON manifest + one little-endian float32 blob
 
 
+_CHECKPOINT_FORMAT = "vidconv-checkpoint-v1"
+
+
+def _replace_with(dest, data: bytes):
+    """Write ``data`` to a temp file beside ``dest``, then rename it over ``dest``."""
+    tmp = f"{dest}.tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, dest)
+
+
 def save_arrays(path, arrays: dict, meta=None):
+    """Write ``<path>.bin`` and ``<path>.json``; a failed save leaves the old pair."""
     entries = []
     offset = 0
     blob = []
@@ -500,17 +514,27 @@ def save_arrays(path, arrays: dict, meta=None):
                         "offset": offset, "length": int(a.size)})
         blob.append(a.tobytes())
         offset += a.size
+    manifest = {"format": _CHECKPOINT_FORMAT, "entries": entries, "meta": meta or {}}
+    text = json.dumps(manifest, indent=1).encode("utf-8")  # raises before any write
     os.makedirs(os.path.dirname(os.path.abspath(str(path))), exist_ok=True)
-    with open(f"{path}.bin", "wb") as fh:
-        fh.write(b"".join(blob))
-    manifest = {"format": "vidconv-checkpoint-v1", "entries": entries, "meta": meta or {}}
-    with open(f"{path}.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1)
+    _replace_with(f"{path}.bin", b"".join(blob))
+    _replace_with(f"{path}.json", text)
 
 
 def load_arrays(path):
+    """Read a ``save_arrays`` pair; a foreign manifest or a blob of the wrong size raises."""
     with open(f"{path}.json", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:  # not UTF-8 or not JSON
+            raise ConfigError(f"{path}.json is not a checkpoint manifest: {exc}") from exc
+    fmt = manifest.get("format") if isinstance(manifest, dict) else None
+    if fmt != _CHECKPOINT_FORMAT:
+        raise ConfigError(f"{path}.json has format {fmt!r}, expected {_CHECKPOINT_FORMAT!r}")
+    expect = 4 * sum(e["length"] for e in manifest["entries"])
+    got = os.path.getsize(f"{path}.bin")
+    if got != expect:
+        raise ConfigError(f"checkpoint blob {path}.bin holds {got} bytes, manifest expects {expect}")
     raw = np.fromfile(f"{path}.bin", dtype="<f4")
     arrays = {}
     for e in manifest["entries"]:

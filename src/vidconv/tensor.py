@@ -316,6 +316,9 @@ def conv2d(x: Tensor, weight: Tensor, bias, spec: ConvSpec) -> Tensor:
     ph, pw = spec.padding
     xp = _pad_nchw(x.data, ph, pw)
 
+    # One kernel per conv shape: 1x1 -> batched matmul; depth-wise (the
+    # block's 7x7 and the temporal branch) -> banded GEMM; dense (stem,
+    # downsample, neck) -> im2col matmul; other grouped -> dense per group.
     if kh == 1 and kw == 1 and (sh, sw) == (1, 1) and (ph, pw) == (0, 0) and spec.groups == 1:
         y, grad_fn = _conv_pointwise(x, weight, bias, n, cin, cout, h, w)
     elif spec.groups == cin and cout == cin and cpg == 1:
@@ -352,36 +355,48 @@ def _conv_pointwise(x, weight, bias, n, cin, cout, h, w):
 
 
 def _conv_depthwise(x, weight, bias, xp, spec, ho, wo):
+    # Banded GEMM, one per kernel row i: the row-shifted padded input
+    # (N, C, Ho, Wp) times a per-channel (Wp, Wo) band that holds row i's kw
+    # taps at columns o*sw + j*dw. BLAS spends extra MACs on the band's zeros,
+    # but nothing like the (kh*kw)x patch copy of a window view plus einsum is
+    # built. Serves every stride, dilation and padding: the 7x7 spatial conv
+    # and the temporal branch (kernel = grid, dilation = tile, no padding).
     n, c = x.shape[:2]
     kh, kw = spec.kernel
     sh, sw = spec.stride
     dh, dw = spec.dilation
     ph, pw = spec.padding
+    wp = xp.shape[3]
     w3 = weight.data.reshape(c, kh, kw)
-    view = _patch_view(xp, kh, kw, sh, sw, dh, dw, ho, wo)
-    y = np.einsum("ncijhw,cij->nchw", view, w3, optimize=True)
+    cols = np.arange(wo)
+    taps = cols * sw + np.arange(kw)[:, None] * dw  # (kw, Wo) band row of each tap
+
+    def rows(a, i):
+        return a[:, :, i * dh: i * dh + (ho - 1) * sh + 1: sh, :]
+
+    def band(i):
+        # Built per row, and again in backward rather than kept: eval
+        # forwards still record a tape, which would hold the band alive.
+        b = np.zeros((c, wp, wo), dtype=x.dtype)
+        b[:, taps, cols] = w3[:, i, :, None]
+        return b
+
+    y = np.matmul(rows(xp, 0), band(0))
+    tmp = np.empty_like(y)
+    for i in range(1, kh):
+        y += np.matmul(rows(xp, i), band(i), out=tmp)
 
     def grad_fn(g):
-        gview = _patch_view(xp, kh, kw, sh, sw, dh, dw, ho, wo)
-        gw = np.einsum("nchw,ncijhw->cij", g, gview, optimize=True).reshape(weight.shape)
-        if (sh, sw) == (1, 1):
-            # Input grad of a stride-1 correlation is a correlation of the
-            # padded upstream grad with the flipped kernel.
-            full_h = dh * (kh - 1)
-            full_w = dw * (kw - 1)
-            gp = np.pad(g, ((0, 0), (0, 0), (full_h, full_h), (full_w, full_w)))
-            gv = _patch_view(gp, kh, kw, 1, 1, dh, dw, xp.shape[2], xp.shape[3])
-            gxp = np.einsum("ncijhw,cij->nchw", gv, w3[:, ::-1, ::-1], optimize=True)
-        else:
-            gxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    sl = gxp[:, :, i * dh: i * dh + (ho - 1) * sh + 1: sh,
-                             j * dw: j * dw + (wo - 1) * sw + 1: sw]
-                    sl += g * w3[:, i, j][None, :, None, None]
+        gxp = np.zeros_like(xp)
+        gw = np.empty((c, kh, kw), dtype=x.dtype)
+        for i in range(kh):
+            gx_rows = rows(gxp, i)
+            gx_rows += np.matmul(g, band(i).swapaxes(1, 2))
+            gband = np.matmul(rows(xp, i).swapaxes(2, 3), g).sum(axis=0)
+            gw[:, i] = gband[:, taps, cols].sum(axis=2)  # read the kw diagonals back
         gx = gxp[:, :, ph: ph + x.shape[2], pw: pw + x.shape[3]] if (ph or pw) else gxp
         gb = _bias_grad(g) if bias is not None else None
-        return (gx, np.ascontiguousarray(gw)) + ((gb,) if bias is not None else ())
+        return (gx, gw.reshape(weight.shape)) + ((gb,) if bias is not None else ())
 
     return y, grad_fn
 

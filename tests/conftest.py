@@ -39,6 +39,36 @@ def conv2d_loops(x, w, b, stride=(1, 1), dilation=(1, 1), padding=(0, 0), groups
     return out
 
 
+def conv2d_loops_grads(x, w, g, stride=(1, 1), dilation=(1, 1), padding=(0, 0), groups=1):
+    """Input and weight gradients of ``conv2d_loops`` for upstream grad ``g``.
+
+    The same six loops as the forward, scattering each output's grad back to
+    the input sample and kernel tap it read.
+    """
+    n, cin, h, wd = x.shape
+    cout, cpg, kh, kw = w.shape
+    sh, sw = stride
+    dh, dw = dilation
+    ph, pw = padding
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))).astype(np.float64)
+    gxp = np.zeros_like(xp)
+    gw = np.zeros(w.shape, dtype=np.float64)
+    cout_pg = cout // groups
+    for ni in range(n):
+        for co in range(cout):
+            gi = co // cout_pg
+            for y in range(g.shape[2]):
+                for xo in range(g.shape[3]):
+                    go = float(g[ni, co, y, xo])
+                    for ci in range(cpg):
+                        for i in range(kh):
+                            for j in range(kw):
+                                r, c = y * sh + i * dh, xo * sw + j * dw
+                                gxp[ni, gi * cpg + ci, r, c] += float(w[co, ci, i, j]) * go
+                                gw[co, ci, i, j] += float(xp[ni, gi * cpg + ci, r, c]) * go
+    return gxp[:, :, ph: ph + h, pw: pw + wd], gw
+
+
 # ---------------------------------------------------------------------------
 # central finite differences in 64-bit shadow mode
 

@@ -60,13 +60,29 @@ def test_conv2d_strided_gradients(seed):
 
 
 def test_conv2d_strided_depthwise_gradients():
-    # exercises the tap-scatter fallback for strided depthwise input grads
     r = rng(17)
     arrays = {"x": randn(r, (1, 3, 9, 9)), "w": randn(r, (3, 1, 3, 3))}
     spec = T.ConvSpec(kernel=(3, 3), stride=(2, 2), padding=(1, 1), groups=3)
 
     def build(t):
         y = T.conv2d(t["x"], t["w"], None, spec)
+        return T.sum_all(T.mul(y, y))
+
+    check_gradients(build, arrays, rel_tol=REL_TOL)
+
+
+@pytest.mark.parametrize("kernel,dilation,padding,shape", [
+    ((7, 7), (1, 1), (3, 3), (1, 2, 8, 8)),  # the block's spatial depth-wise conv
+    ((3, 3), (3, 2), (0, 0), (1, 3, 9, 6)),  # temporal branch: dilation = tile
+])
+def test_conv2d_depthwise_block_geometry_gradients(kernel, dilation, padding, shape):
+    r = rng(19)
+    c = shape[1]
+    arrays = {"x": randn(r, shape), "w": randn(r, (c, 1) + kernel) * 0.3, "b": randn(r, (c,))}
+    spec = T.ConvSpec(kernel=kernel, dilation=dilation, padding=padding, groups=c)
+
+    def build(t):
+        y = T.conv2d(t["x"], t["w"], t["b"], spec)
         return T.sum_all(T.mul(y, y))
 
     check_gradients(build, arrays, rel_tol=REL_TOL)

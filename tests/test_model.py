@@ -367,6 +367,44 @@ def test_checkpoint_shape_mismatch_names_offender(tmp_path):
         other.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("delta", [-4, -1, 3])
+def test_checkpoint_blob_of_wrong_length_rejected(tmp_path, delta):
+    model = build_model(toy_config(), 10)
+    path = str(tmp_path / "m")
+    model.save_checkpoint(path)
+    blob = (tmp_path / "m.bin").read_bytes()
+    (tmp_path / "m.bin").write_bytes(blob[:delta] if delta < 0 else blob + b"\0" * delta)
+    with pytest.raises(ConfigError, match="manifest expects"):
+        build_model(toy_config(), 10).load_checkpoint(path)
+
+
+@pytest.mark.parametrize("foreign", ["retagged", "json-list", "binary"])
+def test_checkpoint_foreign_manifest_rejected(tmp_path, foreign):
+    model = build_model(toy_config(), 11)
+    path = str(tmp_path / "m")
+    model.save_checkpoint(path)
+    real = (tmp_path / "m.json").read_bytes()
+    manifest = {"retagged": real.replace(b"vidconv-checkpoint-v1", b"other-tool-v3"),
+                "json-list": b"[1, 2, 3]",
+                "binary": b"\x89PNG\r\n\x1a\n"}[foreign]
+    (tmp_path / "m.json").write_bytes(manifest)
+    with pytest.raises(ConfigError, match="format|not a checkpoint manifest"):
+        build_model(toy_config(), 11).load_checkpoint(path)
+
+
+def test_failed_checkpoint_save_keeps_previous_pair(tmp_path):
+    model = build_model(toy_config(), 12)
+    path = str(tmp_path / "best")
+    model.save_checkpoint(path, meta={"epoch": 1})
+    before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+    with pytest.raises(TypeError):
+        build_model(toy_config(), 13).save_checkpoint(path, meta={"epoch": object()})
+    assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+    model.save_checkpoint(path, meta={"epoch": 2})
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["best.bin", "best.json"]
+    assert build_model(toy_config(), 14).load_checkpoint(path)[0]["epoch"] == 2
+
+
 def test_param_count_monotone_tiny_small_base():
     counts = [build_model(make_config(v, num_classes=400), 0).num_params()
               for v in ("tiny",)]

@@ -1,12 +1,13 @@
 """Forward-behavior tests for the tensor op set."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from vidconv import tensor as T
 from vidconv.errors import NumericsError, ShapeError
-from conftest import conv2d_loops, rng
+from conftest import conv2d_loops, conv2d_loops_grads, rng
 
 
 def make(shape, seed=0, dtype=np.float32, requires_grad=False):
@@ -100,6 +101,57 @@ def test_conv2d_depthwise_vs_oracle():
                  T.ConvSpec(kernel=(7, 7), padding=(3, 3), groups=4))
     ref = conv2d_loops(x, w, b, padding=(3, 3), groups=4)
     np.testing.assert_allclose(y.data, ref, atol=1e-5)
+
+
+# Depth-wise geometries: (input shape, kernel, stride, dilation, padding).
+DEPTHWISE_GEOMETRIES = {
+    "7x7-pad3": ((2, 3, 9, 10), (7, 7), (1, 1), (1, 1), (3, 3)),
+    # temporal branch: kernel = (3, 3) grid, dilation = tile, on a 3Ht x 3Wt collage
+    "temporal": ((1, 3, 12, 9), (3, 3), (1, 1), (4, 3), (0, 0)),
+    "nonsquare-strided-dilated": ((2, 3, 11, 12), (3, 5), (2, 3), (2, 1), (1, 2)),
+    "stride-not-dividing": ((1, 3, 11, 11), (3, 3), (3, 3), (1, 1), (1, 0)),
+}
+
+
+@pytest.mark.parametrize("geom", sorted(DEPTHWISE_GEOMETRIES))
+def test_conv2d_depthwise_forward_backward_vs_oracle(geom):
+    shape, kernel, stride, dilation, padding = DEPTHWISE_GEOMETRIES[geom]
+    c = shape[1]
+    r = rng(13)
+    x = r.standard_normal(shape)
+    w = r.standard_normal((c, 1) + kernel)
+    b = r.standard_normal(c)
+    spec = T.ConvSpec(kernel=kernel, stride=stride, dilation=dilation, padding=padding, groups=c)
+    ref = conv2d_loops(x, w, b, stride=stride, dilation=dilation, padding=padding, groups=c)
+
+    y32 = T.conv2d(*(T.Tensor(a.astype(np.float32)) for a in (x, w, b)), spec)
+    assert y32.shape == ref.shape
+    np.testing.assert_allclose(y32.data, ref, atol=1e-5)
+
+    xt, wt = T.Tensor(x, requires_grad=True), T.Tensor(w, requires_grad=True)
+    y = T.conv2d(xt, wt, None, spec)
+    g = r.standard_normal(y.shape)
+    T.backward(T.sum_all(T.mul_const(y, g)))
+    gx_ref, gw_ref = conv2d_loops_grads(x, w, g, stride=stride, dilation=dilation,
+                                        padding=padding, groups=c)
+    np.testing.assert_allclose(xt.grad, gx_ref, rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(wt.grad, gw_ref, rtol=1e-10, atol=1e-10)
+
+
+def test_conv2d_depthwise_memory_streams():
+    # One 7x7 depth-wise forward plus backward holds a few input-sized arrays
+    # (padded input, output, grads, per-row band); a window view contracted by
+    # einsum would materialize the 49x patch copy.
+    x = make((2, 32, 56, 56), seed=14, requires_grad=True)
+    w = make((32, 1, 7, 7), seed=15, requires_grad=True)
+    spec = T.ConvSpec(kernel=(7, 7), padding=(3, 3), groups=32)
+    tracemalloc.start()
+    try:
+        T.backward(T.sum_all(T.conv2d(x, w, None, spec)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * x.data.nbytes
 
 
 def test_conv2d_output_extent_formula_sweep():

@@ -38,7 +38,7 @@ def test_adamw_constant_gradient_approaches_sign_step():
         p.grad = np.array([0.37], dtype=np.float32)
         prev = p.data.copy()
         adamw_step({"p": p}, state, lr_now=1e-3)
-    step = float(prev - p.data)
+    step = (prev - p.data).item()
     assert step == pytest.approx(1e-3, rel=1e-2)  # Adam asymptote: lr * sign(g)
 
 
