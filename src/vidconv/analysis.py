@@ -17,25 +17,10 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ShapeError
-from .model import ModelConfig, _uncollage_arr, build_model
+from .model import Extent, ModelConfig, _uncollage_arr, build_model, layer_graph
 from .training import evaluate_multiview
 
 FLOP_CONVENTION = "1 MAC = 1 FLOP; conv/linear only; norm/act/pool in elementwise bucket"
-
-
-@dataclass(frozen=True)
-class LayerCost:
-    name: str
-    kind: str                 # conv | linear | norm | act | pool | scale
-    params: int
-    macs: int                 # multiply-accumulates (conv/linear), else 0
-    elt_flops: int            # elementwise bucket, excluded from headline
-    items: int = 1            # batch multiplicity the cost was counted with
-    cin: int = 0
-    cout: int = 0
-    kernel: tuple = (0, 0)
-    groups: int = 1
-    out_hw: tuple = (0, 0)
 
 
 @dataclass
@@ -73,101 +58,22 @@ class CostReport:
         return "\n".join(out)
 
 
-def _conv_cost(name, items, cin, cout, kernel, out_hw, groups=1, bias=True):
-    kh, kw = kernel
-    params = cout * (cin // groups) * kh * kw + (cout if bias else 0)
-    macs = items * cout * out_hw[0] * out_hw[1] * (cin // groups) * kh * kw
-    return LayerCost(name, "conv", params, macs, 0, items, cin, cout, kernel, groups, out_hw)
-
-
-def _norm_cost(name, items, c, hw):
-    return LayerCost(name, "norm", 2 * c, 0, items * c * hw[0] * hw[1],
-                     items, c, c, out_hw=hw)
-
-
-def _act_cost(name, items, c, hw):
-    return LayerCost(name, "act", 0, 0, items * c * hw[0] * hw[1], items, c, c, out_hw=hw)
-
-
 def plan_layers(config: ModelConfig, frames=None, input_size=None) -> list:
-    """Symbolic walk of the layer graph for one view (one clip of L frames).
-
-    Mirrors the constructed model exactly; no tensors are allocated.
-    """
+    """Cost rows of one view (one clip of L frames), walked over the same
+    layer list the model runs; no weights are drawn."""
     config.validate()
     L = frames if frames is not None else config.frames
-    H, W = input_size if input_size is not None else config.input_size
-    gh, gw = config.grid
-    temporal_stages = config.temporal_stages()
-    layers = []
-
-    hs, ws = H // 4, W // 4
-    items = L
-    layers.append(_conv_cost("stem.conv", items, 3, config.channels[0], (4, 4), (hs, ws)))
-    layers.append(_norm_cost("stem.norm", items, config.channels[0], (hs, ws)))
-
-    collaged = False
-    for s in range(1, 5):
-        c = config.channels[s - 1]
-        if s > 1:
-            cprev = config.channels[s - 2]
-            layers.append(_norm_cost(f"stage{s}.down.norm", items, cprev, (hs, ws)))
-            hs, ws = hs // 2, ws // 2
-            layers.append(_conv_cost(f"stage{s}.down.conv", items, cprev, c, (2, 2), (hs, ws)))
-        tile = (hs // gh, ws // gw) if collaged else (hs, ws)
-        for b in range(config.blocks[s - 1]):
-            p = f"stage{s}.block{b}"
-            layers.append(_conv_cost(f"{p}.dw", items, c, c, (7, 7), (hs, ws), groups=c))
-            if s in temporal_stages:
-                layers.append(_conv_cost(f"{p}.temporal", 1, c, c, (gh, gw), tile,
-                                         groups=c, bias=config.temporal_bias))
-                layers.append(LayerCost(f"{p}.alpha", "scale", c, 0,
-                                        items * c * hs * ws, items, c, c, out_hw=(hs, ws)))
-            layers.append(_norm_cost(f"{p}.norm", items, c, (hs, ws)))
-            layers.append(_conv_cost(f"{p}.pw1", items, c, 4 * c, (1, 1), (hs, ws)))
-            layers.append(_act_cost(f"{p}.gelu", items, 4 * c, (hs, ws)))
-            layers.append(_conv_cost(f"{p}.pw2", items, 4 * c, c, (1, 1), (hs, ws)))
-            layers.append(LayerCost(f"{p}.layer_scale", "scale", c, 0,
-                                    items * c * hs * ws, items, c, c, out_hw=(hs, ws)))
-        if config.stacking_stage == s:
-            hs, ws = gh * hs, gw * ws
-            items = 1
-            collaged = True
-
-    c4 = config.channels[3]
-    if config.use_neck:
-        if not collaged:
-            hs, ws = gh * hs, gw * ws
-            items = 1
-        tile = (hs // gh, ws // gw)
-        layers.append(_conv_cost("neck.conv", 1, c4, config.head_width, (gh, gw), tile))
-        layers.append(_norm_cost("neck.norm", 1, config.head_width, tile))
-        layers.append(_act_cost("neck.gelu", 1, config.head_width, tile))
-        head_in = config.head_width
-        pool_hw = tile
-        pool_items = 1
-    else:
-        head_in = c4
-        pool_hw = (hs, ws)
-        pool_items = items
-    layers.append(LayerCost("pool", "pool", 0, 0, pool_items * head_in * pool_hw[0] * pool_hw[1],
-                            pool_items, head_in, head_in, out_hw=(1, 1)))
-    if not config.use_neck:
-        layers.append(_norm_cost("final.norm", 1, c4, (1, 1)))
-    layers.append(LayerCost("head", "linear", config.num_classes * (head_in + 1),
-                            config.num_classes * head_in, 0, 1, head_in, config.num_classes))
-    return layers
+    ext = Extent(L, tuple(input_size if input_size is not None else config.input_size))
+    rows = []
+    for layer in layer_graph(config):
+        layer_rows, ext = layer.plan(ext)
+        rows += layer_rows
+    return rows
 
 
 def count_params(config: ModelConfig) -> CostReport:
     """Exact symbolic parameter count; no model instantiation."""
-    layers = plan_layers(config)
-    return CostReport(params=sum(l.params for l in layers),
-                      flops_per_view=sum(l.macs for l in layers),
-                      elt_flops=sum(l.elt_flops for l in layers),
-                      breakdown=layers,
-                      geometry={"frames": config.frames,
-                                "input_size": list(config.input_size)}).check_totals()
+    return count_flops(config)
 
 
 def count_flops(config: ModelConfig, frames=None, input_size=None) -> CostReport:

@@ -262,7 +262,6 @@ def label_oracle(task, frames) -> int:
 class ClipSampler:
     frames: int
     stride_range: tuple = (1, 1)
-    deterministic_stride: int = None
 
     def __post_init__(self):
         lo, hi = self.stride_range
@@ -284,9 +283,7 @@ def sample_clip(video: SyntheticVideo, sampler: ClipSampler, rng=None) -> np.nda
         start = 0 if rng is None else int(rng.integers(0, n))
         return video.frames[start:start + 1].copy()
     lo, hi = sampler.stride_range
-    if sampler.deterministic_stride is not None:
-        stride = sampler.deterministic_stride
-    elif rng is not None and hi > lo:
+    if rng is not None and hi > lo:
         stride = int(rng.integers(lo, hi + 1))
     else:
         stride = lo

@@ -9,9 +9,10 @@ grid and blended through a learnable per-channel vector.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,11 +45,6 @@ class CollageLayout:
     """Row-major bijection between frame indices and cells of an h x w grid."""
 
     grid: tuple
-    tile: tuple = None  # (Ht, Wt); None when derived from a runtime shape
-
-    @property
-    def frames(self) -> int:
-        return self.grid[0] * self.grid[1]
 
     def cell(self, t: int) -> tuple:
         h, w = self.grid
@@ -191,18 +187,22 @@ def frame_mean(x: T.Tensor, frames: int) -> T.Tensor:
     return T._from_op(y, (x,), grad_fn, "frame_mean")
 
 
+def _tile_spec(hw, grid, groups=1) -> T.ConvSpec:
+    """Kernel = grid, dilation = tile size: on an (h*Ht, w*Wt) collage each
+    output pixel takes one aligned tap from every frame's tile."""
+    h, w = grid
+    if hw[0] % h or hw[1] % w:
+        raise ShapeError(f"input extents {tuple(hw)} not divisible by grid {tuple(grid)}")
+    return T.ConvSpec(kernel=tuple(grid), dilation=(hw[0] // h, hw[1] // w), groups=groups)
+
+
 def temporal_dilated_conv(x: T.Tensor, weight: T.Tensor, bias, layout: CollageLayout) -> T.Tensor:
     """Depth-wise conv with kernel (h, w) and dilation equal to the tile size.
 
     On an (N, C, h*Ht, w*Wt) collage this gathers one aligned sample from each
     frame's tile and returns a single (N, C, Ht, Wt) temporal feature.
     """
-    h, w = layout.grid
-    if x.shape[2] % h or x.shape[3] % w:
-        raise ShapeError(f"input extents {x.shape[2:]} not divisible by grid {layout.grid}")
-    ht, wt = x.shape[2] // h, x.shape[3] // w
-    spec = T.ConvSpec(kernel=(h, w), dilation=(ht, wt), groups=x.shape[1])
-    return T.conv2d(x, weight, bias, spec)
+    return T.conv2d(x, weight, bias, _tile_spec(x.shape[2:], layout.grid, groups=x.shape[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +227,61 @@ def _const(shape, value):
 
 
 # ---------------------------------------------------------------------------
-# layers
+# cost rows: what each layer does for one view (one clip of L frames)
+
+
+@dataclass(frozen=True)
+class LayerCost:
+    name: str
+    kind: str                 # conv | linear | norm | act | pool | scale
+    params: int
+    macs: int                 # multiply-accumulates (conv/linear), else 0
+    elt_flops: int            # elementwise bucket, excluded from headline
+    items: int = 1            # batch multiplicity the cost was counted with
+    cin: int = 0
+    cout: int = 0
+    kernel: tuple = (0, 0)
+    groups: int = 1
+    out_hw: tuple = (0, 0)
+
+
+@dataclass(frozen=True)
+class Extent:
+    """Geometry of one view's activations: ``items`` maps of ``hw`` pixels,
+    the clip's L frames before the collage point and one collage after it."""
+
+    items: int
+    hw: tuple
+
+    def collage(self, grid) -> "Extent":
+        return Extent(1, (grid[0] * self.hw[0], grid[1] * self.hw[1]))
+
+    def numel(self, channels) -> int:
+        return self.items * channels * self.hw[0] * self.hw[1]
+
+
+def _conv_cost(name, ext, cin, cout, spec, bias=True):
+    kh, kw = spec.kernel
+    cpg = cin // spec.groups
+    out_hw = (spec.out_extent(ext.hw[0], 0), spec.out_extent(ext.hw[1], 1))
+    params = cout * cpg * kh * kw + (cout if bias else 0)
+    macs = ext.items * cout * out_hw[0] * out_hw[1] * cpg * kh * kw
+    return LayerCost(name, "conv", params, macs, 0, ext.items, cin, cout, spec.kernel,
+                     spec.groups, out_hw)
+
+
+def _elt_cost(name, kind, ext, c, params=0):
+    """A norm, activation or per-channel scale over ``c`` channels of ``ext``."""
+    return LayerCost(name, kind, params, 0, ext.numel(c), ext.items, c, c, out_hw=ext.hw)
+
+
+# ---------------------------------------------------------------------------
+# layers: built from the config alone; ``init`` draws the weights, ``plan``
+# reports the cost rows and output extent of one view without them
 
 
 class Registry:
-    """Ordered name -> parameter map filled during construction."""
+    """Ordered name -> parameter map, filled by the layers' ``init`` in order."""
 
     def __init__(self):
         self.params = {}
@@ -247,23 +297,33 @@ class Registry:
 
 
 class ConvLayer:
-    def __init__(self, rng, reg, prefix, cin, cout, spec: T.ConvSpec, bias=True, std=0.02):
+    def __init__(self, name, cin, cout, spec: T.ConvSpec, bias=True):
         spec.validate(cin, cout)
-        self.spec = spec
-        kh, kw = spec.kernel
-        self.weight = _param(rng, (cout, cin // spec.groups, kh, kw), std)
-        self.bias = _zeros((cout,)) if bias else None
-        reg.register(prefix, weight=self.weight, bias=self.bias)
+        self.name, self.cin, self.cout, self.spec = name, cin, cout, spec
+        self.has_bias = bias
+
+    def init(self, rng, reg):
+        kh, kw = self.spec.kernel
+        self.weight = _param(rng, (self.cout, self.cin // self.spec.groups, kh, kw))
+        self.bias = _zeros((self.cout,)) if self.has_bias else None
+        reg.register(self.name, weight=self.weight, bias=self.bias)
 
     def __call__(self, x):
         return T.conv2d(x, self.weight, self.bias, self.spec)
 
+    def plan(self, ext):
+        row = _conv_cost(self.name, ext, self.cin, self.cout, self.spec, self.has_bias)
+        return [row], Extent(ext.items, row.out_hw)
+
 
 class NormLayer:
-    def __init__(self, reg, prefix, channels):
-        self.gamma = _const((channels,), 1.0)
-        self.beta = _zeros((channels,))
-        reg.register(prefix, gamma=self.gamma, beta=self.beta)
+    def __init__(self, name, channels):
+        self.name, self.channels = name, channels
+
+    def init(self, rng, reg):
+        self.gamma = _const((self.channels,), 1.0)
+        self.beta = _zeros((self.channels,))
+        reg.register(self.name, gamma=self.gamma, beta=self.beta)
 
     def __call__(self, x):
         return T.layer_norm_channels(x, self.gamma, self.beta, eps=LN_EPS)
@@ -274,31 +334,40 @@ class NormLayer:
         y = T.reshape(x, (n, c, 1, 1))
         return T.reshape(self(y), (n, c))
 
+    def plan(self, ext):
+        return [_elt_cost(self.name, "norm", ext, self.channels, 2 * self.channels)], ext
+
 
 class Block:
     """One residual block; with a temporal branch it fuses S + alpha * tiled T."""
 
-    def __init__(self, rng, reg, prefix, channels, layout, temporal, temporal_bias, drop_prob):
+    def __init__(self, prefix, channels, layout, temporal, temporal_bias, drop_prob):
         c = channels
-        self.layout = layout
+        self.prefix, self.channels, self.layout = prefix, c, layout
         self.drop_prob = drop_prob
-        self.dw = ConvLayer(rng, reg, f"{prefix}.dw", c, c,
+        self.temporal = temporal
+        self.temporal_bias = temporal_bias
+        self.dw = ConvLayer(f"{prefix}.dw", c, c,
                             T.ConvSpec(kernel=(7, 7), padding=(3, 3), groups=c))
-        self.temporal = None
-        self.alpha = None
-        if temporal:
-            h, w = layout.grid
+        self.norm = NormLayer(f"{prefix}.norm", c)
+        self.pw1 = ConvLayer(f"{prefix}.pw1", c, MLP_RATIO * c, T.ConvSpec(kernel=(1, 1)))
+        self.pw2 = ConvLayer(f"{prefix}.pw2", MLP_RATIO * c, c, T.ConvSpec(kernel=(1, 1)))
+
+    def init(self, rng, reg):
+        c = self.channels
+        self.dw.init(rng, reg)
+        if self.temporal:
+            h, w = self.layout.grid
             self.temporal_weight = _param(rng, (c, 1, h, w))
-            self.temporal_b = _zeros((c,)) if temporal_bias else None
+            self.temporal_b = _zeros((c,)) if self.temporal_bias else None
             self.alpha = _const((c,), ALPHA_INIT)
-            reg.register(f"{prefix}.temporal", weight=self.temporal_weight,
+            reg.register(f"{self.prefix}.temporal", weight=self.temporal_weight,
                          bias=self.temporal_b, alpha=self.alpha)
-            self.temporal = True
-        self.norm = NormLayer(reg, f"{prefix}.norm", c)
-        self.pw1 = ConvLayer(rng, reg, f"{prefix}.pw1", c, MLP_RATIO * c, T.ConvSpec(kernel=(1, 1)))
-        self.pw2 = ConvLayer(rng, reg, f"{prefix}.pw2", MLP_RATIO * c, c, T.ConvSpec(kernel=(1, 1)))
+        self.norm.init(rng, reg)
+        self.pw1.init(rng, reg)
+        self.pw2.init(rng, reg)
         self.layer_scale = _const((c,), LAYER_SCALE_INIT)
-        reg.register(prefix, layer_scale=self.layer_scale)
+        reg.register(self.prefix, layer_scale=self.layer_scale)
 
     def fuse(self, x, collaged):
         """Pre-norm fusion: spatial depth-wise features plus the broadcast
@@ -324,6 +393,158 @@ class Block:
         y = drop_path(y, self.drop_prob, rng, training)
         return T.add(x, y)
 
+    def plan(self, ext, collaged):
+        c, p = self.channels, self.prefix
+        rows = self.dw.plan(ext)[0]
+        if self.temporal:
+            coll = ext if collaged else ext.collage(self.layout.grid)
+            spec = _tile_spec(coll.hw, self.layout.grid, groups=c)
+            rows.append(_conv_cost(f"{p}.temporal", coll, c, c, spec, self.temporal_bias))
+            rows.append(_elt_cost(f"{p}.alpha", "scale", ext, c, c))
+        rows += self.norm.plan(ext)[0]
+        pw1_rows, hidden = self.pw1.plan(ext)
+        rows += pw1_rows
+        rows.append(_elt_cost(f"{p}.gelu", "act", hidden, MLP_RATIO * c))
+        rows += self.pw2.plan(hidden)[0]
+        rows.append(_elt_cost(f"{p}.layer_scale", "scale", ext, c, c))
+        return rows, ext
+
+
+class Stage:
+    """Entry layers (the stem, or a downsample), then the blocks, then the
+    collage point if this is the stacking stage; captured as ``stage{s}``."""
+
+    def __init__(self, name, entry, blocks, layout, collaged, stacks):
+        self.name, self.entry, self.blocks, self.layout = name, entry, blocks, layout
+        self.collaged = collaged  # blocks see a collage, not single frames
+        self.stacks = stacks
+
+    def init(self, rng, reg):
+        for layer in self.entry + self.blocks:
+            layer.init(rng, reg)
+
+    def __call__(self, x, training, rng, capture):
+        for layer in self.entry:
+            x = layer(x)
+        for block in self.blocks:
+            x = block(x, self.collaged, training, rng)
+        if self.stacks:
+            x = collage(x, self.layout)
+        if capture is not None and self.name in capture:
+            capture[self.name] = x
+        return x
+
+    def plan(self, ext):
+        rows = []
+        for layer in self.entry:
+            layer_rows, ext = layer.plan(ext)
+            rows += layer_rows
+        for block in self.blocks:
+            rows += block.plan(ext, self.collaged)[0]
+        return rows, ext.collage(self.layout.grid) if self.stacks else ext
+
+
+class Neck:
+    """Dense conv with kernel (h, w) dilated by the tile size, then norm and
+    GELU; collages the frames first when no stage stacked them."""
+
+    def __init__(self, cin, cout, layout, collage_first):
+        self.cin, self.cout, self.layout = cin, cout, layout
+        self.collage_first = collage_first
+        self.norm = NormLayer("neck.norm", cout)
+
+    def init(self, rng, reg):
+        h, w = self.layout.grid
+        self.weight = _param(rng, (self.cout, self.cin, h, w))
+        self.bias = _zeros((self.cout,))
+        reg.register("neck.conv", weight=self.weight, bias=self.bias)
+        self.norm.init(rng, reg)
+
+    def __call__(self, x, training, rng, capture):
+        if self.collage_first:
+            x = collage(x, self.layout)
+        y = T.conv2d(x, self.weight, self.bias, _tile_spec(x.shape[2:], self.layout.grid))
+        return T.gelu(self.norm(y))
+
+    def plan(self, ext):
+        if self.collage_first:
+            ext = ext.collage(self.layout.grid)
+        spec = _tile_spec(ext.hw, self.layout.grid)
+        conv = _conv_cost("neck.conv", ext, self.cin, self.cout, spec)
+        tile = Extent(ext.items, conv.out_hw)
+        gelu = _elt_cost("neck.gelu", "act", tile, self.cout)
+        return [conv, *self.norm.plan(tile)[0], gelu], tile
+
+
+class Head:
+    """Global average pool, then (without a neck) the mean over un-collaged
+    frames and a final norm, then dropout and the linear classifier."""
+
+    def __init__(self, cin, num_classes, dropout_prob, final_norm=None, frames=None):
+        self.cin, self.num_classes, self.dropout_prob = cin, num_classes, dropout_prob
+        self.final_norm = final_norm
+        self.frames = frames  # clip length to average over; None on a collage
+
+    def init(self, rng, reg):
+        if self.final_norm is not None:
+            self.final_norm.init(rng, reg)
+        self.weight = _param(rng, (self.num_classes, self.cin))
+        self.bias = _zeros((self.num_classes,))
+        reg.register("head", weight=self.weight, bias=self.bias)
+
+    def __call__(self, x, training, rng, capture):
+        pooled = T.global_avg_pool(x)
+        if self.frames is not None:
+            pooled = frame_mean(pooled, self.frames)
+        if self.final_norm is not None:
+            pooled = self.final_norm.vec(pooled)
+        pooled = dropout(pooled, self.dropout_prob, rng, training)
+        if capture is not None and "pooled" in capture:
+            capture["pooled"] = pooled
+        return T.linear(pooled, self.weight, self.bias)
+
+    def plan(self, ext):
+        c, k = self.cin, self.num_classes
+        rows = [LayerCost("pool", "pool", 0, 0, ext.numel(c), ext.items, c, c, out_hw=(1, 1))]
+        pooled = Extent(1, (1, 1))
+        if self.final_norm is not None:
+            rows += self.final_norm.plan(pooled)[0]
+        rows.append(LayerCost("head", "linear", k * (c + 1), k * c, 0, 1, c, k))
+        return rows, pooled
+
+
+def layer_graph(config: ModelConfig) -> list:
+    """The network as weightless layers, in forward and weight-drawing order:
+    four stages (the stem opens stage 1), the neck if any, the head."""
+    ch = config.channels
+    layout = config.layout()
+    temporal_stages = config.temporal_stages()
+    drop_rates = iter(config.block_drop_rates())
+    stacking = config.stacking_stage
+    layers = []
+    for s in range(1, 5):
+        c = ch[s - 1]
+        if s == 1:
+            entry = [ConvLayer("stem.conv", 3, c, T.ConvSpec(kernel=(4, 4), stride=(4, 4))),
+                     NormLayer("stem.norm", c)]
+        else:
+            entry = [NormLayer(f"stage{s}.down.norm", ch[s - 2]),
+                     ConvLayer(f"stage{s}.down.conv", ch[s - 2], c,
+                               T.ConvSpec(kernel=(2, 2), stride=(2, 2)))]
+        blocks = [Block(f"stage{s}.block{b}", c, layout, temporal=s in temporal_stages,
+                        temporal_bias=config.temporal_bias, drop_prob=next(drop_rates))
+                  for b in range(config.blocks[s - 1])]
+        layers.append(Stage(f"stage{s}", entry, blocks, layout,
+                            collaged=stacking is not None and s > stacking, stacks=stacking == s))
+    if config.use_neck:
+        layers.append(Neck(ch[3], config.head_width, layout, collage_first=stacking is None))
+        layers.append(Head(config.head_width, config.num_classes, config.head_dropout))
+    else:
+        layers.append(Head(ch[3], config.num_classes, config.head_dropout,
+                           final_norm=NormLayer("final.norm", ch[3]),
+                           frames=config.frames if stacking is None else None))
+    return layers
+
 
 class VidConvModel:
     """Parameter store plus the layer graph; built deterministically from a seed."""
@@ -331,54 +552,12 @@ class VidConvModel:
     def __init__(self, config: ModelConfig, rng):
         config.validate()
         self.config = config
+        self.layers = layer_graph(config)
         reg = Registry()
-        ch = config.channels
-        layout = config.layout()
-        temporal_stages = config.temporal_stages()
-        drop_rates = config.block_drop_rates()
-
-        self.stem_conv = ConvLayer(rng, reg, "stem.conv", 3, ch[0],
-                                   T.ConvSpec(kernel=(4, 4), stride=(4, 4)))
-        self.stem_norm = NormLayer(reg, "stem.norm", ch[0])
-
-        self.downsamples = [None]
-        self.stages = []
-        bi = 0
-        for s in range(1, 5):
-            c = ch[s - 1]
-            if s > 1:
-                dn = NormLayer(reg, f"stage{s}.down.norm", ch[s - 2])
-                dc = ConvLayer(rng, reg, f"stage{s}.down.conv", ch[s - 2], c,
-                               T.ConvSpec(kernel=(2, 2), stride=(2, 2)))
-                self.downsamples.append((dn, dc))
-            blocks = []
-            for b in range(config.blocks[s - 1]):
-                blocks.append(Block(rng, reg, f"stage{s}.block{b}", c, layout,
-                                    temporal=s in temporal_stages,
-                                    temporal_bias=config.temporal_bias,
-                                    drop_prob=drop_rates[bi]))
-                bi += 1
-            self.stages.append(blocks)
-
-        self.neck_conv = None
-        self.final_norm = None
-        if config.use_neck:
-            h, w = config.grid
-            # dilation is resolved from the runtime map; spec validated per call
-            self.neck_weight = _param(rng, (config.head_width, ch[3], h, w))
-            self.neck_b = _zeros((config.head_width,))
-            reg.register("neck.conv", weight=self.neck_weight, bias=self.neck_b)
-            self.neck_norm = NormLayer(reg, "neck.norm", config.head_width)
-            head_in = config.head_width
-        else:
-            self.final_norm = NormLayer(reg, "final.norm", ch[3])
-            head_in = ch[3]
-        self.head_weight = _param(rng, (config.num_classes, head_in))
-        self.head_b = _zeros((config.num_classes,))
-        reg.register("head", weight=self.head_weight, bias=self.head_b)
-
+        for layer in self.layers:
+            layer.init(rng, reg)
+        self.stages = [layer.blocks for layer in self.layers if isinstance(layer, Stage)]
         self._params = reg.params
-        self._layout = layout
 
     # -- parameter registry ------------------------------------------------
 
@@ -399,16 +578,6 @@ class VidConvModel:
 
     # -- forward -----------------------------------------------------------
 
-    def neck_forward(self, x: T.Tensor) -> T.Tensor:
-        """Dense conv (h, w) dilated by the tile size, then norm and GELU."""
-        h, w = self.config.grid
-        if x.shape[2] % h or x.shape[3] % w:
-            raise ShapeError(f"neck input {x.shape[2:]} not divisible by grid {self.config.grid}")
-        ht, wt = x.shape[2] // h, x.shape[3] // w
-        spec = T.ConvSpec(kernel=(h, w), dilation=(ht, wt))
-        y = T.conv2d(x, self.neck_weight, self.neck_b, spec)
-        return T.gelu(self.neck_norm(y))
-
     def forward(self, clip, training=False, rng=None, capture=None):
         """Clip (N*L, 3, H, W) in clip-major order -> logits (N, num_classes).
 
@@ -426,37 +595,10 @@ class VidConvModel:
             raise ShapeError(f"spatial extents {clip.shape[2:]} must be divisible by 32")
         if training and rng is None and (cfg.drop_path_rate > 0 or cfg.head_dropout > 0):
             raise ValueError("training forward with stochastic regularization needs an rng")
-        want = capture if capture is not None else {}
-
-        x = self.stem_norm(self.stem_conv(clip))
-        collaged = False
-        for s in range(1, 5):
-            if s > 1:
-                dn, dc = self.downsamples[s - 1]
-                x = dc(dn(x))
-            for block in self.stages[s - 1]:
-                x = block(x, collaged, training, rng)
-            if cfg.stacking_stage == s:
-                x = collage(x, self._layout)
-                collaged = True
-            if capture is not None and f"stage{s}" in capture:
-                want[f"stage{s}"] = x
-
-        if cfg.use_neck:
-            if not collaged:
-                x = collage(x, self._layout)
-                collaged = True
-            x = self.neck_forward(x)
-            pooled = T.global_avg_pool(x)
-        else:
-            pooled = T.global_avg_pool(x)
-            if not collaged:
-                pooled = frame_mean(pooled, cfg.frames)
-            pooled = self.final_norm.vec(pooled)
-        pooled = dropout(pooled, cfg.head_dropout, rng, training)
-        if capture is not None and "pooled" in capture:
-            want["pooled"] = pooled
-        return T.linear(pooled, self.head_weight, self.head_b)
+        x = clip
+        for layer in self.layers:
+            x = layer(x, training, rng, capture)
+        return x
 
     # -- checkpoints ---------------------------------------------------------
 
@@ -504,7 +646,11 @@ def _replace_with(dest, data: bytes):
 
 
 def save_arrays(path, arrays: dict, meta=None):
-    """Write ``<path>.bin`` and ``<path>.json``; a failed save leaves the old pair."""
+    """Write ``<path>.bin`` and ``<path>.json``; a failed save leaves the old pair.
+
+    The manifest holds the blob's SHA-256, so a save cut off between the two
+    renames (new blob, old manifest) is caught by ``load_arrays``.
+    """
     entries = []
     offset = 0
     blob = []
@@ -514,15 +660,18 @@ def save_arrays(path, arrays: dict, meta=None):
                         "offset": offset, "length": int(a.size)})
         blob.append(a.tobytes())
         offset += a.size
-    manifest = {"format": _CHECKPOINT_FORMAT, "entries": entries, "meta": meta or {}}
+    blob = b"".join(blob)
+    manifest = {"format": _CHECKPOINT_FORMAT, "entries": entries, "meta": meta or {},
+                "sha256": hashlib.sha256(blob).hexdigest()}
     text = json.dumps(manifest, indent=1).encode("utf-8")  # raises before any write
     os.makedirs(os.path.dirname(os.path.abspath(str(path))), exist_ok=True)
-    _replace_with(f"{path}.bin", b"".join(blob))
+    _replace_with(f"{path}.bin", blob)
     _replace_with(f"{path}.json", text)
 
 
 def load_arrays(path):
-    """Read a ``save_arrays`` pair; a foreign manifest or a blob of the wrong size raises."""
+    """Read a ``save_arrays`` pair; a foreign manifest, or a blob whose size or
+    checksum differs from the manifest's, raises."""
     with open(f"{path}.json", encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
@@ -532,10 +681,14 @@ def load_arrays(path):
     if fmt != _CHECKPOINT_FORMAT:
         raise ConfigError(f"{path}.json has format {fmt!r}, expected {_CHECKPOINT_FORMAT!r}")
     expect = 4 * sum(e["length"] for e in manifest["entries"])
-    got = os.path.getsize(f"{path}.bin")
+    with open(f"{path}.bin", "rb") as fh:
+        blob = fh.read()
+    got = len(blob)
     if got != expect:
         raise ConfigError(f"checkpoint blob {path}.bin holds {got} bytes, manifest expects {expect}")
-    raw = np.fromfile(f"{path}.bin", dtype="<f4")
+    if hashlib.sha256(blob).hexdigest() != manifest.get("sha256"):
+        raise ConfigError(f"checkpoint blob {path}.bin does not match the checksum in {path}.json")
+    raw = np.frombuffer(blob, dtype="<f4")
     arrays = {}
     for e in manifest["entries"]:
         chunk = raw[e["offset"]: e["offset"] + e["length"]]

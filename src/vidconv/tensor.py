@@ -1,10 +1,10 @@
 """Dense float tensors with tape-based reverse-mode automatic differentiation.
 
-Covers exactly the operator set the collage video network needs: grouped and
-dilated 2D cross-correlation, channel layer norm, GELU, global pooling, a
-linear layer, softmax cross-entropy, and small elementwise/data-movement
-helpers. Arrays are 32-bit by default; passing float64 inputs runs every op
-in a 64-bit shadow mode used by the gradient checks.
+Covers exactly the operator set the collage video network needs: dense and
+depth-wise dilated 2D cross-correlation, channel layer norm, GELU, global
+pooling, a linear layer, softmax cross-entropy, and small elementwise and
+data-movement helpers. Arrays are 32-bit by default; passing float64 inputs
+runs every op in a 64-bit shadow mode used by the gradient checks.
 """
 from __future__ import annotations
 
@@ -77,11 +77,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def assert_finite(self, what="tensor"):
-        if not np.all(np.isfinite(self.data)):
-            raise NumericsError(f"{what} contains NaN/Inf values")
-        return self
 
     def zero_grad(self):
         self.grad = None
@@ -230,14 +225,6 @@ def sum_all(x: Tensor) -> Tensor:
     return _from_op(x.data.sum(dtype=x.dtype), (x,), grad_fn, "sum_all")
 
 
-def mean_all(x: Tensor) -> Tensor:
-    n = x.size
-
-    def grad_fn(g):
-        return (np.full(x.shape, g / n, dtype=x.dtype),)
-    return _from_op(x.data.mean(dtype=x.dtype), (x,), grad_fn, "mean_all")
-
-
 # ---------------------------------------------------------------------------
 # convolution
 
@@ -288,7 +275,7 @@ def _patch_view(xp, kh, kw, sh, sw, dh, dw, ho, wo):
 
 
 def conv2d(x: Tensor, weight: Tensor, bias, spec: ConvSpec) -> Tensor:
-    """2D cross-correlation NCHW -> NC'H'W' with stride/dilation/padding/groups.
+    """2D cross-correlation NCHW -> NC'H'W' with stride/dilation/padding, dense or depth-wise.
 
     ``weight`` is (Cout, Cin/groups, kh, kw); ``bias`` is (Cout,) or None.
     Differentiable with respect to input, weight, and bias.
@@ -318,7 +305,7 @@ def conv2d(x: Tensor, weight: Tensor, bias, spec: ConvSpec) -> Tensor:
 
     # One kernel per conv shape: 1x1 -> batched matmul; depth-wise (the
     # block's 7x7 and the temporal branch) -> banded GEMM; dense (stem,
-    # downsample, neck) -> im2col matmul; other grouped -> dense per group.
+    # downsample, neck) -> im2col matmul. No model conv uses other groupings.
     if kh == 1 and kw == 1 and (sh, sw) == (1, 1) and (ph, pw) == (0, 0) and spec.groups == 1:
         y, grad_fn = _conv_pointwise(x, weight, bias, n, cin, cout, h, w)
     elif spec.groups == cin and cout == cin and cpg == 1:
@@ -326,7 +313,8 @@ def conv2d(x: Tensor, weight: Tensor, bias, spec: ConvSpec) -> Tensor:
     elif spec.groups == 1:
         y, grad_fn = _conv_dense(x, weight, bias, xp, spec, ho, wo)
     else:
-        y, grad_fn = _conv_grouped(x, weight, bias, xp, spec, ho, wo)
+        raise ShapeError(f"conv2d supports dense (groups=1) or depth-wise (groups == cin == cout) "
+                         f"convs, got {cin} -> {cout} channels in {spec.groups} groups")
 
     if bias is not None:
         y += bias.data[None, :, None, None]  # y is freshly allocated above
@@ -423,48 +411,6 @@ def _conv_dense(x, weight, bias, xp, spec, ho, wo):
                 sl = gxp[:, :, i * dh: i * dh + (ho - 1) * sh + 1: sh,
                          j * dw: j * dw + (wo - 1) * sw + 1: sw]
                 sl += gcols[:, :, i, j]
-        gx = gxp[:, :, ph: ph + x.shape[2], pw: pw + x.shape[3]] if (ph or pw) else gxp
-        gb = _bias_grad(g) if bias is not None else None
-        return (gx, gw) + ((gb,) if bias is not None else ())
-
-    return y, grad_fn
-
-
-def _conv_grouped(x, weight, bias, xp, spec, ho, wo):
-    # Rarely-exercised generic path: run the dense kernel once per group.
-    n, cin = x.shape[:2]
-    cout = weight.shape[0]
-    g_ = spec.groups
-    cpg_in, cpg_out = cin // g_, cout // g_
-    kh, kw = spec.kernel
-    sh, sw = spec.stride
-    dh, dw = spec.dilation
-    ph, pw = spec.padding
-    k = cpg_in * kh * kw
-    y = np.empty((n, cout, ho, wo), dtype=x.dtype)
-    cols_per_group = []
-    for gi in range(g_):
-        xg = xp[:, gi * cpg_in:(gi + 1) * cpg_in]
-        cols = _patch_view(xg, kh, kw, sh, sw, dh, dw, ho, wo).reshape(n, k, ho * wo)
-        cols_per_group.append(cols)
-        wg = weight.data[gi * cpg_out:(gi + 1) * cpg_out].reshape(cpg_out, k)
-        y[:, gi * cpg_out:(gi + 1) * cpg_out] = np.matmul(wg, cols).reshape(n, cpg_out, ho, wo)
-
-    def grad_fn(g):
-        gxp = np.zeros_like(xp)
-        gw = np.empty_like(weight.data)
-        for gi in range(g_):
-            gm = g[:, gi * cpg_out:(gi + 1) * cpg_out].reshape(n, cpg_out, ho * wo)
-            wg = weight.data[gi * cpg_out:(gi + 1) * cpg_out].reshape(cpg_out, k)
-            gw[gi * cpg_out:(gi + 1) * cpg_out] = np.einsum(
-                "nop,nkp->ok", gm, cols_per_group[gi], optimize=True).reshape(cpg_out, cpg_in, kh, kw)
-            gcols = np.matmul(wg.T, gm).reshape(n, cpg_in, kh, kw, ho, wo)
-            dst = gxp[:, gi * cpg_in:(gi + 1) * cpg_in]
-            for i in range(kh):
-                for j in range(kw):
-                    sl = dst[:, :, i * dh: i * dh + (ho - 1) * sh + 1: sh,
-                             j * dw: j * dw + (wo - 1) * sw + 1: sw]
-                    sl += gcols[:, :, i, j]
         gx = gxp[:, :, ph: ph + x.shape[2], pw: pw + x.shape[3]] if (ph or pw) else gxp
         gb = _bias_grad(g) if bias is not None else None
         return (gx, gw) + ((gb,) if bias is not None else ())

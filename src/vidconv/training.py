@@ -21,13 +21,6 @@ def seed_streams(root_seed: int) -> dict:
     return {name: np.random.default_rng(seq) for name, seq in zip(STREAM_NAMES, children)}
 
 
-def derive_seed(root_seed: int, label: str) -> int:
-    """A stable 63-bit integer sub-seed for a named subsystem."""
-    idx = STREAM_NAMES.index(label)
-    state = np.random.SeedSequence(root_seed).spawn(len(STREAM_NAMES))[idx]
-    return int(state.generate_state(1, np.uint64)[0] >> 1)
-
-
 # ---------------------------------------------------------------------------
 # stochastic regularization
 
@@ -262,8 +255,7 @@ def train(model, train_ds, val_ds, cfg: TrainConfig, root_seed: int = 0,
         state.schedule = schedule
 
     params = model.parameters()
-    sampler = ClipSampler(frames=model.config.frames, stride_range=(1, 1),
-                          deterministic_stride=None)
+    sampler = ClipSampler(frames=model.config.frames, stride_range=(1, 1))
     start_epoch = state.epoch
 
     for epoch in range(start_epoch, cfg.epochs):
@@ -372,7 +364,7 @@ def evaluate_multiview(model, dataset, num_clips=1, num_crops=1, rng=None,
     if num_clips < 1 or num_crops < 1:
         raise ConfigError("need at least one clip and one crop")
     L = model.config.frames
-    sampler = ClipSampler(frames=L, stride_range=(1, 1), deterministic_stride=None)
+    sampler = ClipSampler(frames=L, stride_range=(1, 1))
     n = len(dataset)
     k = model.config.num_classes
     probs_sum = np.zeros((n, k), dtype=np.float64)

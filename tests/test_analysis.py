@@ -1,9 +1,11 @@
 """Cost accounting, shuffle mechanics, CAM contracts, latency, ablation rows."""
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from vidconv import tensor as T
 from vidconv.analysis import (ablation_rows, benchmark_latency, cam_from_capture,
                               compute_cam, count_flops, count_params, order_permutation,
                               plan_layers, write_pgm)
@@ -101,6 +103,62 @@ def test_flops_halving_input_quarters_every_conv():
         if name == "head":
             continue
         assert full[name] == 4 * half[name], name
+
+
+TOY_BRANCHES = {
+    "default": {},
+    "neckless": dict(use_neck=False),
+    "stack-none": dict(stacking_stage=None),
+    "stack-1": dict(stacking_stage=1),
+    "stack-3": dict(stacking_stage=3),
+    "stack-4": dict(stacking_stage=4),
+    "per-frame": dict(stacking_stage=None, use_temporal_branch=False, use_neck=False),
+    "grid-2x2": dict(grid=(2, 2), frames=4),
+    "grid-4x4": dict(grid=(4, 4), frames=16),
+    "no-branch": dict(use_temporal_branch=False),
+    "no-temporal-bias": dict(temporal_bias=False),
+}
+
+
+@pytest.mark.parametrize("branch", list(TOY_BRANCHES))
+def test_plan_matches_the_running_model(monkeypatch, branch):
+    cfg = make_config("toy", num_classes=4, input_size=(64, 64), **TOY_BRANCHES[branch])
+    model = build_model(cfg, 0)
+    macs = []
+    conv2d, linear = T.conv2d, T.linear
+
+    def counting_conv2d(x, weight, bias, spec):
+        y = conv2d(x, weight, bias, spec)
+        macs.append(y.size * (weight.size // weight.shape[0]))
+        return y
+
+    def counting_linear(x, weight, bias):
+        macs.append(x.shape[0] * weight.size)
+        return linear(x, weight, bias)
+
+    monkeypatch.setattr(T, "conv2d", counting_conv2d)
+    monkeypatch.setattr(T, "linear", counting_linear)
+    clips = rng(23).random((2 * cfg.frames, 3, 64, 64), dtype=np.float32)
+    model.forward(clips, training=False)
+    assert sum(macs) == 2 * count_flops(cfg).flops_per_view
+    assert count_params(cfg).params == model.num_params()
+
+
+@pytest.mark.parametrize("variant,params,macs,elt_flops,rows", [
+    ("tiny", 44_736_112, 40_881_240_576, 130_733_568, 145),
+    ("base", 107_450_384, 139_134_752_768, 287_960_064, 289),
+])
+def test_plan_totals_pinned_and_drawn_without_weights(variant, params, macs, elt_flops, rows):
+    tracemalloc.start()
+    try:
+        rep = count_params(make_config(variant, num_classes=400))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.params, rep.flops_per_view, rep.elt_flops, len(rep.breakdown)) == \
+        (params, macs, elt_flops, rows)
+    assert rep.breakdown[-1].name == "head"
+    assert peak < 10 * 2**20  # the weights of a base build take ~430 MB
 
 
 def test_cost_report_totals_and_formats():

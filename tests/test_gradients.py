@@ -88,19 +88,6 @@ def test_conv2d_depthwise_block_geometry_gradients(kernel, dilation, padding, sh
     check_gradients(build, arrays, rel_tol=REL_TOL)
 
 
-def test_conv2d_grouped_gradients():
-    r = rng(8)
-    arrays = {"x": randn(r, (1, 4, 6, 6)), "w": randn(r, (6, 2, 3, 3)) * 0.5,
-              "b": randn(r, (6,))}
-    spec = T.ConvSpec(kernel=(3, 3), padding=(1, 1), groups=2)
-
-    def build(t):
-        y = T.conv2d(t["x"], t["w"], t["b"], spec)
-        return T.sum_all(T.mul(y, y))
-
-    check_gradients(build, arrays, rel_tol=REL_TOL)
-
-
 @pytest.mark.parametrize("seed,shape", [(0, (1, 4, 2, 2)), (1, (2, 3, 3, 2)), (2, (1, 6, 1, 4))])
 def test_layer_norm_gradients(seed, shape):
     r = rng(seed + 30)

@@ -1,11 +1,14 @@
 """Collage movement, temporal branch, block fusion, and whole-model behavior."""
+import json
+
 import numpy as np
 import pytest
 
 from vidconv import tensor as T
 from vidconv.errors import ConfigError, ShapeError
-from vidconv.model import (CollageLayout, ModelConfig, build_model, collage, frame_mean,
-                           make_config, temporal_dilated_conv, tile_grid, uncollage)
+from vidconv.model import (CollageLayout, ModelConfig, build_model, collage, config_from_dict,
+                           config_to_dict, frame_mean, make_config, temporal_dilated_conv,
+                           tile_grid, uncollage)
 from conftest import rng
 
 
@@ -344,6 +347,14 @@ def test_config_validation_errors():
         ModelConfig(stacking_stage=5, num_classes=10).validate()
 
 
+@pytest.mark.parametrize("overrides", [{}, dict(stacking_stage=None, use_neck=False),
+                                       dict(grid=(2, 2), frames=4)],
+                         ids=["default", "unstacked-neckless", "grid2x2"])
+def test_config_round_trips_through_json(overrides):
+    cfg = make_config("toy", **overrides)
+    assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+
+
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     model = build_model(toy_config(), 8)
     path = str(tmp_path / "ckpt" / "m")
@@ -390,6 +401,16 @@ def test_checkpoint_foreign_manifest_rejected(tmp_path, foreign):
     (tmp_path / "m.json").write_bytes(manifest)
     with pytest.raises(ConfigError, match="format|not a checkpoint manifest"):
         build_model(toy_config(), 11).load_checkpoint(path)
+
+
+def test_checkpoint_blob_from_another_save_rejected(tmp_path):
+    # A save cut off between its two renames leaves the new blob under the old
+    # manifest. Both have the same length, so only the checksum tells them apart.
+    build_model(toy_config(), 15).save_checkpoint(str(tmp_path / "m"), meta={"epoch": 1})
+    build_model(toy_config(), 16).save_checkpoint(str(tmp_path / "new"), meta={"epoch": 2})
+    (tmp_path / "m.bin").write_bytes((tmp_path / "new.bin").read_bytes())
+    with pytest.raises(ConfigError, match="checksum"):
+        build_model(toy_config(), 17).load_checkpoint(str(tmp_path / "m"))
 
 
 def test_failed_checkpoint_save_keeps_previous_pair(tmp_path):

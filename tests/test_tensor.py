@@ -194,6 +194,15 @@ def test_conv2d_group_divisibility_errors():
         T.conv2d(x, w, None, T.ConvSpec(kernel=(1, 1), groups=2))
 
 
+@pytest.mark.parametrize("w_shape,groups",
+                         [((6, 2, 3, 3), 2), ((4, 2, 3, 3), 2), ((8, 1, 3, 3), 4)],
+                         ids=["grouped", "grouped-square", "depth-multiplier"])
+def test_conv2d_rejects_groupings_neither_dense_nor_depthwise(w_shape, groups):
+    x = make((1, 4, 6, 6))
+    with pytest.raises(ShapeError, match="depth-wise"):
+        T.conv2d(x, make(w_shape), None, T.ConvSpec(kernel=(3, 3), padding=(1, 1), groups=groups))
+
+
 def test_conv2d_purity_bit_identical():
     x = make((2, 8, 12, 12), seed=9)
     w = make((8, 1, 7, 7), seed=10)
