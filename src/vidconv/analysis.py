@@ -59,11 +59,12 @@ class CostReport:
 
 
 def plan_layers(config: ModelConfig, frames=None, input_size=None) -> list:
-    """Cost rows of one view (one clip of L frames), walked over the same
-    layer list the model runs; no weights are drawn."""
+    """Cost rows of one view (one clip of ``config.frames`` frames), walked
+    over the same layer list the model runs; no weights are drawn."""
     config.validate()
-    L = frames if frames is not None else config.frames
-    ext = Extent(L, tuple(input_size if input_size is not None else config.input_size))
+    if frames is not None and frames != config.frames:
+        raise ConfigError(f"the model runs {config.frames}-frame clips, not {frames}")
+    ext = Extent(config.frames, tuple(input_size if input_size is not None else config.input_size))
     rows = []
     for layer in layer_graph(config):
         layer_rows, ext = layer.plan(ext)
@@ -79,13 +80,12 @@ def count_params(config: ModelConfig) -> CostReport:
 def count_flops(config: ModelConfig, frames=None, input_size=None) -> CostReport:
     """Per-view MAC count for the given clip geometry."""
     layers = plan_layers(config, frames=frames, input_size=input_size)
-    L = frames if frames is not None else config.frames
     H, W = input_size if input_size is not None else config.input_size
     return CostReport(params=sum(l.params for l in layers),
                       flops_per_view=sum(l.macs for l in layers),
                       elt_flops=sum(l.elt_flops for l in layers),
                       breakdown=layers,
-                      geometry={"frames": L, "input_size": [H, W]}).check_totals()
+                      geometry={"frames": config.frames, "input_size": [H, W]}).check_totals()
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -602,13 +603,12 @@ class VidConvModel:
 
     # -- checkpoints ---------------------------------------------------------
 
-    def save_checkpoint(self, path, meta=None, extra=None):
+    def save_checkpoint(self, path, meta=None):
         arrays = {name: p.data for name, p in self._params.items()}
-        if extra:
-            arrays.update(extra)
         save_arrays(path, arrays, meta=dict(meta or {}, config=config_to_dict(self.config)))
 
-    def load_checkpoint(self, path):
+    def load_checkpoint(self, path) -> dict:
+        """Load the weights saved at ``path``; returns the saved ``meta``."""
         arrays, meta = load_arrays(path)
         for name, p in self._params.items():
             if name not in arrays:
@@ -619,8 +619,7 @@ class VidConvModel:
                     f"checkpoint/config mismatch for parameter {name}: "
                     f"stored {tuple(arr.shape)}, model expects {tuple(p.shape)}")
             p.data = arr.astype(np.float32, copy=True)
-        extra = {k: v for k, v in arrays.items() if k not in self._params}
-        return meta, extra
+        return meta
 
 
 def build_model(config: ModelConfig, rng_seed: int) -> VidConvModel:
@@ -680,7 +679,12 @@ def load_arrays(path):
     fmt = manifest.get("format") if isinstance(manifest, dict) else None
     if fmt != _CHECKPOINT_FORMAT:
         raise ConfigError(f"{path}.json has format {fmt!r}, expected {_CHECKPOINT_FORMAT!r}")
-    expect = 4 * sum(e["length"] for e in manifest["entries"])
+    try:
+        entries = [(e["name"], [int(n) for n in e["shape"]], int(e["offset"]), int(e["length"]))
+                   for e in manifest["entries"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}.json has malformed entries: {exc!r}") from exc
+    expect = 4 * sum(length for *_, length in entries)
     with open(f"{path}.bin", "rb") as fh:
         blob = fh.read()
     got = len(blob)
@@ -690,11 +694,13 @@ def load_arrays(path):
         raise ConfigError(f"checkpoint blob {path}.bin does not match the checksum in {path}.json")
     raw = np.frombuffer(blob, dtype="<f4")
     arrays = {}
-    for e in manifest["entries"]:
-        chunk = raw[e["offset"]: e["offset"] + e["length"]]
-        if chunk.size != e["length"]:
-            raise ConfigError(f"checkpoint blob truncated at entry {e['name']}")
-        arrays[e["name"]] = chunk.reshape(e["shape"]).copy()
+    for name, shape, offset, length in entries:
+        if math.prod(shape) != length:
+            raise ConfigError(f"{path}.json entry {name} has shape {shape} but length {length}")
+        chunk = raw[offset: offset + length]
+        if chunk.size != length:
+            raise ConfigError(f"checkpoint blob truncated at entry {name}")
+        arrays[name] = chunk.reshape(shape).copy()
     return arrays, manifest.get("meta", {})
 
 

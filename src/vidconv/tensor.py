@@ -1,10 +1,11 @@
 """Dense float tensors with tape-based reverse-mode automatic differentiation.
 
-Covers exactly the operator set the collage video network needs: dense and
-depth-wise dilated 2D cross-correlation, channel layer norm, GELU, global
-pooling, a linear layer, softmax cross-entropy, and small elementwise and
-data-movement helpers. Arrays are 32-bit by default; passing float64 inputs
-runs every op in a 64-bit shadow mode used by the gradient checks.
+Covers exactly the operator set the collage video network needs: depth-wise
+dilated and non-overlapping dense 2D cross-correlation, channel layer norm,
+GELU, global pooling, a linear layer, softmax cross-entropy, and small
+elementwise and data-movement helpers. Arrays are 32-bit by default; passing
+float64 inputs runs every op in a 64-bit shadow mode used by the gradient
+checks.
 """
 from __future__ import annotations
 
@@ -12,19 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import NumericsError, ShapeError
-
-_FINITE_CHECKS = True
-
-
-def set_finite_checks(enabled: bool) -> bool:
-    """Toggle the NaN/Inf scan after each forward op; returns the old value."""
-    global _FINITE_CHECKS
-    old = _FINITE_CHECKS
-    _FINITE_CHECKS = bool(enabled)
-    return old
 
 
 def _as_float_array(data, dtype):
@@ -89,7 +79,7 @@ def _from_op(data, parents, grad_fn, what):
     """Build an op output: tracks parents iff any of them requires grad."""
     # A single pairwise sum goes non-finite iff the array holds NaN/Inf, and
     # costs one pass instead of isfinite()'s bool temporary.
-    if _FINITE_CHECKS and not np.isfinite(data.sum(dtype=np.float64)):
+    if not np.isfinite(data.sum(dtype=np.float64)):
         if not np.all(np.isfinite(data)):
             raise NumericsError(f"{what} produced NaN/Inf values")
     out = Tensor.__new__(Tensor)
@@ -260,25 +250,13 @@ class ConvSpec:
                 f"channels ({in_channels} -> {out_channels}) not divisible by groups={self.groups}")
 
 
-def _pad_nchw(x, ph, pw):
-    if ph == 0 and pw == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-
-
-def _patch_view(xp, kh, kw, sh, sw, dh, dw, ho, wo):
-    """Strided (N, C, kh, kw, Ho, Wo) window view over a padded input."""
-    n, c = xp.shape[:2]
-    s = xp.strides
-    return as_strided(xp, shape=(n, c, kh, kw, ho, wo),
-                      strides=(s[0], s[1], s[2] * dh, s[3] * dw, s[2] * sh, s[3] * sw))
-
-
 def conv2d(x: Tensor, weight: Tensor, bias, spec: ConvSpec) -> Tensor:
-    """2D cross-correlation NCHW -> NC'H'W' with stride/dilation/padding, dense or depth-wise.
+    """2D cross-correlation NCHW -> NC'H'W', depth-wise or dense.
 
     ``weight`` is (Cout, Cin/groups, kh, kw); ``bias`` is (Cout,) or None.
-    Differentiable with respect to input, weight, and bias.
+    Depth-wise convs take any stride, dilation and padding; a dense conv must
+    read each input pixel exactly once (see ``_conv_dense``). Differentiable
+    with respect to input, weight, and bias.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d expects 4D input/weight, got {x.shape} / {weight.shape}")
@@ -298,20 +276,13 @@ def conv2d(x: Tensor, weight: Tensor, bias, spec: ConvSpec) -> Tensor:
     if ho < 1 or wo < 1:
         raise ShapeError(f"conv2d output extent not positive: {(ho, wo)} for input {(h, w)}")
 
-    sh, sw = spec.stride
-    dh, dw = spec.dilation
-    ph, pw = spec.padding
-    xp = _pad_nchw(x.data, ph, pw)
-
-    # One kernel per conv shape: 1x1 -> batched matmul; depth-wise (the
-    # block's 7x7 and the temporal branch) -> banded GEMM; dense (stem,
-    # downsample, neck) -> im2col matmul. No model conv uses other groupings.
-    if kh == 1 and kw == 1 and (sh, sw) == (1, 1) and (ph, pw) == (0, 0) and spec.groups == 1:
-        y, grad_fn = _conv_pointwise(x, weight, bias, n, cin, cout, h, w)
-    elif spec.groups == cin and cout == cin and cpg == 1:
-        y, grad_fn = _conv_depthwise(x, weight, bias, xp, spec, ho, wo)
+    # Two kernels: depth-wise (the block's 7x7 and the temporal branch) ->
+    # banded GEMM; dense (1x1, stem, downsample, neck) -> reshape + GEMM.
+    # Depth-wise is checked first: a 1-channel conv is both.
+    if spec.groups == cin and cout == cin and cpg == 1:
+        y, grad_fn = _conv_depthwise(x, weight, bias, spec, ho, wo)
     elif spec.groups == 1:
-        y, grad_fn = _conv_dense(x, weight, bias, xp, spec, ho, wo)
+        y, grad_fn = _conv_dense(x, weight, bias, spec, ho, wo)
     else:
         raise ShapeError(f"conv2d supports dense (groups=1) or depth-wise (groups == cin == cout) "
                          f"convs, got {cin} -> {cout} channels in {spec.groups} groups")
@@ -326,23 +297,7 @@ def _bias_grad(g):
     return g.sum(axis=(0, 2, 3))
 
 
-def _conv_pointwise(x, weight, bias, n, cin, cout, h, w):
-    # Unpadded 1x1 stride-1 kernels reduce to one batched matmul.
-    xm = x.data.reshape(n, cin, h * w)
-    w2 = weight.data.reshape(cout, cin)
-    y = np.matmul(w2, xm).reshape(n, cout, h, w)
-
-    def grad_fn(g):
-        gm = g.reshape(n, cout, h * w)
-        gx = np.matmul(w2.T, gm).reshape(x.shape)
-        gw = np.einsum("nop,ncp->oc", gm, xm, optimize=True).reshape(weight.shape)
-        gb = _bias_grad(g) if bias is not None else None
-        return (gx, gw) + ((gb,) if bias is not None else ())
-
-    return y, grad_fn
-
-
-def _conv_depthwise(x, weight, bias, xp, spec, ho, wo):
+def _conv_depthwise(x, weight, bias, spec, ho, wo):
     # Banded GEMM, one per kernel row i: the row-shifted padded input
     # (N, C, Ho, Wp) times a per-channel (Wp, Wo) band that holds row i's kw
     # taps at columns o*sw + j*dw. BLAS spends extra MACs on the band's zeros,
@@ -354,6 +309,7 @@ def _conv_depthwise(x, weight, bias, xp, spec, ho, wo):
     sh, sw = spec.stride
     dh, dw = spec.dilation
     ph, pw = spec.padding
+    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x.data
     wp = xp.shape[3]
     w3 = weight.data.reshape(c, kh, kw)
     cols = np.arange(wo)
@@ -389,15 +345,34 @@ def _conv_depthwise(x, weight, bias, xp, spec, ho, wo):
     return y, grad_fn
 
 
-def _conv_dense(x, weight, bias, xp, spec, ho, wo):
-    n, cin = x.shape[:2]
+def _conv_dense(x, weight, bias, spec, ho, wo):
+    # Every dense conv the model runs reads each input pixel exactly once, so
+    # im2col is a reshape plus a transpose (a view for 1x1) and its backward
+    # is the inverse transpose. Along each axis the input splits into
+    # (out, k) when stride = kernel and dilation = 1 (1x1, stem, downsample),
+    # or into (k, out) when stride = 1 and dilation = out (the neck: kernel =
+    # grid, dilation = tile). Any other geometry raises.
+    n, cin, h, w = x.shape
     cout = weight.shape[0]
     kh, kw = spec.kernel
-    sh, sw = spec.stride
-    dh, dw = spec.dilation
-    ph, pw = spec.padding
+    split, taps, pixels = [n, cin], [], []
+    for k, out, s, d in zip(spec.kernel, (ho, wo), spec.stride, spec.dilation):
+        at = len(split)
+        if (s, d) == (k, 1):
+            split += [out, k]
+            taps.append(at + 1)
+            pixels.append(at)
+        elif (s, d) == (1, out):
+            split += [k, out]
+            taps.append(at)
+            pixels.append(at + 1)
+    if len(taps) < 2 or tuple(spec.padding) != (0, 0) or (h, w) != (kh * ho, kw * wo):
+        raise ShapeError(f"dense conv2d must read each input pixel once (no padding; per axis "
+                         f"stride = kernel, or stride 1 and dilation = output extent): "
+                         f"{spec} does not tile a {h}x{w} input")
+    perm = (0, 1, *taps, *pixels)
     k = cin * kh * kw
-    cols = _patch_view(xp, kh, kw, sh, sw, dh, dw, ho, wo).reshape(n, k, ho * wo)
+    cols = x.data.reshape(split).transpose(perm).reshape(n, k, ho * wo)
     w2 = weight.data.reshape(cout, k)
     y = np.matmul(w2, cols).reshape(n, cout, ho, wo)
 
@@ -405,13 +380,7 @@ def _conv_dense(x, weight, bias, xp, spec, ho, wo):
         gm = g.reshape(n, cout, ho * wo)
         gw = np.einsum("nop,nkp->ok", gm, cols, optimize=True).reshape(weight.shape)
         gcols = np.matmul(w2.T, gm).reshape(n, cin, kh, kw, ho, wo)
-        gxp = np.zeros_like(xp)
-        for i in range(kh):
-            for j in range(kw):
-                sl = gxp[:, :, i * dh: i * dh + (ho - 1) * sh + 1: sh,
-                         j * dw: j * dw + (wo - 1) * sw + 1: sw]
-                sl += gcols[:, :, i, j]
-        gx = gxp[:, :, ph: ph + x.shape[2], pw: pw + x.shape[3]] if (ph or pw) else gxp
+        gx = gcols.transpose(np.argsort(perm)).reshape(x.shape)
         gb = _bias_grad(g) if bias is not None else None
         return (gx, gw) + ((gb,) if bias is not None else ())
 
@@ -457,35 +426,24 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
-def gelu(x: Tensor, exact: bool = False) -> Tensor:
-    """Elementwise GELU; tanh approximation by default, erf variant on request."""
-    if exact:
-        from scipy.special import erf
+def gelu(x: Tensor) -> Tensor:
+    """Elementwise GELU, tanh approximation."""
+    u = x.data * x.data
+    u *= x.data
+    u *= _GELU_A
+    u += x.data
+    u *= _GELU_C
+    th = np.tanh(u, out=u)
+    y = th + 1.0
+    y *= x.data
+    y *= 0.5
+    y = y.astype(x.dtype, copy=False)
 
-        inv_sqrt2 = 1.0 / math.sqrt(2.0)
-        cdf = 0.5 * (1.0 + erf(x.data * inv_sqrt2))
-        y = (x.data * cdf).astype(x.dtype)
-
-        def grad_fn(g):
-            pdf = np.exp(-0.5 * x.data * x.data) / math.sqrt(2.0 * math.pi)
-            return ((cdf + x.data * pdf).astype(x.dtype) * g,)
-    else:
-        u = x.data * x.data
-        u *= x.data
-        u *= _GELU_A
-        u += x.data
-        u *= _GELU_C
-        th = np.tanh(u, out=u)
-        y = th + 1.0
-        y *= x.data
-        y *= 0.5
-        y = y.astype(x.dtype, copy=False)
-
-        def grad_fn(g):
-            sech2 = 1.0 - th * th
-            du = _GELU_C * (1.0 + 3.0 * _GELU_A * (x.data * x.data))
-            d = 0.5 * (1.0 + th) + 0.5 * x.data * sech2 * du
-            return (d.astype(x.dtype) * g,)
+    def grad_fn(g):
+        sech2 = 1.0 - th * th
+        du = _GELU_C * (1.0 + 3.0 * _GELU_A * (x.data * x.data))
+        d = 0.5 * (1.0 + th) + 0.5 * x.data * sech2 * du
+        return (d.astype(x.dtype) * g,)
 
     return _from_op(y, (x,), grad_fn, "gelu")
 

@@ -233,8 +233,8 @@ def train(model, train_ds, val_ds, cfg: TrainConfig, root_seed: int = 0,
     """Run the full training loop; deterministic for a fixed root seed.
 
     Metrics are appended per epoch as JSON lines when ``cfg.metrics_path`` is
-    set; checkpoints go to ``cfg.ckpt_dir`` every ``ckpt_every`` epochs and at
-    the best validation top-1.
+    set; checkpoints (weights and meta) go to ``cfg.ckpt_dir`` every
+    ``ckpt_every`` epochs and at the best validation top-1.
     """
     from .data import ClipSampler
 
@@ -300,32 +300,12 @@ def train(model, train_ds, val_ds, cfg: TrainConfig, root_seed: int = 0,
             meta = {"epoch": epoch + 1, "iteration": state.iteration,
                     "best_top1": max(state.best_top1, val["top1"])}
             if cfg.ckpt_every and (epoch + 1) % cfg.ckpt_every == 0:
-                model.save_checkpoint(f"{cfg.ckpt_dir}/epoch{epoch + 1:03d}", meta=meta,
-                                      extra=optim_arrays(state.optim))
+                model.save_checkpoint(f"{cfg.ckpt_dir}/epoch{epoch + 1:03d}", meta=meta)
             if val["top1"] > state.best_top1:
-                model.save_checkpoint(f"{cfg.ckpt_dir}/best", meta=meta,
-                                      extra=optim_arrays(state.optim))
+                model.save_checkpoint(f"{cfg.ckpt_dir}/best", meta=meta)
         state.best_top1 = max(state.best_top1, val["top1"])
         state.epoch = epoch + 1
     return state
-
-
-def optim_arrays(optim: OptimState) -> dict:
-    """Flatten optimizer moments into checkpointable named arrays."""
-    out = {}
-    for name, arr in optim.m.items():
-        out[f"optim.m.{name}"] = arr
-    for name, arr in optim.v.items():
-        out[f"optim.v.{name}"] = arr
-    return out
-
-
-def restore_optim(optim: OptimState, extra: dict):
-    for key, arr in extra.items():
-        if key.startswith("optim.m."):
-            optim.m[key[len("optim.m."):]] = arr.copy()
-        elif key.startswith("optim.v."):
-            optim.v[key[len("optim.v."):]] = arr.copy()
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,18 @@ def test_plan_totals_pinned_and_drawn_without_weights(variant, params, macs, elt
     assert peak < 10 * 2**20  # the weights of a base build take ~430 MB
 
 
+@pytest.mark.parametrize("overrides", [{}, dict(stacking_stage=None, use_temporal_branch=False,
+                                                 use_neck=False)],
+                         ids=["default", "no-grid"])
+def test_plan_rejects_a_clip_length_the_model_cannot_run(overrides):
+    # forward takes only whole 9-frame clips, so a 4-frame plan describes no run
+    cfg = make_config("toy", input_size=(64, 64), **overrides)
+    for plan in (plan_layers, count_flops):
+        with pytest.raises(ConfigError, match="9-frame clips, not 4"):
+            plan(cfg, frames=4)
+    assert count_flops(cfg, frames=9).flops_per_view == count_flops(cfg).flops_per_view
+
+
 def test_cost_report_totals_and_formats():
     rep = count_flops(make_config("toy", num_classes=4, input_size=(64, 64)))
     rep.check_totals()

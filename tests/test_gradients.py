@@ -14,19 +14,27 @@ def randn(r, shape):
 
 @pytest.mark.parametrize("seed,shape", [(0, (1, 2, 5, 5)), (1, (2, 3, 6, 4)), (2, (1, 4, 4, 7))])
 def test_conv2d_dense_gradients(seed, shape):
+    # shape is (N, Cin, Ho, Wo); each dense geometry the model runs reads an
+    # input that it tiles onto that output grid.
+    n, cin, ho, wo = shape
+    specs = [T.ConvSpec(kernel=(1, 1)),
+             T.ConvSpec(kernel=(4, 4), stride=(4, 4)),
+             T.ConvSpec(kernel=(2, 2), stride=(2, 2)),
+             T.ConvSpec(kernel=(3, 3), dilation=(ho, wo)),
+             T.ConvSpec(kernel=(2, 3), dilation=(ho, wo))]
     r = rng(seed)
-    cin = shape[1]
-    arrays = {
-        "x": randn(r, shape),
-        "w": randn(r, (3, cin, 3, 3)) * 0.5,
-        "b": randn(r, (3,)),
-    }
-    spec = T.ConvSpec(kernel=(3, 3), padding=(1, 1))
+    for spec in specs:
+        kh, kw = spec.kernel
+        arrays = {
+            "x": randn(r, (n, cin, kh * ho, kw * wo)),
+            "w": randn(r, (3, cin, kh, kw)) * 0.5,
+            "b": randn(r, (3,)),
+        }
 
-    def build(t):
-        return T.sum_all(T.mul(y := T.conv2d(t["x"], t["w"], t["b"], spec), y))
+        def build(t):
+            return T.sum_all(T.mul(y := T.conv2d(t["x"], t["w"], t["b"], spec), y))
 
-    check_gradients(build, arrays, rel_tol=REL_TOL)
+        check_gradients(build, arrays, rel_tol=REL_TOL)
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5])
@@ -102,13 +110,12 @@ def test_layer_norm_gradients(seed, shape):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("exact", [False, True])
-def test_gelu_gradients(seed, exact):
+def test_gelu_gradients(seed):
     r = rng(seed + 40)
     arrays = {"x": 2.0 * randn(r, (17,))}
 
     def build(t):
-        y = T.gelu(t["x"], exact=exact)
+        y = T.gelu(t["x"])
         return T.sum_all(T.mul(y, y))
 
     check_gradients(build, arrays, rel_tol=REL_TOL)
@@ -163,11 +170,11 @@ def test_scale_channels_gradients():
 
 
 def test_composite_chain_gradients():
-    # conv -> norm -> gelu -> pool -> loss on a 1x2x8x8 input, all leaves checked
+    # patchify conv -> norm -> gelu -> pool -> loss on a 1x2x8x8 input, all leaves checked
     r = rng(99)
     arrays = {
         "x": randn(r, (1, 2, 8, 8)),
-        "cw": randn(r, (3, 2, 3, 3)) * 0.4,
+        "cw": randn(r, (3, 2, 2, 2)) * 0.4,
         "cb": 0.1 * randn(r, (3,)),
         "g": 1.0 + 0.1 * randn(r, (3,)),
         "b": 0.1 * randn(r, (3,)),
@@ -177,7 +184,7 @@ def test_composite_chain_gradients():
     labels = np.array([1])
 
     def build(t):
-        y = T.conv2d(t["x"], t["cw"], t["cb"], T.ConvSpec(kernel=(3, 3), padding=(1, 1)))
+        y = T.conv2d(t["x"], t["cw"], t["cb"], T.ConvSpec(kernel=(2, 2), stride=(2, 2)))
         y = T.layer_norm_channels(y, t["g"], t["b"])
         y = T.gelu(y)
         y = T.global_avg_pool(y)

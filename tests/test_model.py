@@ -360,9 +360,8 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     path = str(tmp_path / "ckpt" / "m")
     model.save_checkpoint(path, meta={"epoch": 3})
     clone = build_model(toy_config(), 99)
-    meta, extra = clone.load_checkpoint(path)
+    meta = clone.load_checkpoint(path)
     assert meta["epoch"] == 3
-    assert not extra
     for name, p in model.parameters().items():
         assert np.array_equal(p.data, clone.parameters()[name].data), name
     clip = rng(22).random((9, 3, 64, 64)).astype(np.float32)
@@ -403,6 +402,21 @@ def test_checkpoint_foreign_manifest_rejected(tmp_path, foreign):
         build_model(toy_config(), 11).load_checkpoint(path)
 
 
+@pytest.mark.parametrize("fault", ["no-entries", "entry-without-offset", "shape-disagrees"])
+def test_checkpoint_malformed_manifest_rejected(tmp_path, fault):
+    build_model(toy_config(), 18).save_checkpoint(str(tmp_path / "m"))
+    manifest = json.loads((tmp_path / "m.json").read_text())
+    if fault == "no-entries":
+        del manifest["entries"]
+    elif fault == "entry-without-offset":
+        del manifest["entries"][0]["offset"]
+    else:
+        manifest["entries"][0]["shape"][0] += 1
+    (tmp_path / "m.json").write_text(json.dumps(manifest))
+    with pytest.raises(ConfigError, match="malformed entries|has shape"):
+        build_model(toy_config(), 18).load_checkpoint(str(tmp_path / "m"))
+
+
 def test_checkpoint_blob_from_another_save_rejected(tmp_path):
     # A save cut off between its two renames leaves the new blob under the old
     # manifest. Both have the same length, so only the checksum tells them apart.
@@ -423,7 +437,7 @@ def test_failed_checkpoint_save_keeps_previous_pair(tmp_path):
     assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
     model.save_checkpoint(path, meta={"epoch": 2})
     assert sorted(f.name for f in tmp_path.iterdir()) == ["best.bin", "best.json"]
-    assert build_model(toy_config(), 14).load_checkpoint(path)[0]["epoch"] == 2
+    assert build_model(toy_config(), 14).load_checkpoint(path)["epoch"] == 2
 
 
 def test_param_count_monotone_tiny_small_base():

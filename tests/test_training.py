@@ -244,6 +244,20 @@ def test_train_metrics_file(tmp_path):
     assert {"epoch", "split", "loss", "top1", "top5", "lr"} <= set(lines[0])
 
 
+def test_train_checkpoints_hold_weights_and_meta_only(tmp_path):
+    import json
+    model, tr, va = tiny_setup(seed=7)
+    cfg = TrainConfig(epochs=1, batch_size=4, ckpt_dir=str(tmp_path), ckpt_every=1)
+    train(model, tr, va, cfg, root_seed=7)
+    for name in ("epoch001", "best"):
+        manifest = json.loads((tmp_path / f"{name}.json").read_text())
+        assert [e["name"] for e in manifest["entries"]] == list(model.parameters())
+        clone = build_model(model.config, 8)
+        assert clone.load_checkpoint(str(tmp_path / name))["epoch"] == 1
+        for pname, p in model.parameters().items():
+            assert np.array_equal(p.data, clone.parameters()[pname].data), (name, pname)
+
+
 # ---------------------------------------------------------------------------
 # multi-view evaluation
 
