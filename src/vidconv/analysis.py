@@ -1,6 +1,6 @@
 """Model accountants and experiment harnesses: parameter/FLOP counters,
-frame-shuffle evaluation, gradient-weighted class activation maps, a latency
-benchmark, and the ablation runners.
+frame-shuffle evaluation, gradient-weighted class activation maps, and the
+ablation runners.
 
 FLOP convention: one multiply-accumulate = one FLOP, counted for convolution
 and linear layers only. Normalization/activation/pooling work is tallied per
@@ -9,8 +9,6 @@ output element into a separate bucket that is excluded from the headline.
 from __future__ import annotations
 
 import json
-import platform
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -72,13 +70,9 @@ def plan_layers(config: ModelConfig, frames=None, input_size=None) -> list:
     return rows
 
 
-def count_params(config: ModelConfig) -> CostReport:
-    """Exact symbolic parameter count; no model instantiation."""
-    return count_flops(config)
-
-
 def count_flops(config: ModelConfig, frames=None, input_size=None) -> CostReport:
-    """Per-view MAC count for the given clip geometry."""
+    """Exact parameter count and per-view MAC count for the given clip
+    geometry, drawn from the layer plan without instantiating the model."""
     layers = plan_layers(config, frames=frames, input_size=input_size)
     H, W = input_size if input_size is not None else config.input_size
     return CostReport(params=sum(l.params for l in layers),
@@ -202,40 +196,6 @@ def write_pgm(path, image: np.ndarray):
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode())
         fh.write(data.tobytes())
-
-
-# ---------------------------------------------------------------------------
-# latency
-
-
-def benchmark_latency(config: ModelConfig, views=1, warmup_runs=1, timed_runs=5,
-                      seed=0) -> dict:
-    """Wall clock of eval-mode forward passes; informational only."""
-    if timed_runs < 3:
-        raise ConfigError("need at least 3 timed runs")
-    model = build_model(config, seed)
-    rng = np.random.default_rng(seed)
-    L = config.frames
-    H, W = config.input_size
-    clips = [rng.random((L, 3, H, W), dtype=np.float32) for _ in range(views)]
-    for _ in range(warmup_runs):
-        for clip in clips:
-            model.forward(clip, training=False)
-    times = []
-    for _ in range(timed_runs):
-        t0 = time.perf_counter()
-        for clip in clips:
-            model.forward(clip, training=False)
-        times.append(time.perf_counter() - t0)
-    arr = np.asarray(times)
-    return {
-        "views": views,
-        "mean_ms_per_view": float(arr.mean() * 1e3 / views),
-        "median_ms_per_view": float(np.median(arr) * 1e3 / views),
-        "mean_ms_total": float(arr.mean() * 1e3),
-        "timed_runs": timed_runs,
-        "hardware": f"{platform.machine()} / {platform.processor() or 'unknown cpu'}",
-    }
 
 
 # ---------------------------------------------------------------------------

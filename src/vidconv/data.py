@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -449,15 +450,10 @@ class SyntheticDataset:
         manifest = dict(self.manifest)
         manifest["stored_frames"] = bool(store_frames)
         manifest["checksum"] = self.checksum()
-        if store_frames:
+        if store_frames:  # the videos back to back, in index order
             with open(os.path.join(directory, "frames.bin"), "wb") as fh:
-                offset = 0
-                for i, v in enumerate(manifest["videos"]):
-                    raw = np.ascontiguousarray(self.video(i).frames, dtype="<f4").tobytes()
-                    v["offset"] = offset
-                    v["length"] = len(raw) // 4
-                    fh.write(raw)
-                    offset += len(raw) // 4
+                for i in range(len(self)):
+                    fh.write(np.ascontiguousarray(self.video(i).frames, dtype="<f4").tobytes())
         with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=1)
         return manifest["checksum"]
@@ -473,14 +469,17 @@ class SyntheticDataset:
             raise ConfigError(f"unrecognized dataset format in {path}")
         ds = cls(manifest)
         if manifest.get("stored_frames"):
-            raw = np.fromfile(os.path.join(directory, "frames.bin"), dtype="<f4")
-            cache = []
-            shape = (manifest["num_frames"], 3, manifest["height"], manifest["width"])
-            for v in manifest["videos"]:
-                frames = raw[v["offset"]: v["offset"] + v["length"]].reshape(shape).copy()
-                cache.append(SyntheticVideo(frames=frames, label=v["label"],
-                                            task=manifest["task"], seed=v["seed"]))
-            ds._cache = cache
+            blob = os.path.join(directory, "frames.bin")
+            shape = (len(ds), manifest["num_frames"], 3, manifest["height"], manifest["width"])
+            got, expect = os.path.getsize(blob), 4 * math.prod(shape)
+            if got != expect:
+                raise ConfigError(f"{blob} holds {got} bytes, manifest expects {expect}")
+            frames = np.fromfile(blob, dtype="<f4").reshape(shape)
+            ds._cache = [SyntheticVideo(frames=f, label=v["label"], task=manifest["task"],
+                                        seed=v["seed"])
+                         for f, v in zip(frames, manifest["videos"])]
+            if ds.checksum() != manifest.get("checksum"):
+                raise ConfigError(f"{blob} does not match the checksum in {path}")
         elif preload:
             ds.preload()
         return ds

@@ -4,8 +4,8 @@ spatial grid, blocks with a dilated depth-wise temporal branch, neck, head.
 A clip of L = h*w frames runs per-frame through the early stages; the chosen
 stage's output is rearranged into an h x w collage so the later stages see one
 big image. Later blocks add a temporal feature, gathered by a depth-wise
-convolution whose dilation equals the current tile size, tiled back over the
-grid and blended through a learnable per-channel vector.
+convolution whose dilation equals the current tile size, scaled by a learnable
+per-channel vector and added to every cell of the grid by broadcast.
 """
 from __future__ import annotations
 
@@ -39,19 +39,6 @@ LN_EPS = 1e-6
 LAYER_SCALE_INIT = 1e-6
 ALPHA_INIT = 1e-2
 MLP_RATIO = 4
-
-
-@dataclass(frozen=True)
-class CollageLayout:
-    """Row-major bijection between frame indices and cells of an h x w grid."""
-
-    grid: tuple
-
-    def cell(self, t: int) -> tuple:
-        h, w = self.grid
-        if not 0 <= t < h * w:
-            raise ShapeError(f"frame index {t} outside grid {self.grid}")
-        return t // w, t % w
 
 
 @dataclass(frozen=True)
@@ -94,9 +81,6 @@ class ModelConfig:
         if self.head_width < 1:
             raise ConfigError("head width must be positive")
         return self
-
-    def layout(self) -> CollageLayout:
-        return CollageLayout(grid=self.grid)
 
     def temporal_stages(self) -> tuple:
         """Stages whose blocks carry the temporal branch: strictly after the
@@ -142,9 +126,9 @@ def _uncollage_arr(a: np.ndarray, h: int, w: int) -> np.ndarray:
              .reshape(n * h * w, c, ht, wt))
 
 
-def collage(frames: T.Tensor, layout: CollageLayout) -> T.Tensor:
+def collage(frames: T.Tensor, grid) -> T.Tensor:
     """(L*N, C, Ht, Wt) -> (N, C, h*Ht, w*Wt); clip-major batch, row-major grid."""
-    h, w = layout.grid
+    h, w = grid
     ln = frames.shape[0]
     if frames.ndim != 4 or ln % (h * w):
         raise ShapeError(f"batch {ln} does not hold whole clips of {h * w} frames")
@@ -153,24 +137,40 @@ def collage(frames: T.Tensor, layout: CollageLayout) -> T.Tensor:
                       lambda g: (_uncollage_arr(g, h, w),), "collage")
 
 
-def uncollage(x: T.Tensor, layout: CollageLayout) -> T.Tensor:
+def uncollage(x: T.Tensor, grid) -> T.Tensor:
     """Inverse of :func:`collage`."""
-    h, w = layout.grid
+    h, w = grid
     if x.ndim != 4 or x.shape[2] % h or x.shape[3] % w:
-        raise ShapeError(f"spatial extents {x.shape[2:]} not divisible by grid {layout.grid}")
+        raise ShapeError(f"spatial extents {x.shape[2:]} not divisible by grid {tuple(grid)}")
     out = _uncollage_arr(x.data, h, w)
     return T._from_op(np.ascontiguousarray(out), (x,),
                       lambda g: (_collage_arr(g, h, w),), "uncollage")
 
 
-def tile_grid(x: T.Tensor, h: int, w: int) -> T.Tensor:
-    """Repeat a (N, C, Ht, Wt) map h times vertically and w times horizontally."""
-    n, c, ht, wt = x.shape
+# Named for the tiled copy it replaced: perfbench's tracer times it by this name.
+def tile_grid(s: T.Tensor, t: T.Tensor, grid, collaged: bool) -> T.Tensor:
+    """``s`` plus the (N, C, Ht, Wt) map ``t`` in every grid cell, by broadcast.
+
+    ``s`` is an (N, C, h*Ht, w*Wt) collage or, with ``collaged`` false, the
+    (N*L, C, Ht, Wt) frames of N clip-major clips; no tiled copy of ``t`` is made.
+    """
+    T._check_same_dtype(s, t)
+    h, w = grid
+    n, c, ht, wt = t.shape
+    if collaged:
+        shape, cells, axes = (n, c, h * ht, w * wt), (n, c, h, ht, w, wt), (2, 4)
+        tb = t.data.reshape(n, c, 1, ht, 1, wt)
+    else:
+        shape, cells, axes = (n * h * w, c, ht, wt), (n, h * w, c, ht, wt), 1
+        tb = t.data[:, None]
+    if s.shape != shape:
+        raise ShapeError(f"map {s.shape} is not a {tuple(grid)} grid of {t.shape} cells")
 
     def grad_fn(g):
-        return (g.reshape(n, c, h, ht, w, wt).sum(axis=(2, 4)),)
+        return g, g.reshape(cells).sum(axis=axes)
 
-    return T._from_op(np.tile(x.data, (1, 1, h, w)), (x,), grad_fn, "tile_grid")
+    y = (s.data.reshape(cells) + tb).reshape(s.shape)
+    return T._from_op(y, (s, t), grad_fn, "tile_grid")
 
 
 def frame_mean(x: T.Tensor, frames: int) -> T.Tensor:
@@ -195,15 +195,6 @@ def _tile_spec(hw, grid, groups=1) -> T.ConvSpec:
     if hw[0] % h or hw[1] % w:
         raise ShapeError(f"input extents {tuple(hw)} not divisible by grid {tuple(grid)}")
     return T.ConvSpec(kernel=tuple(grid), dilation=(hw[0] // h, hw[1] // w), groups=groups)
-
-
-def temporal_dilated_conv(x: T.Tensor, weight: T.Tensor, bias, layout: CollageLayout) -> T.Tensor:
-    """Depth-wise conv with kernel (h, w) and dilation equal to the tile size.
-
-    On an (N, C, h*Ht, w*Wt) collage this gathers one aligned sample from each
-    frame's tile and returns a single (N, C, Ht, Wt) temporal feature.
-    """
-    return T.conv2d(x, weight, bias, _tile_spec(x.shape[2:], layout.grid, groups=x.shape[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -340,11 +331,12 @@ class NormLayer:
 
 
 class Block:
-    """One residual block; with a temporal branch it fuses S + alpha * tiled T."""
+    """One residual block; with a temporal branch it fuses S + alpha * T, the
+    temporal feature T added to every grid cell of S by broadcast."""
 
-    def __init__(self, prefix, channels, layout, temporal, temporal_bias, drop_prob):
+    def __init__(self, prefix, channels, grid, temporal, temporal_bias, drop_prob):
         c = channels
-        self.prefix, self.channels, self.layout = prefix, c, layout
+        self.prefix, self.channels, self.grid = prefix, c, grid
         self.drop_prob = drop_prob
         self.temporal = temporal
         self.temporal_bias = temporal_bias
@@ -358,7 +350,7 @@ class Block:
         c = self.channels
         self.dw.init(rng, reg)
         if self.temporal:
-            h, w = self.layout.grid
+            h, w = self.grid
             self.temporal_weight = _param(rng, (c, 1, h, w))
             self.temporal_b = _zeros((c,)) if self.temporal_bias else None
             self.alpha = _const((c,), ALPHA_INIT)
@@ -376,13 +368,10 @@ class Block:
         s = self.dw(x)
         if not self.temporal:
             return s
-        h, w = self.layout.grid
-        coll = x if collaged else collage(x, self.layout)
-        t = temporal_dilated_conv(coll, self.temporal_weight, self.temporal_b, self.layout)
-        tiled = tile_grid(t, h, w)
-        if not collaged:
-            tiled = uncollage(tiled, self.layout)
-        return T.add(s, T.scale_channels(tiled, self.alpha))
+        coll = x if collaged else collage(x, self.grid)
+        spec = _tile_spec(coll.shape[2:], self.grid, groups=self.channels)
+        t = T.conv2d(coll, self.temporal_weight, self.temporal_b, spec)
+        return tile_grid(s, T.scale_channels(t, self.alpha), self.grid, collaged)
 
     def __call__(self, x, collaged, training, rng):
         f = self.fuse(x, collaged)
@@ -398,10 +387,10 @@ class Block:
         c, p = self.channels, self.prefix
         rows = self.dw.plan(ext)[0]
         if self.temporal:
-            coll = ext if collaged else ext.collage(self.layout.grid)
-            spec = _tile_spec(coll.hw, self.layout.grid, groups=c)
-            rows.append(_conv_cost(f"{p}.temporal", coll, c, c, spec, self.temporal_bias))
-            rows.append(_elt_cost(f"{p}.alpha", "scale", ext, c, c))
+            coll = ext if collaged else ext.collage(self.grid)
+            conv = _conv_cost(f"{p}.temporal", coll, c, c, _tile_spec(coll.hw, self.grid, groups=c),
+                              self.temporal_bias)
+            rows += [conv, _elt_cost(f"{p}.alpha", "scale", Extent(coll.items, conv.out_hw), c, c)]
         rows += self.norm.plan(ext)[0]
         pw1_rows, hidden = self.pw1.plan(ext)
         rows += pw1_rows
@@ -415,8 +404,8 @@ class Stage:
     """Entry layers (the stem, or a downsample), then the blocks, then the
     collage point if this is the stacking stage; captured as ``stage{s}``."""
 
-    def __init__(self, name, entry, blocks, layout, collaged, stacks):
-        self.name, self.entry, self.blocks, self.layout = name, entry, blocks, layout
+    def __init__(self, name, entry, blocks, grid, collaged, stacks):
+        self.name, self.entry, self.blocks, self.grid = name, entry, blocks, grid
         self.collaged = collaged  # blocks see a collage, not single frames
         self.stacks = stacks
 
@@ -430,7 +419,7 @@ class Stage:
         for block in self.blocks:
             x = block(x, self.collaged, training, rng)
         if self.stacks:
-            x = collage(x, self.layout)
+            x = collage(x, self.grid)
         if capture is not None and self.name in capture:
             capture[self.name] = x
         return x
@@ -442,20 +431,20 @@ class Stage:
             rows += layer_rows
         for block in self.blocks:
             rows += block.plan(ext, self.collaged)[0]
-        return rows, ext.collage(self.layout.grid) if self.stacks else ext
+        return rows, ext.collage(self.grid) if self.stacks else ext
 
 
 class Neck:
     """Dense conv with kernel (h, w) dilated by the tile size, then norm and
     GELU; collages the frames first when no stage stacked them."""
 
-    def __init__(self, cin, cout, layout, collage_first):
-        self.cin, self.cout, self.layout = cin, cout, layout
+    def __init__(self, cin, cout, grid, collage_first):
+        self.cin, self.cout, self.grid = cin, cout, grid
         self.collage_first = collage_first
         self.norm = NormLayer("neck.norm", cout)
 
     def init(self, rng, reg):
-        h, w = self.layout.grid
+        h, w = self.grid
         self.weight = _param(rng, (self.cout, self.cin, h, w))
         self.bias = _zeros((self.cout,))
         reg.register("neck.conv", weight=self.weight, bias=self.bias)
@@ -463,14 +452,14 @@ class Neck:
 
     def __call__(self, x, training, rng, capture):
         if self.collage_first:
-            x = collage(x, self.layout)
-        y = T.conv2d(x, self.weight, self.bias, _tile_spec(x.shape[2:], self.layout.grid))
+            x = collage(x, self.grid)
+        y = T.conv2d(x, self.weight, self.bias, _tile_spec(x.shape[2:], self.grid))
         return T.gelu(self.norm(y))
 
     def plan(self, ext):
         if self.collage_first:
-            ext = ext.collage(self.layout.grid)
-        spec = _tile_spec(ext.hw, self.layout.grid)
+            ext = ext.collage(self.grid)
+        spec = _tile_spec(ext.hw, self.grid)
         conv = _conv_cost("neck.conv", ext, self.cin, self.cout, spec)
         tile = Extent(ext.items, conv.out_hw)
         gelu = _elt_cost("neck.gelu", "act", tile, self.cout)
@@ -517,8 +506,7 @@ class Head:
 def layer_graph(config: ModelConfig) -> list:
     """The network as weightless layers, in forward and weight-drawing order:
     four stages (the stem opens stage 1), the neck if any, the head."""
-    ch = config.channels
-    layout = config.layout()
+    ch, grid = config.channels, config.grid
     temporal_stages = config.temporal_stages()
     drop_rates = iter(config.block_drop_rates())
     stacking = config.stacking_stage
@@ -532,13 +520,13 @@ def layer_graph(config: ModelConfig) -> list:
             entry = [NormLayer(f"stage{s}.down.norm", ch[s - 2]),
                      ConvLayer(f"stage{s}.down.conv", ch[s - 2], c,
                                T.ConvSpec(kernel=(2, 2), stride=(2, 2)))]
-        blocks = [Block(f"stage{s}.block{b}", c, layout, temporal=s in temporal_stages,
+        blocks = [Block(f"stage{s}.block{b}", c, grid, temporal=s in temporal_stages,
                         temporal_bias=config.temporal_bias, drop_prob=next(drop_rates))
                   for b in range(config.blocks[s - 1])]
-        layers.append(Stage(f"stage{s}", entry, blocks, layout,
+        layers.append(Stage(f"stage{s}", entry, blocks, grid,
                             collaged=stacking is not None and s > stacking, stacks=stacking == s))
     if config.use_neck:
-        layers.append(Neck(ch[3], config.head_width, layout, collage_first=stacking is None))
+        layers.append(Neck(ch[3], config.head_width, grid, collage_first=stacking is None))
         layers.append(Head(config.head_width, config.num_classes, config.head_dropout))
     else:
         layers.append(Head(ch[3], config.num_classes, config.head_dropout,
@@ -694,13 +682,16 @@ def load_arrays(path):
         raise ConfigError(f"checkpoint blob {path}.bin does not match the checksum in {path}.json")
     raw = np.frombuffer(blob, dtype="<f4")
     arrays = {}
+    end = 0  # entries lie back to back in manifest order, as save_arrays wrote them
     for name, shape, offset, length in entries:
         if math.prod(shape) != length:
             raise ConfigError(f"{path}.json entry {name} has shape {shape} but length {length}")
-        chunk = raw[offset: offset + length]
-        if chunk.size != length:
-            raise ConfigError(f"checkpoint blob truncated at entry {name}")
-        arrays[name] = chunk.reshape(shape).copy()
+        if offset != end:
+            raise ConfigError(f"{path}.json entry {name} has offset {offset}, expected {end}")
+        if name in arrays:
+            raise ConfigError(f"{path}.json has a duplicate entry {name}")
+        arrays[name] = raw[offset: offset + length].reshape(shape).copy()
+        end += length
     return arrays, manifest.get("meta", {})
 
 

@@ -68,9 +68,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, grad={'yes' if self.requires_grad else 'no'})"
 
@@ -103,10 +100,6 @@ def _check_same_dtype(*tensors):
         if t.dtype != dt:
             raise ShapeError(f"mixed dtypes in op: {dt} vs {t.dtype}")
     return dt
-
-
-def tensor(data, requires_grad=False, dtype=np.float32) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad, dtype=dtype)
 
 
 def parameter(data, dtype=np.float32) -> Tensor:

@@ -214,6 +214,16 @@ def test_dataset_save_load_with_frames_blob(tmp_path):
     loaded = SyntheticDataset.load(tmp_path / "d2")
     for i in range(5):
         assert np.array_equal(loaded.video(i).frames, ds.video(i).frames)
+    blob = tmp_path / "d2" / "frames.bin"
+    good = blob.read_bytes()
+    flipped = bytearray(good)
+    flipped[len(good) // 2] ^= 0x01
+    blob.write_bytes(bytes(flipped))
+    with pytest.raises(ConfigError, match="checksum"):
+        SyntheticDataset.load(tmp_path / "d2")
+    blob.write_bytes(good[:-4])
+    with pytest.raises(ConfigError, match="manifest expects"):
+        SyntheticDataset.load(tmp_path / "d2")
 
 
 def test_dataset_load_missing_manifest(tmp_path):

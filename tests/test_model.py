@@ -6,10 +6,10 @@ import pytest
 
 from vidconv import tensor as T
 from vidconv.errors import ConfigError, ShapeError
-from vidconv.model import (CollageLayout, ModelConfig, build_model, collage, config_from_dict,
-                           config_to_dict, frame_mean, make_config, temporal_dilated_conv,
-                           tile_grid, uncollage)
-from conftest import rng
+from vidconv.model import (ModelConfig, _tile_spec, _uncollage_arr, build_model, collage,
+                           config_from_dict, config_to_dict, frame_mean, make_config, tile_grid,
+                           uncollage)
+from conftest import check_gradients, conv2d_loops, rng
 
 
 def toy_config(**kw):
@@ -25,41 +25,39 @@ def test_collage_placement_row_major():
     # L=9, grid 3x3, tiles 28x28: frame 4 pixel (5, 6) lands at (33, 34)
     frames = np.zeros((9, 1, 28, 28), dtype=np.float32)
     frames[4, 0, 5, 6] = 1.0
-    out = collage(T.Tensor(frames), CollageLayout(grid=(3, 3)))
+    out = collage(T.Tensor(frames), (3, 3))
     assert out.shape == (1, 1, 84, 84)
     assert out.data[0, 0, 33, 34] == 1.0
     assert out.data.sum() == 1.0
-    assert CollageLayout(grid=(3, 3)).cell(4) == (1, 1)
 
 
 def test_collage_identity_1x1():
     x = rng(0).standard_normal((3, 2, 8, 8)).astype(np.float32)
-    out = collage(T.Tensor(x), CollageLayout(grid=(1, 1)))
+    out = collage(T.Tensor(x), (1, 1))
     np.testing.assert_array_equal(out.data, x)
-    back = uncollage(T.Tensor(x), CollageLayout(grid=(1, 1)))
+    back = uncollage(T.Tensor(x), (1, 1))
     np.testing.assert_array_equal(back.data, x)
 
 
 def test_collage_round_trips_bit_exact():
-    layout = CollageLayout(grid=(4, 4))
+    grid = (4, 4)
     x = rng(1).standard_normal((16 * 2, 3, 5, 7)).astype(np.float32)
     t = T.Tensor(x)
-    rt = uncollage(collage(t, layout), layout)
+    rt = uncollage(collage(t, grid), grid)
     assert np.array_equal(rt.data, x)
     y = rng(2).standard_normal((2, 3, 20, 28)).astype(np.float32)
-    rt2 = collage(uncollage(T.Tensor(y), layout), layout)
+    rt2 = collage(uncollage(T.Tensor(y), grid), grid)
     assert np.array_equal(rt2.data, y)
 
 
 def test_collage_rejects_partial_clips():
     with pytest.raises(ShapeError):
-        collage(T.Tensor(np.zeros((7, 1, 4, 4), np.float32)), CollageLayout(grid=(3, 3)))
+        collage(T.Tensor(np.zeros((7, 1, 4, 4), np.float32)), (3, 3))
 
 
 def test_collage_gradient_is_inverse_scatter():
-    layout = CollageLayout(grid=(2, 2))
     x = T.Tensor(rng(3).standard_normal((4, 2, 3, 3)).astype(np.float32), requires_grad=True)
-    y = collage(x, layout)
+    y = collage(x, (2, 2))
     T.backward(T.sum_all(T.mul(y, y)))
     np.testing.assert_allclose(x.grad, 2 * x.data, atol=1e-6)
 
@@ -67,29 +65,32 @@ def test_collage_gradient_is_inverse_scatter():
 # ---------------------------------------------------------------------------
 # temporal dilated conv
 
+def temporal_conv(x, w, grid):
+    """The temporal branch's conv: depth-wise, kernel = grid, dilation = tile."""
+    return T.conv2d(x, w, None, _tile_spec(x.shape[2:], grid, groups=x.shape[1]))
+
+
 def test_temporal_conv_output_is_tile_size():
     x = T.Tensor(rng(4).standard_normal((2, 5, 84, 84)).astype(np.float32))
     w = T.Tensor(rng(5).standard_normal((5, 1, 3, 3)).astype(np.float32))
-    out = temporal_dilated_conv(x, w, None, CollageLayout(grid=(3, 3)))
+    out = temporal_conv(x, w, (3, 3))
     assert out.shape == (2, 5, 28, 28)
 
 
 def test_temporal_conv_delta_kernel_selects_center_tile():
-    layout = CollageLayout(grid=(3, 3))
     frames = rng(6).standard_normal((9, 4, 6, 6)).astype(np.float32)
-    coll = collage(T.Tensor(frames), layout)
+    coll = collage(T.Tensor(frames), (3, 3))
     w = np.zeros((4, 1, 3, 3), dtype=np.float32)
     w[:, 0, 1, 1] = 1.0
-    out = temporal_dilated_conv(coll, T.Tensor(w), None, layout)
+    out = temporal_conv(coll, T.Tensor(w), (3, 3))
     np.testing.assert_array_equal(out.data, frames[4][None])
 
 
 def test_temporal_conv_matches_gather_oracle():
-    layout = CollageLayout(grid=(3, 3))
     r = rng(7)
     x = r.standard_normal((1, 3, 12, 12)).astype(np.float32)
     w = r.standard_normal((3, 1, 3, 3)).astype(np.float32)
-    out = temporal_dilated_conv(T.Tensor(x), T.Tensor(w), None, layout).data
+    out = temporal_conv(T.Tensor(x), T.Tensor(w), (3, 3)).data
     ht, wt = 4, 4
     ref = np.zeros_like(out)
     for c in range(3):
@@ -107,23 +108,38 @@ def test_temporal_conv_rejects_indivisible_extents():
     x = T.Tensor(np.zeros((1, 2, 10, 9), np.float32))
     w = T.Tensor(np.zeros((2, 1, 3, 3), np.float32))
     with pytest.raises(ShapeError):
-        temporal_dilated_conv(x, w, None, CollageLayout(grid=(3, 3)))
+        temporal_conv(x, w, (3, 3))
+
+
+def _tile_grid_inputs(collaged, dtype):
+    # a (2-clip, 3-channel) grid 3x2 of 4x5 tiles, as a collage or as frames
+    r = rng(8)
+    coll = r.standard_normal((2, 3, 12, 10)).astype(dtype)
+    s = coll if collaged else _uncollage_arr(coll, 3, 2)
+    return s, r.standard_normal((2, 3, 4, 5)).astype(dtype), 0.5 + r.random(3).astype(dtype)
 
 
 def test_tile_grid_all_cells_identical():
-    t = rng(8).standard_normal((2, 3, 4, 5)).astype(np.float32)
-    tiled = tile_grid(T.Tensor(t), 3, 3).data
-    for i in range(3):
-        for j in range(3):
-            np.testing.assert_array_equal(tiled[:, :, i * 4:(i + 1) * 4, j * 5:(j + 1) * 5], t)
+    # the broadcast add equals adding a tiled copy of alpha * t, bit for bit
+    for collaged in (True, False):
+        s, t, a = _tile_grid_inputs(collaged, np.float32)
+        at = T.scale_channels(T.Tensor(t), T.Tensor(a))
+        out = tile_grid(T.Tensor(s), at, (3, 2), collaged).data
+        tiled = np.tile(at.data, (1, 1, 3, 2))
+        assert np.array_equal(out, s + (tiled if collaged else _uncollage_arr(tiled, 3, 2)))
 
 
 def test_tile_and_frame_mean_gradients():
-    r = rng(9)
-    x = T.Tensor(r.standard_normal((1, 2, 3, 3)).astype(np.float64), requires_grad=True)
-    T.backward(T.sum_all(tile_grid(x, 2, 2)))
-    np.testing.assert_allclose(x.grad, np.full(x.shape, 4.0))
-    f = T.Tensor(r.standard_normal((6, 4)).astype(np.float64), requires_grad=True)
+    for collaged in (True, False):
+        s, t, a = _tile_grid_inputs(collaged, np.float64)
+        w = rng(9).standard_normal(s.shape)
+
+        def build(v):
+            y = tile_grid(v["s"], T.scale_channels(v["t"], v["a"]), (3, 2), collaged)
+            return T.sum_all(T.mul_const(y, w))
+
+        check_gradients(build, {"s": s, "t": t, "a": a})
+    f = T.Tensor(rng(10).standard_normal((6, 4)), requires_grad=True)
     T.backward(T.sum_all(frame_mean(f, 3)))
     np.testing.assert_allclose(f.grad, np.full((6, 4), 1.0 / 3.0))
 
@@ -172,19 +188,21 @@ def test_block_fusion_affine_in_alpha():
     np.testing.assert_allclose(f2 - f0, 2 * (f1 - f0), atol=1e-5)
 
 
-def test_block_matches_straightline_reference():
-    # full block on a 1x8x12x12 collage (grid 2x2) vs raw-numpy composition
+@pytest.mark.parametrize("collaged", [True, False], ids=["collage", "frames"])
+def test_block_matches_straightline_reference(collaged):
+    # full block on a 1x32x12x12 collage (grid 2x2), or on its four 6x6
+    # frames, vs raw-numpy composition
     cfg = make_config("toy", num_classes=2, input_size=(64, 64), grid=(2, 2), frames=4,
                       drop_path_rate=0.0)
     model = build_model(cfg, 3)
     block = model.stages[2][0]
     c = 32
     x = rng(12).standard_normal((1, c, 12, 12)).astype(np.float32)
+    inp = x if collaged else _uncollage_arr(x, 2, 2)
 
-    out = block(T.Tensor(x), collaged=True, training=False, rng=None).data
+    out = block(T.Tensor(inp), collaged=collaged, training=False, rng=None).data
 
-    from conftest import conv2d_loops
-    s = conv2d_loops(x, block.dw.weight.data, block.dw.bias.data,
+    s = conv2d_loops(inp, block.dw.weight.data, block.dw.bias.data,
                      padding=(3, 3), groups=c)
     ht, wt = 6, 6
     t = np.zeros((1, c, ht, wt))
@@ -197,6 +215,8 @@ def test_block_matches_straightline_reference():
                         acc += block.temporal_weight.data[ci, 0, i, j] * x[0, ci, y + i * ht, xo + j * wt]
                 t[0, ci, y, xo] = acc
     tiled = np.tile(t, (1, 1, 2, 2))
+    if not collaged:
+        tiled = _uncollage_arr(tiled, 2, 2)
     f = s + block.alpha.data[None, :, None, None] * tiled
     mu = f.mean(axis=1, keepdims=True)
     xc = f - mu
@@ -210,16 +230,14 @@ def test_block_matches_straightline_reference():
     y = np.einsum("oc,nchw->nohw", block.pw2.weight.data[:, :, 0, 0], y) + \
         block.pw2.bias.data[None, :, None, None]
     y = block.layer_scale.data[None, :, None, None] * y
-    ref = x + y
+    ref = inp + y
     np.testing.assert_allclose(out, ref, atol=1e-5)
 
 
 def test_vidconv_block_composed_gradients():
     # finite differences through the whole fusion + MLP + residual in 64-bit
-    from conftest import check_gradients
     r = rng(13)
     c, grid = 4, (2, 2)
-    layout = CollageLayout(grid=grid)
     arrays = {
         "x": r.standard_normal((1, c, 8, 8)),
         "dw_w": r.standard_normal((c, 1, 7, 7)) * 0.2,
@@ -239,8 +257,8 @@ def test_vidconv_block_composed_gradients():
     def build(t):
         s = T.conv2d(t["x"], t["dw_w"], t["dw_b"],
                      T.ConvSpec(kernel=(7, 7), padding=(3, 3), groups=c))
-        tt = temporal_dilated_conv(t["x"], t["t_w"], t["t_b"], layout)
-        f = T.add(s, T.scale_channels(tile_grid(tt, *grid), t["alpha"]))
+        tt = T.conv2d(t["x"], t["t_w"], t["t_b"], _tile_spec((8, 8), grid, groups=c))
+        f = tile_grid(s, T.scale_channels(tt, t["alpha"]), grid, True)
         y = T.layer_norm_channels(f, t["g"], t["b"])
         y = T.conv2d(y, t["pw1"], t["pw1b"], T.ConvSpec(kernel=(1, 1)))
         y = T.gelu(y)
@@ -402,18 +420,24 @@ def test_checkpoint_foreign_manifest_rejected(tmp_path, foreign):
         build_model(toy_config(), 11).load_checkpoint(path)
 
 
-@pytest.mark.parametrize("fault", ["no-entries", "entry-without-offset", "shape-disagrees"])
+@pytest.mark.parametrize("fault", ["no-entries", "entry-without-offset", "shape-disagrees",
+                                   "offset-aliases-entry-0", "duplicate-name"])
 def test_checkpoint_malformed_manifest_rejected(tmp_path, fault):
     build_model(toy_config(), 18).save_checkpoint(str(tmp_path / "m"))
     manifest = json.loads((tmp_path / "m.json").read_text())
+    entries = manifest.get("entries")
     if fault == "no-entries":
         del manifest["entries"]
     elif fault == "entry-without-offset":
-        del manifest["entries"][0]["offset"]
+        del entries[0]["offset"]
+    elif fault == "shape-disagrees":
+        entries[0]["shape"][0] += 1
+    elif fault == "offset-aliases-entry-0":
+        entries[1]["offset"] = 0  # stem.conv.bias would read stem.conv.weight's values
     else:
-        manifest["entries"][0]["shape"][0] += 1
+        entries[1]["name"] = entries[0]["name"]
     (tmp_path / "m.json").write_text(json.dumps(manifest))
-    with pytest.raises(ConfigError, match="malformed entries|has shape"):
+    with pytest.raises(ConfigError, match="malformed entries|has shape|has offset|duplicate"):
         build_model(toy_config(), 18).load_checkpoint(str(tmp_path / "m"))
 
 
