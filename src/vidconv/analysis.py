@@ -8,7 +8,6 @@ output element into a separate bucket that is excluded from the headline.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,25 +34,6 @@ class CostReport:
         assert self.flops_per_view == sum(l.macs for l in self.breakdown)
         assert self.elt_flops == sum(l.elt_flops for l in self.breakdown)
         return self
-
-    def to_jsonl(self):
-        lines = [json.dumps({"layer": l.name, "kind": l.kind, "params": l.params,
-                             "macs": l.macs, "elt_flops": l.elt_flops})
-                 for l in self.breakdown]
-        lines.append(json.dumps({"layer": "TOTAL", "params": self.params,
-                                 "macs": self.flops_per_view, "elt_flops": self.elt_flops,
-                                 "convention": self.convention}))
-        return "\n".join(lines)
-
-    def to_table(self):
-        rows = [(l.name, l.kind, f"{l.params:,}", f"{l.macs:,}") for l in self.breakdown]
-        rows.append(("TOTAL", "", f"{self.params:,}", f"{self.flops_per_view:,}"))
-        widths = [max(len(r[i]) for r in rows + [("layer", "kind", "params", "macs")])
-                  for i in range(4)]
-        header = "  ".join(h.ljust(w) for h, w in zip(("layer", "kind", "params", "macs"), widths))
-        out = [f"# {self.convention}", header, "-" * len(header)]
-        out += ["  ".join(str(c).ljust(w) for c, w in zip(r, widths)) for r in rows]
-        return "\n".join(out)
 
 
 def plan_layers(config: ModelConfig, frames=None, input_size=None) -> list:
@@ -92,15 +72,6 @@ class ShuffleReport:
     seed: int
     accuracies: dict = field(default_factory=dict)  # order -> {"top1":, "top5":}
 
-    def to_jsonl(self):
-        return "\n".join(json.dumps({"order": k, **v}) for k, v in self.accuracies.items())
-
-    def to_table(self):
-        lines = [f"{'order':<10}{'top1':>8}{'top5':>8}"]
-        for k, v in self.accuracies.items():
-            lines.append(f"{k:<10}{v['top1']:>8.3f}{v['top5']:>8.3f}")
-        return "\n".join(lines)
-
 
 def order_permutation(order, n_frames, rng=None):
     """normal | reverse | random | explicit index array."""
@@ -121,7 +92,7 @@ def order_permutation(order, n_frames, rng=None):
 
 
 def shuffle_eval(model, dataset, orders=("normal", "reverse", "random"), seed=0,
-                 num_clips=1, num_crops=1) -> ShuffleReport:
+                 num_clips=1) -> ShuffleReport:
     """Evaluate with permuted clip frames; 'random' draws one permutation per video."""
     if isinstance(orders, (str, np.ndarray)):
         orders = (orders,)
@@ -133,7 +104,7 @@ def shuffle_eval(model, dataset, orders=("normal", "reverse", "random"), seed=0,
         def perm_fn(video_index, eval_rng, _order=order, _rng=rng):
             return order_permutation(_order, L, _rng)
 
-        res = evaluate_multiview(model, dataset, num_clips=num_clips, num_crops=num_crops,
+        res = evaluate_multiview(model, dataset, num_clips=num_clips,
                                  rng=np.random.default_rng(seed + 1), frame_perm=perm_fn)
         key = order if isinstance(order, str) else "explicit"
         report.accuracies[key] = {"top1": res["top1"], "top5": res["top5"]}
@@ -218,9 +189,9 @@ def ablation_rows(suite: str, base_config: ModelConfig) -> list:
     if suite == "grid_resolution":
         return [
             ("stack=none frames=9", replace(base_config, stacking_stage=None), 1),
-            ("stack=2x2 frames=4 clips=2", replace(base_config, grid=(2, 2), frames=4), 2),
-            ("stack=3x3 frames=9", replace(base_config, grid=(3, 3), frames=9), 1),
-            ("stack=4x4 frames=16", replace(base_config, grid=(4, 4), frames=16), 1),
+            ("stack=2x2 frames=4 clips=2", replace(base_config, grid=(2, 2)), 2),
+            ("stack=3x3 frames=9", replace(base_config, grid=(3, 3)), 1),
+            ("stack=4x4 frames=16", replace(base_config, grid=(4, 4)), 1),
         ]
     if suite == "stacking_stage":
         return [(f"stack-stage={s}", replace(base_config, stacking_stage=s), 1)
@@ -247,11 +218,3 @@ def run_ablation(suite: str, base_config: ModelConfig, train_ds, val_ds, train_c
             log(f"[{suite}] {label}: top1={final['top1']:.3f}")
     return rows
 
-
-def ablation_table(rows: list) -> str:
-    header = f"{'variant':<30}{'top1':>8}{'top5':>8}{'params':>14}{'flops':>16}"
-    lines = [header, "-" * len(header)]
-    for r in rows:
-        lines.append(f"{r['variant']:<30}{r['top1']:>8.3f}{r['top5']:>8.3f}"
-                     f"{r['params']:>14,}{r['flops']:>16,}")
-    return "\n".join(lines)

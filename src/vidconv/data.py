@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
+from .model import _replace_with, load_arrays, save_arrays
 
 TASKS = {
     "appearance-only": 8,
@@ -259,42 +258,14 @@ def label_oracle(task, frames) -> int:
 # clip sampling
 
 
-@dataclass(frozen=True)
-class ClipSampler:
-    frames: int
-    stride_range: tuple = (1, 1)
-
-    def __post_init__(self):
-        lo, hi = self.stride_range
-        if self.frames < 1 or lo < 1 or hi < lo:
-            raise ConfigError(f"bad sampler: frames={self.frames}, strides={self.stride_range}")
-
-
-def sample_clip(video: SyntheticVideo, sampler: ClipSampler, rng=None) -> np.ndarray:
-    """Uniform-stride clip; falls back to the widest stride that still fits.
-
-    For a video of N frames and requested minimum stride s_min the fallback is
-    min(s_min, (N-1) // (L-1)).
-    """
+def sample_clip(video: SyntheticVideo, frames: int, rng=None) -> np.ndarray:
+    """``frames`` consecutive frames of ``video``: from the first frame, or,
+    with ``rng`` and a longer video, from a uniformly drawn start."""
     n = video.frames.shape[0]
-    L = sampler.frames
-    if n < L:
-        raise ShapeError(f"video has {n} frames, sampler needs {L}")
-    if L == 1:
-        start = 0 if rng is None else int(rng.integers(0, n))
-        return video.frames[start:start + 1].copy()
-    lo, hi = sampler.stride_range
-    if rng is not None and hi > lo:
-        stride = int(rng.integers(lo, hi + 1))
-    else:
-        stride = lo
-    if (L - 1) * stride > n - 1:
-        stride = min(lo, (n - 1) // (L - 1))
-        stride = max(stride, 1)
-    max_start = n - 1 - (L - 1) * stride
-    start = 0 if rng is None or max_start == 0 else int(rng.integers(0, max_start + 1))
-    idx = start + stride * np.arange(L)
-    return video.frames[idx].copy()
+    if n < frames:
+        raise ShapeError(f"video has {n} frames, clip needs {frames}")
+    start = 0 if rng is None or n == frames else int(rng.integers(0, n - frames + 1))
+    return video.frames[start:start + frames].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +296,9 @@ def resize_bilinear(clip: np.ndarray, out_hw) -> np.ndarray:
     return (top * (1 - wy) + bot * wy).astype(np.float32)
 
 
-def augment_clip(clip: np.ndarray, rng, enable_flip=True, crop_scales=(1.0,),
-                 out_size=None):
-    """Clip-consistent multi-scale crop plus left-right flip (p = 0.5).
+def augment_clip(clip: np.ndarray, rng, enable_flip=True, crop_scales=(1.0,)):
+    """Clip-consistent multi-scale crop, resized back to the clip's size, plus
+    left-right flip (p = 0.5).
 
     The same crop window and flip decision apply to every frame. Returns the
     augmented clip and a record of the applied transform.
@@ -335,14 +306,13 @@ def augment_clip(clip: np.ndarray, rng, enable_flip=True, crop_scales=(1.0,),
     if any(not 0 < s <= 1 for s in crop_scales):
         raise ConfigError(f"crop scales must lie in (0, 1], got {crop_scales}")
     l, c, h, w = clip.shape
-    out_size = tuple(out_size) if out_size is not None else (h, w)
     scale = float(crop_scales[int(rng.integers(0, len(crop_scales)))])
     ch = max(1, int(round(h * scale)))
     cw = max(1, int(round(w * scale)))
     top = int(rng.integers(0, h - ch + 1))
     left = int(rng.integers(0, w - cw + 1))
     out = clip[:, :, top:top + ch, left:left + cw]
-    out = resize_bilinear(np.ascontiguousarray(out), out_size)
+    out = resize_bilinear(np.ascontiguousarray(out), (h, w))
     flipped = bool(enable_flip and rng.random() < 0.5)
     if flipped:
         out = flip_lr(out)
@@ -360,11 +330,6 @@ def video_seed(root_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0] >> 1)
 
 
-def _gen_entry(args):
-    task, label, size, nf, seed = args
-    return generate_video(task, label, size=size, num_frames=nf, seed=seed)
-
-
 class SyntheticDataset:
     """Manifest of (seed, label) pairs; frames regenerate on demand or preload."""
 
@@ -376,7 +341,7 @@ class SyntheticDataset:
 
     @classmethod
     def generate(cls, task, n_videos, size=(64, 64), num_frames=9, root_seed=0,
-                 preload=False, workers=1):
+                 preload=False):
         if n_videos < 1:
             raise ConfigError("need at least one video")
         k = num_classes(task)
@@ -388,17 +353,11 @@ class SyntheticDataset:
                     "root_seed": int(root_seed), "videos": videos}
         ds = cls(manifest)
         if preload:
-            ds.preload(workers=workers)
+            ds.preload()
         return ds
 
-    def preload(self, workers=1):
-        args = [(self.task, v["label"], (self.height, self.width),
-                 self.num_frames, v["seed"]) for v in self.manifest["videos"]]
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                self._cache = list(pool.map(_gen_entry, args, chunksize=16))
-        else:
-            self._cache = [_gen_entry(a) for a in args]
+    def preload(self):
+        self._cache = [self.video(i) for i in range(len(self))]
         return self
 
     # -- access --------------------------------------------------------------
@@ -446,16 +405,17 @@ class SyntheticDataset:
     # -- persistence -----------------------------------------------------------
 
     def save(self, directory, store_frames=False):
+        """Write ``manifest.json`` and, with ``store_frames``, every video's
+        frames as one (N, L, 3, H, W) array in the checkpoint container at
+        ``frames``; each file is replaced atomically."""
+        manifest = dict(self.manifest, stored_frames=bool(store_frames),
+                        checksum=self.checksum())
         os.makedirs(directory, exist_ok=True)
-        manifest = dict(self.manifest)
-        manifest["stored_frames"] = bool(store_frames)
-        manifest["checksum"] = self.checksum()
-        if store_frames:  # the videos back to back, in index order
-            with open(os.path.join(directory, "frames.bin"), "wb") as fh:
-                for i in range(len(self)):
-                    fh.write(np.ascontiguousarray(self.video(i).frames, dtype="<f4").tobytes())
-        with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=1)
+        if store_frames:
+            frames = np.stack([self.video(i).frames for i in range(len(self))])
+            save_arrays(os.path.join(directory, "frames"), {"frames": frames})
+        _replace_with(os.path.join(directory, "manifest.json"),
+                      json.dumps(manifest, indent=1).encode("utf-8"))
         return manifest["checksum"]
 
     @classmethod
@@ -469,17 +429,16 @@ class SyntheticDataset:
             raise ConfigError(f"unrecognized dataset format in {path}")
         ds = cls(manifest)
         if manifest.get("stored_frames"):
-            blob = os.path.join(directory, "frames.bin")
+            stored = os.path.join(directory, "frames")
+            frames = load_arrays(stored)[0].get("frames")
             shape = (len(ds), manifest["num_frames"], 3, manifest["height"], manifest["width"])
-            got, expect = os.path.getsize(blob), 4 * math.prod(shape)
-            if got != expect:
-                raise ConfigError(f"{blob} holds {got} bytes, manifest expects {expect}")
-            frames = np.fromfile(blob, dtype="<f4").reshape(shape)
+            if frames is None or frames.shape != shape:
+                raise ConfigError(f"{stored} does not hold frames of shape {shape}")
             ds._cache = [SyntheticVideo(frames=f, label=v["label"], task=manifest["task"],
                                         seed=v["seed"])
                          for f, v in zip(frames, manifest["videos"])]
             if ds.checksum() != manifest.get("checksum"):
-                raise ConfigError(f"{blob} does not match the checksum in {path}")
+                raise ConfigError(f"{stored} does not match the checksum in {path}")
         elif preload:
             ds.preload()
         return ds

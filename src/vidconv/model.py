@@ -19,7 +19,6 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ShapeError
-from .training import drop_path, dropout
 
 # Named variants: stage channels, blocks per stage, neck/head width, and the
 # terminal stochastic-depth rate they were tuned with.
@@ -43,20 +42,37 @@ MLP_RATIO = 4
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """The network's shape.
+
+    ``variant`` names the preset (see ``VARIANTS``); ``channels`` and
+    ``blocks`` give the width and depth of the four stages. A clip has
+    ``frames`` = h*w frames for ``grid`` = (h, w), laid out row-major as an
+    h x w collage at the end of ``stacking_stage`` (1..4, or None to keep
+    single frames to the end). ``head_width`` is the neck's output width,
+    ``num_classes`` the classifier's, and ``drop_path_rate`` the stochastic
+    depth at the last block. ``use_temporal_branch`` adds the dilated
+    temporal conv to every block after the stacking stage, ``use_neck`` puts
+    the tile-dilated dense conv before the head, and ``input_size`` is the
+    (H, W) the cost plan assumes. ``analysis.ablation_rows`` varies
+    ``use_temporal_branch``, ``stacking_stage`` and ``grid``.
+    """
+
     variant: str = "custom"
     channels: tuple = (96, 192, 384, 768)
     blocks: tuple = (3, 3, 9, 3)
     grid: tuple = (3, 3)
-    frames: int = 9
     stacking_stage: int = 2          # None disables stacking entirely
     head_width: int = 2304
     num_classes: int = 400
     drop_path_rate: float = 0.0
-    head_dropout: float = 0.0
     use_temporal_branch: bool = True
     use_neck: bool = True
-    temporal_bias: bool = True
     input_size: tuple = (224, 224)
+
+    @property
+    def frames(self) -> int:
+        """Clip length L: one frame per grid cell."""
+        return self.grid[0] * self.grid[1]
 
     def validate(self):
         if len(self.channels) != 4 or len(self.blocks) != 4:
@@ -66,16 +82,13 @@ class ModelConfig:
         h, w = self.grid
         if h < 1 or w < 1:
             raise ConfigError(f"bad grid {self.grid}")
-        needs_grid = self.stacking_stage is not None or self.use_temporal_branch or self.use_neck
-        if needs_grid and self.frames != h * w:
-            raise ConfigError(f"frames ({self.frames}) must equal grid h*w ({h * w})")
         if self.stacking_stage is not None and self.stacking_stage not in (1, 2, 3, 4):
             raise ConfigError(f"stacking stage must be 1..4 or None, got {self.stacking_stage}")
         H, W = self.input_size
         if H % 32 or W % 32:
             raise ConfigError(f"input size {self.input_size} must be divisible by 32")
-        if not 0 <= self.drop_path_rate < 1 or not 0 <= self.head_dropout < 1:
-            raise ConfigError("drop rates must lie in [0, 1)")
+        if not 0 <= self.drop_path_rate < 1:
+            raise ConfigError("drop-path rate must lie in [0, 1)")
         if self.num_classes < 2:
             raise ConfigError("need at least two classes")
         if self.head_width < 1:
@@ -197,6 +210,18 @@ def _tile_spec(hw, grid, groups=1) -> T.ConvSpec:
     return T.ConvSpec(kernel=tuple(grid), dilation=(hw[0] // h, hw[1] // w), groups=groups)
 
 
+def drop_path(x: T.Tensor, prob: float, rng, training: bool) -> T.Tensor:
+    """Stochastic depth: per-sample Bernoulli keep with 1/(1-p) rescaling."""
+    if not 0.0 <= prob < 1.0:
+        raise ValueError(f"drop-path prob must be in [0, 1), got {prob}")
+    if not training or prob == 0.0:
+        return x
+    keep = 1.0 - prob
+    shape = (x.shape[0],) + (1,) * (x.ndim - 1)
+    mask = (rng.random(shape) < keep).astype(x.dtype) / keep
+    return T.mul_const(x, mask)
+
+
 # ---------------------------------------------------------------------------
 # initialization
 
@@ -252,11 +277,11 @@ class Extent:
         return self.items * channels * self.hw[0] * self.hw[1]
 
 
-def _conv_cost(name, ext, cin, cout, spec, bias=True):
+def _conv_cost(name, ext, cin, cout, spec):
     kh, kw = spec.kernel
     cpg = cin // spec.groups
     out_hw = (spec.out_extent(ext.hw[0], 0), spec.out_extent(ext.hw[1], 1))
-    params = cout * cpg * kh * kw + (cout if bias else 0)
+    params = cout * cpg * kh * kw + cout
     macs = ext.items * cout * out_hw[0] * out_hw[1] * cpg * kh * kw
     return LayerCost(name, "conv", params, macs, 0, ext.items, cin, cout, spec.kernel,
                      spec.groups, out_hw)
@@ -280,8 +305,6 @@ class Registry:
 
     def register(self, prefix, **tensors):
         for key, t in tensors.items():
-            if t is None:
-                continue
             name = f"{prefix}.{key}"
             if name in self.params:
                 raise ConfigError(f"duplicate parameter name {name}")
@@ -289,22 +312,21 @@ class Registry:
 
 
 class ConvLayer:
-    def __init__(self, name, cin, cout, spec: T.ConvSpec, bias=True):
+    def __init__(self, name, cin, cout, spec: T.ConvSpec):
         spec.validate(cin, cout)
         self.name, self.cin, self.cout, self.spec = name, cin, cout, spec
-        self.has_bias = bias
 
     def init(self, rng, reg):
         kh, kw = self.spec.kernel
         self.weight = _param(rng, (self.cout, self.cin // self.spec.groups, kh, kw))
-        self.bias = _zeros((self.cout,)) if self.has_bias else None
+        self.bias = _zeros((self.cout,))
         reg.register(self.name, weight=self.weight, bias=self.bias)
 
     def __call__(self, x):
         return T.conv2d(x, self.weight, self.bias, self.spec)
 
     def plan(self, ext):
-        row = _conv_cost(self.name, ext, self.cin, self.cout, self.spec, self.has_bias)
+        row = _conv_cost(self.name, ext, self.cin, self.cout, self.spec)
         return [row], Extent(ext.items, row.out_hw)
 
 
@@ -334,12 +356,11 @@ class Block:
     """One residual block; with a temporal branch it fuses S + alpha * T, the
     temporal feature T added to every grid cell of S by broadcast."""
 
-    def __init__(self, prefix, channels, grid, temporal, temporal_bias, drop_prob):
+    def __init__(self, prefix, channels, grid, temporal, drop_prob):
         c = channels
         self.prefix, self.channels, self.grid = prefix, c, grid
         self.drop_prob = drop_prob
         self.temporal = temporal
-        self.temporal_bias = temporal_bias
         self.dw = ConvLayer(f"{prefix}.dw", c, c,
                             T.ConvSpec(kernel=(7, 7), padding=(3, 3), groups=c))
         self.norm = NormLayer(f"{prefix}.norm", c)
@@ -352,7 +373,7 @@ class Block:
         if self.temporal:
             h, w = self.grid
             self.temporal_weight = _param(rng, (c, 1, h, w))
-            self.temporal_b = _zeros((c,)) if self.temporal_bias else None
+            self.temporal_b = _zeros((c,))
             self.alpha = _const((c,), ALPHA_INIT)
             reg.register(f"{self.prefix}.temporal", weight=self.temporal_weight,
                          bias=self.temporal_b, alpha=self.alpha)
@@ -388,8 +409,7 @@ class Block:
         rows = self.dw.plan(ext)[0]
         if self.temporal:
             coll = ext if collaged else ext.collage(self.grid)
-            conv = _conv_cost(f"{p}.temporal", coll, c, c, _tile_spec(coll.hw, self.grid, groups=c),
-                              self.temporal_bias)
+            conv = _conv_cost(f"{p}.temporal", coll, c, c, _tile_spec(coll.hw, self.grid, groups=c))
             rows += [conv, _elt_cost(f"{p}.alpha", "scale", Extent(coll.items, conv.out_hw), c, c)]
         rows += self.norm.plan(ext)[0]
         pw1_rows, hidden = self.pw1.plan(ext)
@@ -468,10 +488,10 @@ class Neck:
 
 class Head:
     """Global average pool, then (without a neck) the mean over un-collaged
-    frames and a final norm, then dropout and the linear classifier."""
+    frames and a final norm, then the linear classifier."""
 
-    def __init__(self, cin, num_classes, dropout_prob, final_norm=None, frames=None):
-        self.cin, self.num_classes, self.dropout_prob = cin, num_classes, dropout_prob
+    def __init__(self, cin, num_classes, final_norm=None, frames=None):
+        self.cin, self.num_classes = cin, num_classes
         self.final_norm = final_norm
         self.frames = frames  # clip length to average over; None on a collage
 
@@ -488,9 +508,6 @@ class Head:
             pooled = frame_mean(pooled, self.frames)
         if self.final_norm is not None:
             pooled = self.final_norm.vec(pooled)
-        pooled = dropout(pooled, self.dropout_prob, rng, training)
-        if capture is not None and "pooled" in capture:
-            capture["pooled"] = pooled
         return T.linear(pooled, self.weight, self.bias)
 
     def plan(self, ext):
@@ -521,16 +538,15 @@ def layer_graph(config: ModelConfig) -> list:
                      ConvLayer(f"stage{s}.down.conv", ch[s - 2], c,
                                T.ConvSpec(kernel=(2, 2), stride=(2, 2)))]
         blocks = [Block(f"stage{s}.block{b}", c, grid, temporal=s in temporal_stages,
-                        temporal_bias=config.temporal_bias, drop_prob=next(drop_rates))
+                        drop_prob=next(drop_rates))
                   for b in range(config.blocks[s - 1])]
         layers.append(Stage(f"stage{s}", entry, blocks, grid,
                             collaged=stacking is not None and s > stacking, stacks=stacking == s))
     if config.use_neck:
         layers.append(Neck(ch[3], config.head_width, grid, collage_first=stacking is None))
-        layers.append(Head(config.head_width, config.num_classes, config.head_dropout))
+        layers.append(Head(config.head_width, config.num_classes))
     else:
-        layers.append(Head(ch[3], config.num_classes, config.head_dropout,
-                           final_norm=NormLayer("final.norm", ch[3]),
+        layers.append(Head(ch[3], config.num_classes, final_norm=NormLayer("final.norm", ch[3]),
                            frames=config.frames if stacking is None else None))
     return layers
 
@@ -545,7 +561,6 @@ class VidConvModel:
         reg = Registry()
         for layer in self.layers:
             layer.init(rng, reg)
-        self.stages = [layer.blocks for layer in self.layers if isinstance(layer, Stage)]
         self._params = reg.params
 
     # -- parameter registry ------------------------------------------------
@@ -571,7 +586,7 @@ class VidConvModel:
         """Clip (N*L, 3, H, W) in clip-major order -> logits (N, num_classes).
 
         ``capture`` is an optional mutable mapping; requested stage names
-        ("stage1".."stage4", "pooled") are filled with live tape tensors.
+        ("stage1".."stage4") are filled with live tape tensors.
         """
         cfg = self.config
         if not isinstance(clip, T.Tensor):
@@ -582,7 +597,7 @@ class VidConvModel:
             raise ShapeError(f"batch {clip.shape[0]} does not hold whole {cfg.frames}-frame clips")
         if clip.shape[2] % 32 or clip.shape[3] % 32:
             raise ShapeError(f"spatial extents {clip.shape[2:]} must be divisible by 32")
-        if training and rng is None and (cfg.drop_path_rate > 0 or cfg.head_dropout > 0):
+        if training and rng is None and cfg.drop_path_rate > 0:
             raise ValueError("training forward with stochastic regularization needs an rng")
         x = clip
         for layer in self.layers:
@@ -596,8 +611,15 @@ class VidConvModel:
         save_arrays(path, arrays, meta=dict(meta or {}, config=config_to_dict(self.config)))
 
     def load_checkpoint(self, path) -> dict:
-        """Load the weights saved at ``path``; returns the saved ``meta``."""
+        """Load the weights saved at ``path``; returns the saved ``meta``.
+
+        Every name and shape is checked before any weight is replaced, so a
+        rejected checkpoint leaves the model as it was.
+        """
         arrays, meta = load_arrays(path)
+        extra = [name for name in arrays if name not in self._params]
+        if extra:
+            raise ConfigError(f"checkpoint holds parameters the model lacks: {extra}")
         for name, p in self._params.items():
             if name not in arrays:
                 raise ConfigError(f"checkpoint missing parameter {name}")
@@ -606,7 +628,8 @@ class VidConvModel:
                 raise ConfigError(
                     f"checkpoint/config mismatch for parameter {name}: "
                     f"stored {tuple(arr.shape)}, model expects {tuple(p.shape)}")
-            p.data = arr.astype(np.float32, copy=True)
+        for name, p in self._params.items():
+            p.data = arrays[name].astype(np.float32, copy=True)
         return meta
 
 

@@ -175,7 +175,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul_const(x: Tensor, arr) -> Tensor:
-    """Elementwise product with an untracked array (dropout / drop-path masks)."""
+    """Elementwise product with an untracked array (drop-path masks)."""
     arr = np.asarray(arr, dtype=x.dtype)
     return _from_op(x.data * arr, (x,), lambda g: (g * arr,), "mul_const")
 

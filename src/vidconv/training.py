@@ -1,13 +1,13 @@
-"""Optimizer, schedule, regularization, and the train/eval loops."""
+"""Optimizer, schedule, and the train/eval loops."""
 from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import data
 from . import tensor as T
 from .errors import ConfigError, DivergenceError, NumericsError, ShapeError
 
@@ -22,34 +22,10 @@ def seed_streams(root_seed: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# stochastic regularization
-
-
-def drop_path(x: T.Tensor, prob: float, rng, training: bool) -> T.Tensor:
-    """Stochastic depth: per-sample Bernoulli keep with 1/(1-p) rescaling."""
-    if not 0.0 <= prob < 1.0:
-        raise ValueError(f"drop-path prob must be in [0, 1), got {prob}")
-    if not training or prob == 0.0:
-        return x
-    keep = 1.0 - prob
-    shape = (x.shape[0],) + (1,) * (x.ndim - 1)
-    mask = (rng.random(shape) < keep).astype(x.dtype) / keep
-    return T.mul_const(x, mask)
-
-
-def dropout(x: T.Tensor, prob: float, rng, training: bool) -> T.Tensor:
-    """Elementwise inverted dropout."""
-    if not 0.0 <= prob < 1.0:
-        raise ValueError(f"dropout prob must be in [0, 1), got {prob}")
-    if not training or prob == 0.0:
-        return x
-    keep = 1.0 - prob
-    mask = (rng.random(x.shape) < keep).astype(x.dtype) / keep
-    return T.mul_const(x, mask)
-
-
-# ---------------------------------------------------------------------------
 # AdamW
+
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -58,8 +34,6 @@ class OptimState:
 
     base_lr: float
     weight_decay: float = 0.05
-    betas: tuple = (0.9, 0.999)
-    eps: float = 1e-8
     lr_multipliers: dict = field(default_factory=dict)  # group name -> factor
     step: int = 0
     m: dict = field(default_factory=dict)
@@ -76,7 +50,7 @@ def adamw_step(params: dict, state: OptimState, lr_now: float, group_of=None):
     without a group use multiplier 1. Gradients must already be populated.
     """
     state.step += 1
-    b1, b2 = state.betas
+    b1, b2 = ADAM_BETAS
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
     for name, p in params.items():
@@ -102,7 +76,7 @@ def adamw_step(params: dict, state: OptimState, lr_now: float, group_of=None):
         mhat = m / c1
         vhat = v / c2
         p.data -= (lr_eff * state.weight_decay) * p.data
-        p.data -= lr_eff * (mhat / (np.sqrt(vhat) + state.eps))
+        p.data -= lr_eff * (mhat / (np.sqrt(vhat) + ADAM_EPS))
 
 
 def clip_grad_norm(params: dict, max_norm: float) -> float:
@@ -175,20 +149,30 @@ class TrainState:
 
 @dataclass
 class TrainConfig:
+    """One training run.
+
+    ``epochs`` passes over the data in batches of ``batch_size`` clips; the
+    lr warms up linearly over ``warmup_epochs`` to ``lr``, then decays by
+    cosine to ``lr_min``. AdamW decays weights by ``weight_decay`` and scales
+    the backbone's lr by ``lb``; the global gradient norm is clipped at
+    ``clip_norm`` (0 turns clipping off). Training clips are cropped at one
+    of ``crop_scales`` and, with ``flip``, mirrored left-right half the time.
+    Validation averages ``eval_clips`` clips per video. ``ckpt_dir`` receives
+    the weights every ``ckpt_every`` epochs and at the best top-1, and
+    ``metrics_path`` one JSON line per epoch; empty strings turn them off.
+    """
+
     epochs: int = 20
     batch_size: int = 16
     lr: float = 1e-3
     lr_min: float = 5e-6
     weight_decay: float = 0.05
-    betas: tuple = (0.9, 0.999)
-    eps: float = 1e-8
     lb: float = 1.0           # backbone lr multiplier
     warmup_epochs: int = 1
     clip_norm: float = 5.0
     flip: bool = True
     crop_scales: tuple = (1.0,)
     eval_clips: int = 1
-    eval_crops: int = 1
     ckpt_dir: str = ""
     ckpt_every: int = 0
     metrics_path: str = ""
@@ -208,15 +192,13 @@ def _emit_metric(path, record):
             fh.write(json.dumps(record) + "\n")
 
 
-def _batch_clips(dataset, indices, sampler, aug_rng, flip, crop_scales):
-    from .data import augment_clip, sample_clip
-
+def _batch_clips(dataset, indices, frames, aug_rng, flip, crop_scales):
     clips, labels = [], []
     for i in indices:
         video = dataset.video(int(i))
-        clip = sample_clip(video, sampler)
+        clip = data.sample_clip(video, frames)
         if aug_rng is not None:
-            clip, _ = augment_clip(clip, aug_rng, enable_flip=flip, crop_scales=crop_scales)
+            clip, _ = data.augment_clip(clip, aug_rng, enable_flip=flip, crop_scales=crop_scales)
         clips.append(clip)
         labels.append(video.label)
     batch = np.concatenate(clips, axis=0)  # (B*L, 3, H, W), clip-major
@@ -236,8 +218,6 @@ def train(model, train_ds, val_ds, cfg: TrainConfig, root_seed: int = 0,
     set; checkpoints (weights and meta) go to ``cfg.ckpt_dir`` every
     ``ckpt_every`` epochs and at the best validation top-1.
     """
-    from .data import ClipSampler
-
     cfg.validate()
     n = len(train_ds)
     if n == 0:
@@ -248,14 +228,13 @@ def train(model, train_ds, val_ds, cfg: TrainConfig, root_seed: int = 0,
                         lr_init=cfg.lr, lr_min=cfg.lr_min)
     if state is None:
         streams = seed_streams(root_seed)
-        optim = OptimState(base_lr=cfg.lr, weight_decay=cfg.weight_decay, betas=cfg.betas,
-                           eps=cfg.eps, lr_multipliers={"backbone": cfg.lb, "head": 1.0})
+        optim = OptimState(base_lr=cfg.lr, weight_decay=cfg.weight_decay,
+                           lr_multipliers={"backbone": cfg.lb, "head": 1.0})
         state = TrainState(optim=optim, schedule=schedule, streams=streams)
     else:
         state.schedule = schedule
 
     params = model.parameters()
-    sampler = ClipSampler(frames=model.config.frames, stride_range=(1, 1))
     start_epoch = state.epoch
 
     for epoch in range(start_epoch, cfg.epochs):
@@ -264,7 +243,7 @@ def train(model, train_ds, val_ds, cfg: TrainConfig, root_seed: int = 0,
         losses = []
         for bstart in range(0, n, cfg.batch_size):
             idx = order[bstart:bstart + cfg.batch_size]
-            batch, labels = _batch_clips(train_ds, idx, sampler,
+            batch, labels = _batch_clips(train_ds, idx, model.config.frames,
                                          state.streams["augment"], cfg.flip, cfg.crop_scales)
             lr_now = lr_at(schedule, state.iteration)
             try:
@@ -286,8 +265,7 @@ def train(model, train_ds, val_ds, cfg: TrainConfig, root_seed: int = 0,
 
         train_loss = float(np.mean(losses))
         val = evaluate_multiview(model, val_ds, num_clips=cfg.eval_clips,
-                                 num_crops=cfg.eval_crops, rng=state.streams["eval"],
-                                 batch_size=cfg.batch_size)
+                                 rng=state.streams["eval"], batch_size=cfg.batch_size)
         lr_now = lr_at(schedule, min(state.iteration, schedule.total_iters))
         record = {"epoch": epoch, "split": "val", "loss": train_loss,
                   "top1": val["top1"], "top5": val["top5"], "lr": lr_now}
@@ -312,44 +290,22 @@ def train(model, train_ds, val_ds, cfg: TrainConfig, root_seed: int = 0,
 # evaluation
 
 
-def _center_crop_window(h, w, size):
-    top = (h - size) // 2
-    left = (w - size) // 2
-    return top, left
+def evaluate_multiview(model, dataset, num_clips=1, rng=None, batch_size=32,
+                       frame_perm=None) -> dict:
+    """Average softmax scores over ``num_clips`` views per video, then score
+    top-1/top-5. A view is a clip's centre ``min(h, w)`` square.
 
-
-def _crop_windows(h, w, num_crops):
-    """1 crop: center. 3 crops: left/center/right (or top/center/bottom)."""
-    size = min(h, w)
-    if num_crops == 1:
-        return [_center_crop_window(h, w, size)]
-    if num_crops == 3:
-        if w >= h:
-            lefts = [0, (w - size) // 2, w - size]
-            return [(0, l) for l in lefts]
-        tops = [0, (h - size) // 2, h - size]
-        return [(t, 0) for t in tops]
-    raise ConfigError(f"unsupported crop count {num_crops} (use 1 or 3)")
-
-
-def evaluate_multiview(model, dataset, num_clips=1, num_crops=1, rng=None,
-                       batch_size=32, frame_perm=None) -> dict:
-    """Average softmax scores over (clip x crop) views, then score top-1/top-5.
-
-    ``frame_perm`` optionally maps (video_index, rng) -> a permutation applied
-    to each sampled clip's frames before the forward pass.
+    With ``rng``, a video longer than the clip length gets a random start per
+    clip. ``frame_perm`` optionally maps (video_index, rng) -> a permutation
+    applied to each sampled clip's frames before the forward pass.
     """
-    from .data import ClipSampler
-
-    if num_clips < 1 or num_crops < 1:
-        raise ConfigError("need at least one clip and one crop")
+    if num_clips < 1:
+        raise ConfigError("need at least one clip")
     L = model.config.frames
-    sampler = ClipSampler(frames=L, stride_range=(1, 1))
     n = len(dataset)
     k = model.config.num_classes
     probs_sum = np.zeros((n, k), dtype=np.float64)
     labels = np.empty(n, dtype=np.int64)
-    views_per_video = num_clips * num_crops
 
     pending, pending_meta = [], []
 
@@ -369,30 +325,20 @@ def evaluate_multiview(model, dataset, num_clips=1, num_crops=1, rng=None,
         labels[vi] = video.label
         perm = frame_perm(vi, rng) if frame_perm is not None else None
         for _ in range(num_clips):
-            clip = sample_clip_for_eval(video, sampler, rng, num_clips)
+            clip = data.sample_clip(video, L, rng)
             if perm is not None:
                 clip = clip[perm]
             h, w = clip.shape[2], clip.shape[3]
-            for top, left in _crop_windows(h, w, num_crops):
-                size = min(h, w)
-                view = clip[:, :, top:top + size, left:left + size]
-                pending.append(view)
-                pending_meta.append(vi)
-                if len(pending) * L >= batch_size * L:
-                    flush()
+            size = min(h, w)
+            top, left = (h - size) // 2, (w - size) // 2
+            pending.append(clip[:, :, top:top + size, left:left + size])
+            pending_meta.append(vi)
+            if len(pending) >= batch_size:
+                flush()
     flush()
 
-    probs = probs_sum / views_per_video
+    probs = probs_sum / num_clips
     top1 = topk_correct(probs, labels, 1) / n
     top5 = topk_correct(probs, labels, 5) / n
-    return {"top1": top1, "top5": top5, "views_per_video": views_per_video,
+    return {"top1": top1, "top5": top5, "views_per_video": num_clips,
             "probs": probs, "labels": labels}
-
-
-def sample_clip_for_eval(video, sampler, rng, num_clips):
-    from .data import sample_clip
-
-    # Single-clip evaluation of exactly-L videos is deterministic; multi-clip
-    # protocols draw random start offsets.
-    use_rng = rng if (num_clips > 1 or video.frames.shape[0] > sampler.frames) else None
-    return sample_clip(video, sampler, rng=use_rng)

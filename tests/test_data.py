@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from vidconv.data import (ClipSampler, SyntheticDataset, augment_clip, flip_lr,
+from vidconv.data import (SyntheticDataset, SyntheticVideo, augment_clip, flip_lr,
                           generate_video, label_oracle, num_classes, resize_bilinear,
                           sample_clip, video_seed)
 from vidconv.errors import ConfigError, ShapeError
@@ -91,44 +91,30 @@ def make_video(n_frames, seed=0):
     return generate_video("appearance-only", 0, num_frames=n_frames, seed=seed)
 
 
-def test_sample_clip_fallback_stride_formula():
-    v = make_video(17)
-    clip = sample_clip(v, ClipSampler(frames=9, stride_range=(5, 5)))
-    # min(5, 16 // 8) = 2
-    np.testing.assert_array_equal(clip, v.frames[np.arange(9) * 2])
-
-
-def test_sample_clip_stride_fits_without_fallback():
-    v = make_video(100, seed=1)
-    clip = sample_clip(v, ClipSampler(frames=9, stride_range=(5, 5)))
-    np.testing.assert_array_equal(clip, v.frames[np.arange(9) * 5])
-
-
 def test_sample_clip_exact_length_video():
     v = make_video(9, seed=2)
-    clip = sample_clip(v, ClipSampler(frames=9, stride_range=(5, 5)))
-    np.testing.assert_array_equal(clip, v.frames)
+    np.testing.assert_array_equal(sample_clip(v, 9), v.frames)
+    r = rng(0)
+    state = r.bit_generator.state
+    np.testing.assert_array_equal(sample_clip(v, 9, rng=r), v.frames)
+    assert r.bit_generator.state == state  # no start to draw
 
 
 def test_sample_clip_too_short_errors():
     v = make_video(5, seed=3)
     with pytest.raises(ShapeError):
-        sample_clip(v, ClipSampler(frames=9))
+        sample_clip(v, 9)
 
 
-def test_sample_clip_random_stride_and_start_in_bounds():
-    v = make_video(60, seed=4)
-    r = rng(5)
+def test_sample_clip_random_start_takes_consecutive_frames():
+    # frame t holds the value t, so a clip shows where it started
+    v = SyntheticVideo(frames=np.arange(60, dtype=np.float32).reshape(60, 1, 1, 1), label=0,
+                       task="appearance-only", seed=0)
+    np.testing.assert_array_equal(sample_clip(v, 9)[:, 0, 0, 0], np.arange(9))
+    r, ref = rng(5), rng(5)
     for _ in range(20):
-        clip = sample_clip(v, ClipSampler(frames=9, stride_range=(3, 6)), rng=r)
-        assert clip.shape == (9, 3, 64, 64)
-
-
-def test_sampler_validation():
-    with pytest.raises(ConfigError):
-        ClipSampler(frames=9, stride_range=(0, 5))
-    with pytest.raises(ConfigError):
-        ClipSampler(frames=9, stride_range=(6, 2))
+        start = int(ref.integers(0, 52))  # one draw per clip over the 52 starts that fit
+        np.testing.assert_array_equal(sample_clip(v, 9, rng=r)[:, 0, 0, 0], start + np.arange(9))
 
 
 # ---------------------------------------------------------------------------
@@ -149,14 +135,13 @@ def test_augment_identity_at_scale_one_no_flip():
 
 def test_augment_same_window_for_all_frames():
     v = make_video(9, seed=9)
-    out, tf = augment_clip(v.frames, rng(10), enable_flip=False, crop_scales=(0.75,),
-                           out_size=(48, 48))
+    out, tf = augment_clip(v.frames, rng(10), enable_flip=False, crop_scales=(0.75,))
     t, l = tf["top"], tf["left"]
     ch, cw = tf["crop_hw"]
-    assert out.shape == (9, 3, 48, 48)
+    assert (ch, cw) == (48, 48) and out.shape == (9, 3, 64, 64)
     for t_idx in range(9):
         np.testing.assert_array_equal(out[t_idx], resize_bilinear(
-            v.frames[t_idx:t_idx + 1, :, t:t + ch, l:l + cw], (48, 48))[0])
+            v.frames[t_idx:t_idx + 1, :, t:t + ch, l:l + cw], (64, 64))[0])
 
 
 def test_augment_rejects_bad_scales():
@@ -191,14 +176,6 @@ def test_dataset_labels_balanced_round_robin():
     assert counts.min() == counts.max() == 2
 
 
-def test_dataset_parallel_generation_matches_serial():
-    serial = SyntheticDataset.generate("motion-direction", 8, root_seed=3, preload=True)
-    parallel = SyntheticDataset.generate("motion-direction", 8, root_seed=3,
-                                         preload=True, workers=2)
-    for i in range(8):
-        assert np.array_equal(serial.video(i).frames, parallel.video(i).frames)
-
-
 def test_dataset_save_load_manifest_only(tmp_path):
     ds = SyntheticDataset.generate("temporal-order", 6, root_seed=11)
     checksum = ds.save(tmp_path / "d1")
@@ -223,6 +200,13 @@ def test_dataset_save_load_with_frames_blob(tmp_path):
         SyntheticDataset.load(tmp_path / "d2")
     blob.write_bytes(good[:-4])
     with pytest.raises(ConfigError, match="manifest expects"):
+        SyntheticDataset.load(tmp_path / "d2")
+    # a whole, self-consistent frames pair from another dataset's save
+    SyntheticDataset.generate("appearance-only", 5, root_seed=13).save(tmp_path / "d3",
+                                                                       store_frames=True)
+    for name in ("frames.bin", "frames.json"):
+        (tmp_path / "d2" / name).write_bytes((tmp_path / "d3" / name).read_bytes())
+    with pytest.raises(ConfigError, match="checksum"):
         SyntheticDataset.load(tmp_path / "d2")
 
 

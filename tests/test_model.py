@@ -13,7 +13,7 @@ from conftest import check_gradients, conv2d_loops, rng
 
 
 def toy_config(**kw):
-    base = dict(num_classes=2, input_size=(64, 64), drop_path_rate=0.0, head_dropout=0.0)
+    base = dict(num_classes=2, input_size=(64, 64), drop_path_rate=0.0)
     base.update(kw)
     return make_config("toy", **base)
 
@@ -173,7 +173,7 @@ def test_block_alpha_zero_equals_plain_block_bitwise():
 def test_block_fusion_affine_in_alpha():
     cfg = toy_config(use_neck=False)
     model = build_model(cfg, 2)
-    block = model.stages[2][0]  # first stage-3 block carries the temporal branch
+    block = model.layers[2].blocks[0]  # first stage-3 block carries the temporal branch
     x = T.Tensor(rng(11).standard_normal((1, 32, 12, 12)).astype(np.float32))
     base_alpha = block.alpha.data.copy()
 
@@ -192,10 +192,9 @@ def test_block_fusion_affine_in_alpha():
 def test_block_matches_straightline_reference(collaged):
     # full block on a 1x32x12x12 collage (grid 2x2), or on its four 6x6
     # frames, vs raw-numpy composition
-    cfg = make_config("toy", num_classes=2, input_size=(64, 64), grid=(2, 2), frames=4,
-                      drop_path_rate=0.0)
+    cfg = make_config("toy", num_classes=2, input_size=(64, 64), grid=(2, 2), drop_path_rate=0.0)
     model = build_model(cfg, 3)
-    block = model.stages[2][0]
+    block = model.layers[2].blocks[0]
     c = 32
     x = rng(12).standard_normal((1, c, 12, 12)).astype(np.float32)
     inp = x if collaged else _uncollage_arr(x, 2, 2)
@@ -356,7 +355,7 @@ def test_stacking_none_with_branch_keeps_later_net_temporal():
 
 def test_config_validation_errors():
     with pytest.raises(ConfigError):
-        make_config("tiny", num_classes=400, frames=8)  # frames != grid product
+        make_config("tiny", num_classes=400, grid=(0, 3))
     with pytest.raises(ConfigError):
         make_config("tiny", num_classes=400, input_size=(100, 224))
     with pytest.raises(ConfigError):
@@ -366,7 +365,7 @@ def test_config_validation_errors():
 
 
 @pytest.mark.parametrize("overrides", [{}, dict(stacking_stage=None, use_neck=False),
-                                       dict(grid=(2, 2), frames=4)],
+                                       dict(grid=(2, 2))],
                          ids=["default", "unstacked-neckless", "grid2x2"])
 def test_config_round_trips_through_json(overrides):
     cfg = make_config("toy", **overrides)
@@ -439,6 +438,20 @@ def test_checkpoint_malformed_manifest_rejected(tmp_path, fault):
     (tmp_path / "m.json").write_text(json.dumps(manifest))
     with pytest.raises(ConfigError, match="malformed entries|has shape|has offset|duplicate"):
         build_model(toy_config(), 18).load_checkpoint(str(tmp_path / "m"))
+
+
+@pytest.mark.parametrize("saved,loaded", [(dict(use_neck=False), {}),
+                                          (dict(stacking_stage=1), dict(stacking_stage=2))],
+                         ids=["neckless-into-neck", "stack1-into-stack2"])
+def test_rejected_checkpoint_leaves_weights_unchanged(tmp_path, saved, loaded):
+    # the stage-1 stack has 3 temporal entries that the stage-2 stack lacks
+    build_model(toy_config(**saved), 19).save_checkpoint(str(tmp_path / "m"))
+    model = build_model(toy_config(**loaded), 20)
+    before = {name: p.data.copy() for name, p in model.parameters().items()}
+    with pytest.raises(ConfigError, match="lacks|missing"):
+        model.load_checkpoint(str(tmp_path / "m"))
+    for name, p in model.parameters().items():
+        assert np.array_equal(p.data, before[name]), name
 
 
 def test_checkpoint_blob_from_another_save_rejected(tmp_path):
