@@ -226,9 +226,22 @@ def drop_path(x: T.Tensor, prob: float, rng, training: bool) -> T.Tensor:
 # initialization
 
 
+_INIT_CHUNK = 1 << 16
+
+
 def trunc_normal(rng, shape, std=0.02):
-    vals = rng.standard_normal(shape) * std
-    return np.clip(vals, -2 * std, 2 * std).astype(np.float32)
+    """float32 N(0, std) draws clipped at +-2 std. The float64 draws are made
+    in chunks of ``_INIT_CHUNK`` values: the same numbers, and the same rng
+    state after, as one full-size draw, without its full-size temporaries."""
+    out = np.empty(shape, dtype=np.float32)
+    flat = out.reshape(-1)
+    buf = np.empty(min(flat.size, _INIT_CHUNK))
+    for start in range(0, flat.size, _INIT_CHUNK):
+        vals = buf[: flat.size - start]  # the last chunk may be short
+        rng.standard_normal(out=vals)
+        vals *= std
+        flat[start: start + vals.size] = np.clip(vals, -2 * std, 2 * std, out=vals)
+    return out
 
 
 def _param(rng, shape, std=0.02):
@@ -586,7 +599,11 @@ class VidConvModel:
         """Clip (N*L, 3, H, W) in clip-major order -> logits (N, num_classes).
 
         ``capture`` is an optional mutable mapping; requested stage names
-        ("stage1".."stage4") are filled with live tape tensors.
+        ("stage1".."stage4") are filled with the stage outputs. A training
+        forward, or one given ``capture``, records a tape, with the captured
+        tensors on it, for ``tensor.backward``. Any other forward records
+        none: its logits do not require grad, and each activation is freed
+        once no later layer reads it.
         """
         cfg = self.config
         if not isinstance(clip, T.Tensor):
@@ -600,8 +617,9 @@ class VidConvModel:
         if training and rng is None and cfg.drop_path_rate > 0:
             raise ValueError("training forward with stochastic regularization needs an rng")
         x = clip
-        for layer in self.layers:
-            x = layer(x, training, rng, capture)
+        with T.recording(training or capture is not None):
+            for layer in self.layers:
+                x = layer(x, training, rng, capture)
         return x
 
     # -- checkpoints ---------------------------------------------------------

@@ -10,6 +10,7 @@ checks.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,9 @@ class Tensor:
     """Row-major dense array of reals (0 to 4 axes) with optional grad tracking.
 
     Data is immutable by convention after construction; only ``grad``
-    accumulates. A tensor produced by an op keeps closures over its parents
-    until ``backward`` consumes the tape (tapes are single-use).
+    accumulates. An op output that is recorded (see ``recording``) keeps
+    closures over its parents until ``backward`` consumes the tape (tapes are
+    single-use); an unrecorded one keeps neither and does not require grad.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_grad_fn", "_consumed")
@@ -72,8 +74,35 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, grad={'yes' if self.requires_grad else 'no'})"
 
 
+_recording = True
+
+
+@contextmanager
+def recording(on: bool):
+    """Within the block, op outputs are recorded on the tape iff ``on``.
+
+    The previous setting is restored on exit, also when the block raises.
+    The setting is process-wide, like the rest of the tape: not thread-safe.
+    """
+    global _recording
+    saved, _recording = _recording, bool(on)
+    try:
+        yield
+    finally:
+        _recording = saved
+
+
+def _records(*parents) -> bool:
+    """Whether an op on ``parents`` will record its output on the tape. An op
+    whose output is not recorded may write into its own temporaries, which
+    only its backward would have read."""
+    return _recording and any(p.requires_grad for p in parents)
+
+
 def _from_op(data, parents, grad_fn, what):
-    """Build an op output: tracks parents iff any of them requires grad."""
+    """Build an op output, checked to be finite. It tracks its parents iff
+    recording is on and any of them requires grad; otherwise ``grad_fn`` and
+    whatever it closes over are dropped here."""
     # A single pairwise sum goes non-finite iff the array holds NaN/Inf, and
     # costs one pass instead of isfinite()'s bool temporary.
     if not np.isfinite(data.sum(dtype=np.float64)):
@@ -83,7 +112,7 @@ def _from_op(data, parents, grad_fn, what):
     out.data = data
     out.grad = None
     out._consumed = False
-    if any(p.requires_grad for p in parents):
+    if _records(*parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._grad_fn = grad_fn
@@ -312,8 +341,9 @@ def _conv_depthwise(x, weight, bias, spec, ho, wo):
         return a[:, :, i * dh: i * dh + (ho - 1) * sh + 1: sh, :]
 
     def band(i):
-        # Built per row, and again in backward rather than kept: eval
-        # forwards still record a tape, which would hold the band alive.
+        # Built per row, and again in backward rather than kept: a training
+        # tape would hold all kh bands of every depth-wise conv alive until
+        # backward.
         b = np.zeros((c, wp, wo), dtype=x.dtype)
         b[:, taps, cols] = w3[:, i, :, None]
         return b
@@ -400,7 +430,9 @@ def layer_norm_channels(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-
     var = np.mean(xc * xc, axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
     xhat = np.multiply(xc, inv, out=xc)  # xc not needed past this point
-    y = xhat * gamma.data[None, :, None, None]
+    g4 = gamma.data[None, :, None, None]
+    # Only backward reads xhat, so without a tape y may take its buffer.
+    y = xhat * g4 if _records(x, gamma, beta) else np.multiply(xhat, g4, out=xhat)
     y += beta.data[None, :, None, None]
 
     def grad_fn(g):
@@ -427,7 +459,8 @@ def gelu(x: Tensor) -> Tensor:
     u += x.data
     u *= _GELU_C
     th = np.tanh(u, out=u)
-    y = th + 1.0
+    # Only backward reads th, so without a tape y may take its buffer.
+    y = th + 1.0 if _records(x) else np.add(th, 1.0, out=th)
     y *= x.data
     y *= 0.5
     y = y.astype(x.dtype, copy=False)

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from vidconv import tensor as T
-from vidconv.errors import ConfigError, ShapeError
-from vidconv.model import (ModelConfig, _tile_spec, _uncollage_arr, build_model, collage,
-                           config_from_dict, config_to_dict, frame_mean, make_config, tile_grid,
-                           uncollage)
+from vidconv.errors import ConfigError, NumericsError, ShapeError
+from vidconv.model import (_INIT_CHUNK, ModelConfig, _tile_spec, _uncollage_arr, build_model,
+                           collage, config_from_dict, config_to_dict, frame_mean, make_config,
+                           tile_grid, trunc_normal, uncollage)
 from conftest import check_gradients, conv2d_loops, rng
 
 
@@ -325,15 +325,57 @@ def test_boundary_pixel_influences_adjacent_tile():
     assert diff[:tile, tile:2 * tile].sum() > 0  # adjacent tile (frame 1) changed
 
 
-def test_gradient_reaches_every_parameter():
-    model = build_model(toy_config(use_neck=True), 5)
-    clip = rng(20).random((2 * 9, 3, 64, 64)).astype(np.float32)
+def _assert_training_reaches_every_parameter(model, clip):
     logits = model.forward(clip, training=True, rng=np.random.default_rng(0))
     loss, _ = T.softmax_cross_entropy(logits, np.array([0, 1]))
     T.backward(loss)
     dead = [name for name, p in model.parameters().items()
             if p.grad is None or not np.any(p.grad != 0)]
     assert not dead, f"parameters with zero gradient: {dead}"
+
+
+def test_gradient_reaches_every_parameter():
+    model = build_model(toy_config(use_neck=True), 5)
+    clip = rng(20).random((2 * 9, 3, 64, 64)).astype(np.float32)
+    _assert_training_reaches_every_parameter(model, clip)
+
+
+def test_only_training_or_capture_forwards_record_a_tape():
+    model = build_model(toy_config(), 8)
+    clip = rng(22).random((9, 3, 64, 64)).astype(np.float32)
+    logits = model.forward(clip, training=False)
+    assert not logits.requires_grad and logits._parents == ()
+    with pytest.raises(ValueError):
+        T.backward(T.sum_all(logits))
+    captured = model.forward(clip, training=False, capture={})
+    assert captured.requires_grad and captured._parents
+    trained = model.forward(clip, training=True, rng=np.random.default_rng(0))
+    assert trained.requires_grad and trained._parents
+    # the in-place ops of the untaped forward give the taped forward's numbers
+    assert np.array_equal(logits.data, captured.data)
+
+
+def test_failed_eval_forward_restores_recording():
+    model = build_model(toy_config(use_neck=True), 5)
+    clip = rng(20).random((2 * 9, 3, 64, 64)).astype(np.float32)
+    weight = model.parameters()["stage3.block0.dw.weight"]
+    saved = weight.data.copy()
+    weight.data[0, 0, 3, 3] = np.nan
+    with pytest.raises(NumericsError):  # the finite check runs without a tape
+        model.forward(clip, training=False)
+    weight.data = saved
+    _assert_training_reaches_every_parameter(model, clip)
+
+
+@pytest.mark.parametrize("shape", [(3, _INIT_CHUNK + 5), (5, 7)], ids=["chunks", "one-chunk"])
+def test_trunc_normal_equals_one_shot_draw(shape):
+    ours, oracle = np.random.default_rng(9), np.random.default_rng(9)
+    std = 0.02
+    expect = np.clip(oracle.standard_normal(shape) * std, -2 * std, 2 * std).astype(np.float32)
+    got = trunc_normal(ours, shape, std)
+    assert got.dtype == np.float32 and got.shape == shape
+    assert np.array_equal(got, expect)
+    assert np.array_equal(ours.standard_normal(4), oracle.standard_normal(4))
 
 
 def test_temporal_params_only_after_stacking_stage():

@@ -318,6 +318,29 @@ def test_gelu_matches_erf_variant_closely():
     np.testing.assert_allclose(approx, exact, atol=2e-3)
 
 
+@pytest.mark.parametrize("untaped", ["no-grad-input", "recording-off"])
+@pytest.mark.parametrize("op", ["gelu", "layer_norm"])
+def test_untaped_ops_leave_input_unchanged(op, untaped):
+    x = make((2, 5, 3, 4), seed=7)
+    gamma, beta = make((5,), seed=8), make((5,), seed=9)
+
+    def run(t, **kw):
+        if op == "gelu":
+            return T.gelu(t).data
+        return T.layer_norm_channels(t, T.Tensor(gamma.data, **kw), T.Tensor(beta.data, **kw)).data
+
+    taped = run(T.Tensor(x.data.copy(), requires_grad=True), requires_grad=True)
+    before = x.data.copy()
+    if untaped == "no-grad-input":
+        y = run(x)
+    else:
+        x.requires_grad = True
+        with T.recording(False):
+            y = run(x, requires_grad=True)
+    assert np.array_equal(x.data, before)
+    assert np.array_equal(y, taped)
+
+
 def test_global_avg_pool_values():
     x = T.Tensor(np.full((3, 2, 4, 4), 1.5, dtype=np.float32))
     np.testing.assert_array_equal(T.global_avg_pool(x).data, np.full((3, 2), 1.5, np.float32))
