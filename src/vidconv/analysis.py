@@ -29,17 +29,10 @@ class CostReport:
     geometry: dict
     convention: str = FLOP_CONVENTION
 
-    def check_totals(self):
-        assert self.params == sum(l.params for l in self.breakdown)
-        assert self.flops_per_view == sum(l.macs for l in self.breakdown)
-        assert self.elt_flops == sum(l.elt_flops for l in self.breakdown)
-        return self
-
 
 def plan_layers(config: ModelConfig, frames=None, input_size=None) -> list:
     """Cost rows of one view (one clip of ``config.frames`` frames), walked
     over the same layer list the model runs; no weights are drawn."""
-    config.validate()
     if frames is not None and frames != config.frames:
         raise ConfigError(f"the model runs {config.frames}-frame clips, not {frames}")
     ext = Extent(config.frames, tuple(input_size if input_size is not None else config.input_size))
@@ -59,7 +52,7 @@ def count_flops(config: ModelConfig, frames=None, input_size=None) -> CostReport
                       flops_per_view=sum(l.macs for l in layers),
                       elt_flops=sum(l.elt_flops for l in layers),
                       breakdown=layers,
-                      geometry={"frames": config.frames, "input_size": [H, W]}).check_totals()
+                      geometry={"frames": config.frames, "input_size": [H, W]})
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +199,6 @@ def run_ablation(suite: str, base_config: ModelConfig, train_ds, val_ds, train_c
 
     rows = []
     for label, cfg, eval_clips in ablation_rows(suite, base_config):
-        cfg.validate()
         model = build_model(cfg, seed)
         row_cfg = replace(train_cfg, eval_clips=eval_clips)
         state = train(model, train_ds, val_ds, row_cfg, root_seed=seed, log=log)

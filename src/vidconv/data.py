@@ -11,18 +11,16 @@ Three tasks separate appearance-driven from temporally-dependent recognition:
 Rendering is anti-aliased discs/squares over per-video grayscale noise, so a
 pixel-level oracle can recover the label of any (possibly permuted) frame
 sequence and double as ground truth for the shuffle experiments.
+
+A ``SyntheticDataset`` renders each video on demand and stores nothing.
 """
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .model import _replace_with, load_arrays, save_arrays
 
 TASKS = {
     "appearance-only": 8,
@@ -322,7 +320,7 @@ def augment_clip(clip: np.ndarray, rng, enable_flip=True, crop_scales=(1.0,)):
 
 
 # ---------------------------------------------------------------------------
-# dataset with manifest-based persistence
+# dataset: a pure function of five values
 
 
 def video_seed(root_seed: int, index: int) -> int:
@@ -330,115 +328,37 @@ def video_seed(root_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0] >> 1)
 
 
+@dataclass(frozen=True)
 class SyntheticDataset:
-    """Manifest of (seed, label) pairs; frames regenerate on demand or preload."""
+    """``n_videos`` videos of ``task``, each ``num_frames`` frames of ``size``.
 
-    def __init__(self, manifest: dict, cache=None):
-        self.manifest = manifest
-        self._cache = cache
+    Video ``i`` has label ``i % num_classes(task)`` and is rendered from seed
+    ``video_seed(root_seed, i)``, so equal fields give bit-identical frames.
+    """
 
-    # -- construction ------------------------------------------------------
+    task: str
+    n_videos: int
+    size: tuple = (64, 64)
+    num_frames: int = 9
+    root_seed: int = 0
+
+    def __post_init__(self):
+        num_classes(self.task)
+        if self.n_videos < 1:
+            raise ConfigError("need at least one video")
 
     @classmethod
-    def generate(cls, task, n_videos, size=(64, 64), num_frames=9, root_seed=0,
-                 preload=False):
-        if n_videos < 1:
-            raise ConfigError("need at least one video")
-        k = num_classes(task)
-        videos = [{"index": i, "seed": video_seed(root_seed, i), "label": i % k}
-                  for i in range(n_videos)]
-        manifest = {"format": "vidconv-dataset-v1", "task": task,
-                    "height": int(size[0]), "width": int(size[1]),
-                    "num_frames": int(num_frames), "num_classes": k,
-                    "root_seed": int(root_seed), "videos": videos}
-        ds = cls(manifest)
-        if preload:
-            ds.preload()
-        return ds
-
-    def preload(self):
-        self._cache = [self.video(i) for i in range(len(self))]
-        return self
-
-    # -- access --------------------------------------------------------------
-
-    @property
-    def task(self):
-        return self.manifest["task"]
-
-    @property
-    def num_frames(self):
-        return self.manifest["num_frames"]
-
-    @property
-    def height(self):
-        return self.manifest["height"]
-
-    @property
-    def width(self):
-        return self.manifest["width"]
-
-    @property
-    def num_classes(self):
-        return self.manifest["num_classes"]
+    def generate(cls, task, n_videos, size=(64, 64), num_frames=9, root_seed=0):
+        return cls(task, n_videos, size, num_frames, root_seed)
 
     def __len__(self):
-        return len(self.manifest["videos"])
+        return self.n_videos
 
     def video(self, i: int) -> SyntheticVideo:
-        if self._cache is not None:
-            return self._cache[i]
-        v = self.manifest["videos"][i]
-        return generate_video(self.task, v["label"], size=(self.height, self.width),
-                              num_frames=self.num_frames, seed=v["seed"])
+        if not 0 <= i < self.n_videos:
+            raise IndexError(f"video {i} outside [0, {self.n_videos})")
+        return generate_video(self.task, i % num_classes(self.task), size=self.size,
+                              num_frames=self.num_frames, seed=video_seed(self.root_seed, i))
 
     def labels(self):
-        return np.asarray([v["label"] for v in self.manifest["videos"]])
-
-    def checksum(self) -> str:
-        """SHA-256 over all frame bytes in index order (regenerates if needed)."""
-        digest = hashlib.sha256()
-        for i in range(len(self)):
-            digest.update(np.ascontiguousarray(self.video(i).frames, dtype="<f4").tobytes())
-        return digest.hexdigest()
-
-    # -- persistence -----------------------------------------------------------
-
-    def save(self, directory, store_frames=False):
-        """Write ``manifest.json`` and, with ``store_frames``, every video's
-        frames as one (N, L, 3, H, W) array in the checkpoint container at
-        ``frames``; each file is replaced atomically."""
-        manifest = dict(self.manifest, stored_frames=bool(store_frames),
-                        checksum=self.checksum())
-        os.makedirs(directory, exist_ok=True)
-        if store_frames:
-            frames = np.stack([self.video(i).frames for i in range(len(self))])
-            save_arrays(os.path.join(directory, "frames"), {"frames": frames})
-        _replace_with(os.path.join(directory, "manifest.json"),
-                      json.dumps(manifest, indent=1).encode("utf-8"))
-        return manifest["checksum"]
-
-    @classmethod
-    def load(cls, directory, preload=False):
-        path = os.path.join(directory, "manifest.json")
-        if not os.path.exists(path):
-            raise ConfigError(f"no dataset manifest at {path}")
-        with open(path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        if manifest.get("format") != "vidconv-dataset-v1":
-            raise ConfigError(f"unrecognized dataset format in {path}")
-        ds = cls(manifest)
-        if manifest.get("stored_frames"):
-            stored = os.path.join(directory, "frames")
-            frames = load_arrays(stored)[0].get("frames")
-            shape = (len(ds), manifest["num_frames"], 3, manifest["height"], manifest["width"])
-            if frames is None or frames.shape != shape:
-                raise ConfigError(f"{stored} does not hold frames of shape {shape}")
-            ds._cache = [SyntheticVideo(frames=f, label=v["label"], task=manifest["task"],
-                                        seed=v["seed"])
-                         for f, v in zip(frames, manifest["videos"])]
-            if ds.checksum() != manifest.get("checksum"):
-                raise ConfigError(f"{stored} does not match the checksum in {path}")
-        elif preload:
-            ds.preload()
-        return ds
+        return np.arange(self.n_videos) % num_classes(self.task)

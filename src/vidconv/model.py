@@ -74,7 +74,7 @@ class ModelConfig:
         """Clip length L: one frame per grid cell."""
         return self.grid[0] * self.grid[1]
 
-    def validate(self):
+    def __post_init__(self):
         if len(self.channels) != 4 or len(self.blocks) != 4:
             raise ConfigError("channels and blocks must list all four stages")
         if any(c < 1 for c in self.channels) or any(b < 1 for b in self.blocks):
@@ -93,7 +93,6 @@ class ModelConfig:
             raise ConfigError("need at least two classes")
         if self.head_width < 1:
             raise ConfigError("head width must be positive")
-        return self
 
     def temporal_stages(self) -> tuple:
         """Stages whose blocks carry the temporal branch: strictly after the
@@ -116,7 +115,7 @@ def make_config(variant: str, **overrides) -> ModelConfig:
         raise ConfigError(f"unknown variant {variant!r}; options: {sorted(VARIANTS)}")
     base = dict(VARIANTS[variant])
     base.update(overrides)
-    return ModelConfig(variant=variant, **base).validate()
+    return ModelConfig(variant=variant, **base)
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +194,7 @@ def frame_mean(x: T.Tensor, frames: int) -> T.Tensor:
     y = x.data.reshape(n, frames, c).mean(axis=1)
 
     def grad_fn(g):
-        return (np.broadcast_to(g[:, None, :] / frames, (n, frames, c))
-                .reshape(ln, c).astype(x.dtype, copy=True),)
+        return (np.broadcast_to(g[:, None, :] / frames, (n, frames, c)).reshape(ln, c),)
 
     return T._from_op(y, (x,), grad_fn, "frame_mean")
 
@@ -568,7 +566,6 @@ class VidConvModel:
     """Parameter store plus the layer graph; built deterministically from a seed."""
 
     def __init__(self, config: ModelConfig, rng):
-        config.validate()
         self.config = config
         self.layers = layer_graph(config)
         reg = Registry()
@@ -750,4 +747,4 @@ def config_from_dict(d: dict) -> ModelConfig:
         if key in d:
             val = d[key]
             kwargs[key] = tuple(val) if isinstance(val, list) else val
-    return ModelConfig(**kwargs).validate()
+    return ModelConfig(**kwargs)

@@ -463,13 +463,12 @@ def gelu(x: Tensor) -> Tensor:
     y = th + 1.0 if _records(x) else np.add(th, 1.0, out=th)
     y *= x.data
     y *= 0.5
-    y = y.astype(x.dtype, copy=False)
 
     def grad_fn(g):
         sech2 = 1.0 - th * th
         du = _GELU_C * (1.0 + 3.0 * _GELU_A * (x.data * x.data))
         d = 0.5 * (1.0 + th) + 0.5 * x.data * sech2 * du
-        return (d.astype(x.dtype) * g,)
+        return (d * g,)
 
     return _from_op(y, (x,), grad_fn, "gelu")
 
@@ -482,7 +481,7 @@ def global_avg_pool(x: Tensor) -> Tensor:
     y = x.data.mean(axis=(2, 3))
 
     def grad_fn(g):
-        return (np.broadcast_to(g[:, :, None, None] / (h * w), x.shape).astype(x.dtype, copy=True),)
+        return (np.broadcast_to(g[:, :, None, None] / (h * w), x.shape),)
 
     return _from_op(y, (x,), grad_fn, "global_avg_pool")
 

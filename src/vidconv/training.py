@@ -139,7 +139,6 @@ class TrainState:
     """Optimizer moments, schedule position, RNG streams, and metric history."""
 
     optim: OptimState
-    schedule: Schedule
     epoch: int = 0
     iteration: int = 0
     streams: dict = field(default_factory=dict)
@@ -147,7 +146,7 @@ class TrainState:
     best_top1: float = -1.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """One training run.
 
@@ -177,7 +176,7 @@ class TrainConfig:
     ckpt_every: int = 0
     metrics_path: str = ""
 
-    def validate(self):
+    def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch size must be positive")
         if self.lr <= 0 or self.lr_min < 0 or self.lr_min > self.lr:
@@ -197,8 +196,7 @@ def _batch_clips(dataset, indices, frames, aug_rng, flip, crop_scales):
     for i in indices:
         video = dataset.video(int(i))
         clip = data.sample_clip(video, frames)
-        if aug_rng is not None:
-            clip, _ = data.augment_clip(clip, aug_rng, enable_flip=flip, crop_scales=crop_scales)
+        clip, _ = data.augment_clip(clip, aug_rng, enable_flip=flip, crop_scales=crop_scales)
         clips.append(clip)
         labels.append(video.label)
     batch = np.concatenate(clips, axis=0)  # (B*L, 3, H, W), clip-major
@@ -218,7 +216,6 @@ def train(model, train_ds, val_ds, cfg: TrainConfig, root_seed: int = 0,
     set; checkpoints (weights and meta) go to ``cfg.ckpt_dir`` every
     ``ckpt_every`` epochs and at the best validation top-1.
     """
-    cfg.validate()
     n = len(train_ds)
     if n == 0:
         raise ConfigError("training dataset is empty")
@@ -230,9 +227,7 @@ def train(model, train_ds, val_ds, cfg: TrainConfig, root_seed: int = 0,
         streams = seed_streams(root_seed)
         optim = OptimState(base_lr=cfg.lr, weight_decay=cfg.weight_decay,
                            lr_multipliers={"backbone": cfg.lb, "head": 1.0})
-        state = TrainState(optim=optim, schedule=schedule, streams=streams)
-    else:
-        state.schedule = schedule
+        state = TrainState(optim=optim, streams=streams)
 
     params = model.parameters()
     start_epoch = state.epoch

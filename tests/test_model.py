@@ -403,7 +403,7 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         make_config("nope")
     with pytest.raises(ConfigError):
-        ModelConfig(stacking_stage=5, num_classes=10).validate()
+        ModelConfig(stacking_stage=5, num_classes=10)
 
 
 @pytest.mark.parametrize("overrides", [{}, dict(stacking_stage=None, use_neck=False),

@@ -166,8 +166,8 @@ def tiny_setup(task="temporal-order", n_train=8, n_val=8, seed=0):
     cfg = make_config("toy", num_classes=2 if task == "temporal-order" else 8,
                       input_size=(64, 64), drop_path_rate=0.05)
     model = build_model(cfg, seed)
-    train_ds = SyntheticDataset.generate(task, n_train, root_seed=seed, preload=True)
-    val_ds = SyntheticDataset.generate(task, n_val, root_seed=seed + 1, preload=True)
+    train_ds = SyntheticDataset.generate(task, n_train, root_seed=seed)
+    val_ds = SyntheticDataset.generate(task, n_val, root_seed=seed + 1)
     return model, train_ds, val_ds
 
 
