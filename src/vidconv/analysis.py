@@ -15,7 +15,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, ShapeError
 from .model import Extent, ModelConfig, _uncollage_arr, build_model, layer_graph
-from .training import evaluate_multiview
+from .training import evaluate_multiview, train
 
 FLOP_CONVENTION = "1 MAC = 1 FLOP; conv/linear only; norm/act/pool in elementwise bucket"
 
@@ -86,7 +86,8 @@ def order_permutation(order, n_frames, rng=None):
 
 def shuffle_eval(model, dataset, orders=("normal", "reverse", "random"), seed=0,
                  num_clips=1) -> ShuffleReport:
-    """Evaluate with permuted clip frames; 'random' draws one permutation per video."""
+    """Evaluate with permuted clip frames; 'random' draws one permutation per
+    video, and an explicit order is reported as "explicit:<i>,<j>,..."."""
     if isinstance(orders, (str, np.ndarray)):
         orders = (orders,)
     L = model.config.frames
@@ -99,7 +100,7 @@ def shuffle_eval(model, dataset, orders=("normal", "reverse", "random"), seed=0,
 
         res = evaluate_multiview(model, dataset, num_clips=num_clips,
                                  rng=np.random.default_rng(seed + 1), frame_perm=perm_fn)
-        key = order if isinstance(order, str) else "explicit"
+        key = order if isinstance(order, str) else "explicit:" + ",".join(map(str, np.ravel(order)))
         report.accuracies[key] = {"top1": res["top1"], "top5": res["top5"]}
     return report
 
@@ -194,11 +195,17 @@ def ablation_rows(suite: str, base_config: ModelConfig) -> list:
 
 def run_ablation(suite: str, base_config: ModelConfig, train_ds, val_ds, train_cfg,
                  seed=0, log=None) -> list:
-    """Train every row variant at desk scale and tabulate top-1/top-5/cost."""
-    from .training import train
+    """Train every row variant at desk scale and tabulate top-1/top-5/cost.
 
+    Every row's clip length is checked against both datasets before any row
+    trains."""
+    variants = ablation_rows(suite, base_config)
+    for label, cfg, _ in variants:
+        if cfg.frames > min(train_ds.num_frames, val_ds.num_frames):
+            raise ConfigError(f"[{suite}] {label} needs {cfg.frames}-frame videos; the datasets "
+                              f"have {train_ds.num_frames} and {val_ds.num_frames}")
     rows = []
-    for label, cfg, eval_clips in ablation_rows(suite, base_config):
+    for label, cfg, eval_clips in variants:
         model = build_model(cfg, seed)
         row_cfg = replace(train_cfg, eval_clips=eval_clips)
         state = train(model, train_ds, val_ds, row_cfg, root_seed=seed, log=log)

@@ -301,8 +301,8 @@ def augment_clip(clip: np.ndarray, rng, enable_flip=True, crop_scales=(1.0,)):
     The same crop window and flip decision apply to every frame. Returns the
     augmented clip and a record of the applied transform.
     """
-    if any(not 0 < s <= 1 for s in crop_scales):
-        raise ConfigError(f"crop scales must lie in (0, 1], got {crop_scales}")
+    if not crop_scales or any(not 0 < s <= 1 for s in crop_scales):
+        raise ConfigError(f"need one or more crop scales in (0, 1], got {crop_scales}")
     l, c, h, w = clip.shape
     scale = float(crop_scales[int(rng.integers(0, len(crop_scales)))])
     ch = max(1, int(round(h * scale)))

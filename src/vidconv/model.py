@@ -9,10 +9,10 @@ per-channel vector and added to every cell of the grid by broadcast.
 """
 from __future__ import annotations
 
-import hashlib
 import json
-import math
 import os
+import tokenize
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -622,115 +622,59 @@ class VidConvModel:
     # -- checkpoints ---------------------------------------------------------
 
     def save_checkpoint(self, path, meta=None):
-        arrays = {name: p.data for name, p in self._params.items()}
-        save_arrays(path, arrays, meta=dict(meta or {}, config=config_to_dict(self.config)))
+        """Write ``<path>.npz``: entry ``meta`` (0-d str, the JSON of ``meta`` and
+        the config), then each parameter under its registry name. The archive is
+        renamed over the old file, so a failed save leaves that file as it was."""
+        text = json.dumps(dict(meta or {}, config=config_to_dict(self.config)))  # raises before a write
+        tmp = f"{path}.npz.tmp"
+        os.makedirs(os.path.dirname(os.path.abspath(tmp)), exist_ok=True)
+        try:
+            with open(tmp, "wb") as fh:  # an open file, so numpy adds no suffix
+                np.savez(fh, meta=np.array(text), **{n: p.data for n, p in self._params.items()})
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, f"{path}.npz")
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
     def load_checkpoint(self, path) -> dict:
-        """Load the weights saved at ``path``; returns the saved ``meta``.
-
-        Every name and shape is checked before any weight is replaced, so a
-        rejected checkpoint leaves the model as it was.
-        """
-        arrays, meta = load_arrays(path)
-        extra = [name for name in arrays if name not in self._params]
-        if extra:
-            raise ConfigError(f"checkpoint holds parameters the model lacks: {extra}")
+        """Load ``<path>.npz`` and return its ``meta``. Every entry is read whole,
+        so zip checks its CRC-32, and every name, dtype and shape is checked before
+        a weight is replaced. A foreign or damaged file raises ``ConfigError`` and
+        leaves the model as it was; a missing one raises ``FileNotFoundError``."""
+        file = f"{path}.npz"
+        with open(file, "rb") as fh:
+            try:
+                npz = np.load(fh, allow_pickle=False)
+                if not isinstance(npz, np.lib.npyio.NpzFile) or len(set(npz.files)) < len(npz.files):
+                    raise ValueError("it is no archive of uniquely named entries")
+                arrays = {name: np.asarray(npz[name]) for name in npz.files}  # a non-.npy entry is bytes
+                meta = json.loads(str(arrays.pop("meta"))) if "meta" in arrays else None
+            # numpy parses a damaged .npy header with tokenize; zipfile refuses an unknown
+            # compression and seeks (OSError) wherever a damaged directory points
+            except (zipfile.BadZipFile, ValueError, EOFError, tokenize.TokenError,
+                    NotImplementedError, OSError) as exc:
+                raise ConfigError(f"{file} is not a checkpoint: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise ConfigError(f"{file} has no meta entry holding a JSON object")
+        stored, wanted = arrays.keys(), self._params.keys()
+        if stored != wanted:
+            raise ConfigError(f"checkpoint is missing parameters {sorted(wanted - stored)} "
+                              f"and holds ones the model lacks: {sorted(stored - wanted)}")
         for name, p in self._params.items():
-            if name not in arrays:
-                raise ConfigError(f"checkpoint missing parameter {name}")
             arr = arrays[name]
-            if tuple(arr.shape) != tuple(p.shape):
-                raise ConfigError(
-                    f"checkpoint/config mismatch for parameter {name}: "
-                    f"stored {tuple(arr.shape)}, model expects {tuple(p.shape)}")
+            if arr.dtype != np.float32 or arr.shape != p.shape:
+                raise ConfigError(f"checkpoint/config mismatch for parameter {name}: stored "
+                                  f"{arr.dtype} {arr.shape}, model expects float32 {p.shape}")
         for name, p in self._params.items():
-            p.data = arrays[name].astype(np.float32, copy=True)
+            p.data = arrays[name]
         return meta
 
 
 def build_model(config: ModelConfig, rng_seed: int) -> VidConvModel:
     """Instantiate with all weights drawn from one deterministic stream."""
     return VidConvModel(config, np.random.default_rng(np.random.SeedSequence(rng_seed)))
-
-
-# ---------------------------------------------------------------------------
-# checkpoint container: JSON manifest + one little-endian float32 blob
-
-
-_CHECKPOINT_FORMAT = "vidconv-checkpoint-v1"
-
-
-def _replace_with(dest, data: bytes):
-    """Write ``data`` to a temp file beside ``dest``, then rename it over ``dest``."""
-    tmp = f"{dest}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, dest)
-
-
-def save_arrays(path, arrays: dict, meta=None):
-    """Write ``<path>.bin`` and ``<path>.json``; a failed save leaves the old pair.
-
-    The manifest holds the blob's SHA-256, so a save cut off between the two
-    renames (new blob, old manifest) is caught by ``load_arrays``.
-    """
-    entries = []
-    offset = 0
-    blob = []
-    for name, arr in arrays.items():
-        a = np.ascontiguousarray(arr, dtype="<f4")
-        entries.append({"name": name, "shape": list(a.shape),
-                        "offset": offset, "length": int(a.size)})
-        blob.append(a.tobytes())
-        offset += a.size
-    blob = b"".join(blob)
-    manifest = {"format": _CHECKPOINT_FORMAT, "entries": entries, "meta": meta or {},
-                "sha256": hashlib.sha256(blob).hexdigest()}
-    text = json.dumps(manifest, indent=1).encode("utf-8")  # raises before any write
-    os.makedirs(os.path.dirname(os.path.abspath(str(path))), exist_ok=True)
-    _replace_with(f"{path}.bin", blob)
-    _replace_with(f"{path}.json", text)
-
-
-def load_arrays(path):
-    """Read a ``save_arrays`` pair; a foreign manifest, or a blob whose size or
-    checksum differs from the manifest's, raises."""
-    with open(f"{path}.json", encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except ValueError as exc:  # not UTF-8 or not JSON
-            raise ConfigError(f"{path}.json is not a checkpoint manifest: {exc}") from exc
-    fmt = manifest.get("format") if isinstance(manifest, dict) else None
-    if fmt != _CHECKPOINT_FORMAT:
-        raise ConfigError(f"{path}.json has format {fmt!r}, expected {_CHECKPOINT_FORMAT!r}")
-    try:
-        entries = [(e["name"], [int(n) for n in e["shape"]], int(e["offset"]), int(e["length"]))
-                   for e in manifest["entries"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}.json has malformed entries: {exc!r}") from exc
-    expect = 4 * sum(length for *_, length in entries)
-    with open(f"{path}.bin", "rb") as fh:
-        blob = fh.read()
-    got = len(blob)
-    if got != expect:
-        raise ConfigError(f"checkpoint blob {path}.bin holds {got} bytes, manifest expects {expect}")
-    if hashlib.sha256(blob).hexdigest() != manifest.get("sha256"):
-        raise ConfigError(f"checkpoint blob {path}.bin does not match the checksum in {path}.json")
-    raw = np.frombuffer(blob, dtype="<f4")
-    arrays = {}
-    end = 0  # entries lie back to back in manifest order, as save_arrays wrote them
-    for name, shape, offset, length in entries:
-        if math.prod(shape) != length:
-            raise ConfigError(f"{path}.json entry {name} has shape {shape} but length {length}")
-        if offset != end:
-            raise ConfigError(f"{path}.json entry {name} has offset {offset}, expected {end}")
-        if name in arrays:
-            raise ConfigError(f"{path}.json has a duplicate entry {name}")
-        arrays[name] = raw[offset: offset + length].reshape(shape).copy()
-        end += length
-    return arrays, manifest.get("meta", {})
 
 
 def config_to_dict(config: ModelConfig) -> dict:

@@ -157,8 +157,9 @@ class TrainConfig:
     ``clip_norm`` (0 turns clipping off). Training clips are cropped at one
     of ``crop_scales`` and, with ``flip``, mirrored left-right half the time.
     Validation averages ``eval_clips`` clips per video. ``ckpt_dir`` receives
-    the weights every ``ckpt_every`` epochs and at the best top-1, and
-    ``metrics_path`` one JSON line per epoch; empty strings turn them off.
+    the weights as ``epochNNN.npz`` every ``ckpt_every`` epochs (0: never) and
+    as ``best.npz`` at the best top-1, and ``metrics_path`` one JSON line per
+    epoch; empty strings turn them off.
     """
 
     epochs: int = 20
@@ -177,12 +178,14 @@ class TrainConfig:
     metrics_path: str = ""
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch size must be positive")
+        if self.epochs < 1 or self.batch_size < 1 or self.eval_clips < 1:
+            raise ConfigError("epochs, batch_size and eval_clips must be positive")
         if self.lr <= 0 or self.lr_min < 0 or self.lr_min > self.lr:
             raise ConfigError("need 0 <= lr_min <= lr and lr > 0")
-        if not 0 <= self.lb:
-            raise ConfigError("lb must be non-negative")
+        if not all(v >= 0 for v in (self.lb, self.weight_decay, self.warmup_epochs,
+                                    self.clip_norm, self.ckpt_every)):
+            raise ConfigError("lb, weight_decay, warmup_epochs, clip_norm and ckpt_every "
+                              "must be non-negative")
 
 
 def _emit_metric(path, record):
@@ -213,8 +216,9 @@ def train(model, train_ds, val_ds, cfg: TrainConfig, root_seed: int = 0,
     """Run the full training loop; deterministic for a fixed root seed.
 
     Metrics are appended per epoch as JSON lines when ``cfg.metrics_path`` is
-    set; checkpoints (weights and meta) go to ``cfg.ckpt_dir`` every
-    ``ckpt_every`` epochs and at the best validation top-1.
+    set; checkpoints (weights and meta) go to ``<cfg.ckpt_dir>/epochNNN.npz``
+    every ``ckpt_every`` epochs and to ``<cfg.ckpt_dir>/best.npz`` at the best
+    validation top-1.
     """
     n = len(train_ds)
     if n == 0:

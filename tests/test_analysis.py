@@ -4,11 +4,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from vidconv import analysis
 from vidconv import tensor as T
 from vidconv.analysis import (ablation_rows, cam_from_capture, compute_cam, count_flops,
-                              order_permutation, plan_layers, write_pgm)
+                              order_permutation, plan_layers, run_ablation, shuffle_eval,
+                              write_pgm)
+from vidconv.data import SyntheticDataset
 from vidconv.errors import ConfigError
 from vidconv.model import build_model, make_config
+from vidconv.training import TrainConfig, evaluate_multiview
 from conftest import rng
 
 
@@ -190,6 +194,33 @@ def test_order_permutation_forms():
         order_permutation("sideways", 3)
 
 
+def _shuffle_setup(**overrides):
+    model = build_model(make_config("toy", num_classes=8, input_size=(64, 64), **overrides), 0)
+    return model, SyntheticDataset.generate("motion-direction", 8, root_seed=3)
+
+
+def test_shuffle_eval_per_frame_model_ignores_frame_order():
+    model, ds = _shuffle_setup(stacking_stage=None, use_temporal_branch=False, use_neck=False)
+    acc = shuffle_eval(model, ds, seed=4).accuracies
+    assert list(acc) == ["normal", "reverse", "random"]
+    assert acc["reverse"] == acc["normal"] and acc["random"] == acc["normal"]
+
+
+def test_shuffle_eval_normal_order_is_plain_eval():
+    model, ds = _shuffle_setup()
+    acc = shuffle_eval(model, ds, orders="normal", seed=4).accuracies
+    res = evaluate_multiview(model, ds, rng=np.random.default_rng(5))
+    assert acc == {"normal": {"top1": res["top1"], "top5": res["top5"]}}
+
+
+def test_shuffle_eval_keeps_every_explicit_order():
+    model, ds = _shuffle_setup()
+    acc = shuffle_eval(model, ds, orders=(np.arange(9)[::-1], np.roll(np.arange(9), 1), "reverse"),
+                       seed=4).accuracies
+    assert list(acc) == ["explicit:8,7,6,5,4,3,2,1,0", "explicit:8,0,1,2,3,4,5,6,7", "reverse"]
+    assert acc["explicit:8,7,6,5,4,3,2,1,0"] == acc["reverse"]
+
+
 # ---------------------------------------------------------------------------
 # CAM
 
@@ -259,3 +290,30 @@ def test_grid_suite_rows():
     assert rows[3][1].grid == (4, 4) and rows[3][1].frames == 16
     with pytest.raises(ConfigError):
         ablation_rows("bogus", base)
+
+
+def test_run_ablation_stacking_stage_rows_at_toy_scale():
+    # one epoch on 4 videos: the rows' shape and cost, not their accuracy
+    base = make_config("toy", num_classes=2, input_size=(64, 64))
+    tr = SyntheticDataset.generate("temporal-order", 4, root_seed=0)
+    va = SyntheticDataset.generate("temporal-order", 4, root_seed=1)
+    rows = run_ablation("stacking_stage", base, tr, va, TrainConfig(epochs=1, batch_size=4))
+    expected = ablation_rows("stacking_stage", base)
+    assert [row["variant"] for row in rows] == [label for label, _, _ in expected]
+    for row, (_, cfg, _) in zip(rows, expected):
+        cost = count_flops(cfg)
+        assert (row["params"], row["flops"]) == (cost.params, cost.flops_per_view)
+        assert 0 <= row["top1"] <= 1 and 0 <= row["top5"] <= 1
+
+
+@pytest.mark.parametrize("train_frames,val_frames", [(9, 9), (16, 9)])
+def test_run_ablation_checks_clip_lengths_before_training(monkeypatch, train_frames, val_frames):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a row trained")
+
+    monkeypatch.setattr(analysis, "train", no_training)
+    base = make_config("toy", num_classes=2, input_size=(64, 64))
+    tr = SyntheticDataset.generate("temporal-order", 4, num_frames=train_frames)
+    va = SyntheticDataset.generate("temporal-order", 4, num_frames=val_frames)
+    with pytest.raises(ConfigError, match="frames=16 needs 16-frame videos"):
+        run_ablation("grid_resolution", base, tr, va, TrainConfig(epochs=1, batch_size=4))

@@ -152,6 +152,8 @@ def test_augment_rejects_bad_scales():
         augment_clip(v.frames, rng(0), crop_scales=(0.0,))
     with pytest.raises(ConfigError):
         augment_clip(v.frames, rng(0), crop_scales=(1.5,))
+    with pytest.raises(ConfigError):
+        augment_clip(v.frames, rng(0), crop_scales=())
 
 
 def test_resize_identity_when_same_size():

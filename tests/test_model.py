@@ -1,5 +1,7 @@
 """Collage movement, temporal branch, block fusion, and whole-model behavior."""
+import io
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -436,50 +438,111 @@ def test_checkpoint_shape_mismatch_names_offender(tmp_path):
         other.load_checkpoint(path)
 
 
+def _load_rejected(path, match, **config):
+    """Load ``path`` into a fresh model: it raises ConfigError and leaves every
+    weight bit-identical."""
+    model = build_model(toy_config(**config), 30)
+    before = {name: p.data.copy() for name, p in model.parameters().items()}
+    with pytest.raises(ConfigError, match=match):
+        model.load_checkpoint(path)
+    for name, p in model.parameters().items():
+        assert np.array_equal(p.data, before[name]), name
+
+
 @pytest.mark.parametrize("delta", [-4, -1, 3])
 def test_checkpoint_blob_of_wrong_length_rejected(tmp_path, delta):
+    # A cut archive loses zip's end record. Zip readers ignore bytes past that
+    # record, and every entry is still CRC-checked, so 3 appended bytes load.
     model = build_model(toy_config(), 10)
     path = str(tmp_path / "m")
     model.save_checkpoint(path)
-    blob = (tmp_path / "m.bin").read_bytes()
-    (tmp_path / "m.bin").write_bytes(blob[:delta] if delta < 0 else blob + b"\0" * delta)
-    with pytest.raises(ConfigError, match="manifest expects"):
-        build_model(toy_config(), 10).load_checkpoint(path)
+    blob = (tmp_path / "m.npz").read_bytes()
+    (tmp_path / "m.npz").write_bytes(blob[:delta] if delta < 0 else blob + b"\0" * delta)
+    if delta < 0:
+        _load_rejected(path, "not a checkpoint")
+        return
+    clone = build_model(toy_config(), 11)
+    clone.load_checkpoint(path)
+    for name, p in model.parameters().items():
+        assert np.array_equal(p.data, clone.parameters()[name].data), name
 
 
-@pytest.mark.parametrize("foreign", ["retagged", "json-list", "binary"])
-def test_checkpoint_foreign_manifest_rejected(tmp_path, foreign):
-    model = build_model(toy_config(), 11)
-    path = str(tmp_path / "m")
-    model.save_checkpoint(path)
-    real = (tmp_path / "m.json").read_bytes()
-    manifest = {"retagged": real.replace(b"vidconv-checkpoint-v1", b"other-tool-v3"),
-                "json-list": b"[1, 2, 3]",
-                "binary": b"\x89PNG\r\n\x1a\n"}[foreign]
-    (tmp_path / "m.json").write_bytes(manifest)
-    with pytest.raises(ConfigError, match="format|not a checkpoint manifest"):
-        build_model(toy_config(), 11).load_checkpoint(path)
-
-
-@pytest.mark.parametrize("fault", ["no-entries", "entry-without-offset", "shape-disagrees",
-                                   "offset-aliases-entry-0", "duplicate-name"])
-def test_checkpoint_malformed_manifest_rejected(tmp_path, fault):
-    build_model(toy_config(), 18).save_checkpoint(str(tmp_path / "m"))
-    manifest = json.loads((tmp_path / "m.json").read_text())
-    entries = manifest.get("entries")
-    if fault == "no-entries":
-        del manifest["entries"]
-    elif fault == "entry-without-offset":
-        del entries[0]["offset"]
-    elif fault == "shape-disagrees":
-        entries[0]["shape"][0] += 1
-    elif fault == "offset-aliases-entry-0":
-        entries[1]["offset"] = 0  # stem.conv.bias would read stem.conv.weight's values
+@pytest.mark.parametrize("damage", ["weight-bit", "npy-header", "compression-method",
+                                    "directory-offset"])
+def test_checkpoint_damaged_byte_rejected(tmp_path, damage):
+    model = build_model(toy_config(), 12)
+    model.save_checkpoint(str(tmp_path / "m"))
+    blob = bytearray((tmp_path / "m.npz").read_bytes())
+    if damage == "weight-bit":
+        # one low mantissa bit: the weight stays finite, only the CRC-32 sees it
+        weight = model.parameters()["head.weight"].data.tobytes()
+        at = blob.find(weight)
+        assert at > 0 and blob.find(weight, at + 1) < 0
+        blob[at + len(weight) // 2] ^= 1
+        match = "CRC-32"
+    elif damage == "npy-header":
+        # an unclosed brace in the .npy header of the largest entry, which zip
+        # reads in more than one piece: numpy raises tokenize.TokenError for it
+        with zipfile.ZipFile(tmp_path / "m.npz") as zf:
+            at = zf.getinfo("neck.conv.weight.npy").header_offset
+        blob[blob.find(b", }", at) + 2] = ord(" ")
+        match = "not a checkpoint"
+    elif damage == "compression-method":
+        # the central directory's compression method of the first entry
+        at = blob.find(b"PK\x01\x02") + 10
+        blob[at:at + 2] = (99).to_bytes(2, "little")
+        match = "compression method"
     else:
-        entries[1]["name"] = entries[0]["name"]
-    (tmp_path / "m.json").write_text(json.dumps(manifest))
-    with pytest.raises(ConfigError, match="malformed entries|has shape|has offset|duplicate"):
-        build_model(toy_config(), 18).load_checkpoint(str(tmp_path / "m"))
+        # the top byte of the end record's directory offset: zipfile then seeks
+        # to a negative position
+        blob[-3] ^= 0xFF
+        match = "not a checkpoint"
+    (tmp_path / "m.npz").write_bytes(bytes(blob))
+    _load_rejected(str(tmp_path / "m"), match)
+
+
+@pytest.mark.parametrize("foreign", ["empty", "json-list", "binary", "npy-array"])
+def test_checkpoint_foreign_manifest_rejected(tmp_path, foreign):
+    # a file that is no archive at all
+    npy = io.BytesIO()
+    np.save(npy, np.zeros(3, dtype=np.float32))
+    (tmp_path / "m.npz").write_bytes({"empty": b"", "json-list": b"[1, 2, 3]",
+                                      "binary": b"\x89PNG\r\n\x1a\n",
+                                      "npy-array": npy.getvalue()}[foreign])
+    _load_rejected(str(tmp_path / "m"), "not a checkpoint")
+
+
+_MALFORMED = {"no-entries": "missing parameters", "duplicate-name": "uniquely named",
+              "no-meta": "JSON object", "meta-json-list": "JSON object",
+              "object-entry": "Object arrays", "float64-entry": "stored float64"}
+
+
+@pytest.mark.parametrize("fault", list(_MALFORMED))
+def test_checkpoint_malformed_manifest_rejected(tmp_path, fault):
+    # a well-formed archive whose entries are not a checkpoint's
+    model = build_model(toy_config(), 18)
+    model.save_checkpoint(str(tmp_path / "m"))
+    with np.load(tmp_path / "m.npz") as npz:
+        entries = {name: npz[name] for name in npz.files}
+    first = next(iter(model.parameters()))
+    if fault == "no-entries":
+        entries = {"meta": entries["meta"]}
+    elif fault == "no-meta":
+        del entries["meta"]
+    elif fault == "meta-json-list":
+        entries["meta"] = np.array("[1, 2, 3]")
+    elif fault == "object-entry":
+        entries[first] = entries[first].astype(object)
+    elif fault == "float64-entry":
+        entries[first] = entries[first].astype(np.float64)
+    np.savez(tmp_path / "m.npz", **entries)
+    if fault == "duplicate-name":
+        buf = io.BytesIO()
+        np.lib.format.write_array(buf, entries[first])
+        with zipfile.ZipFile(tmp_path / "m.npz", "a") as zf, \
+                pytest.warns(UserWarning, match="Duplicate name"):
+            zf.writestr(f"{first}.npy", buf.getvalue())
+    _load_rejected(str(tmp_path / "m"), _MALFORMED[fault])
 
 
 @pytest.mark.parametrize("saved,loaded", [(dict(use_neck=False), {}),
@@ -488,25 +551,12 @@ def test_checkpoint_malformed_manifest_rejected(tmp_path, fault):
 def test_rejected_checkpoint_leaves_weights_unchanged(tmp_path, saved, loaded):
     # the stage-1 stack has 3 temporal entries that the stage-2 stack lacks
     build_model(toy_config(**saved), 19).save_checkpoint(str(tmp_path / "m"))
-    model = build_model(toy_config(**loaded), 20)
-    before = {name: p.data.copy() for name, p in model.parameters().items()}
-    with pytest.raises(ConfigError, match="lacks|missing"):
-        model.load_checkpoint(str(tmp_path / "m"))
-    for name, p in model.parameters().items():
-        assert np.array_equal(p.data, before[name]), name
+    _load_rejected(str(tmp_path / "m"), "lacks|missing", **loaded)
 
 
-def test_checkpoint_blob_from_another_save_rejected(tmp_path):
-    # A save cut off between its two renames leaves the new blob under the old
-    # manifest. Both have the same length, so only the checksum tells them apart.
-    build_model(toy_config(), 15).save_checkpoint(str(tmp_path / "m"), meta={"epoch": 1})
-    build_model(toy_config(), 16).save_checkpoint(str(tmp_path / "new"), meta={"epoch": 2})
-    (tmp_path / "m.bin").write_bytes((tmp_path / "new.bin").read_bytes())
-    with pytest.raises(ConfigError, match="checksum"):
-        build_model(toy_config(), 17).load_checkpoint(str(tmp_path / "m"))
-
-
-def test_failed_checkpoint_save_keeps_previous_pair(tmp_path):
+def test_failed_checkpoint_save_keeps_previous_pair(tmp_path, monkeypatch):
+    # A save that fails before writing (its meta does not serialise) or while
+    # numpy writes the archive leaves the previous checkpoint as it was.
     model = build_model(toy_config(), 12)
     path = str(tmp_path / "best")
     model.save_checkpoint(path, meta={"epoch": 1})
@@ -514,8 +564,22 @@ def test_failed_checkpoint_save_keeps_previous_pair(tmp_path):
     with pytest.raises(TypeError):
         build_model(toy_config(), 13).save_checkpoint(path, meta={"epoch": object()})
     assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+
+    write_array, written = np.lib.format.write_array, []
+
+    def write_then_fail(*args, **kwargs):
+        if len(written) == 3:
+            raise OSError("disk full")
+        written.append(write_array(*args, **kwargs))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.lib.format, "write_array", write_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            build_model(toy_config(), 13).save_checkpoint(path, meta={"epoch": 3})
+    assert len(written) == 3
+    assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
     model.save_checkpoint(path, meta={"epoch": 2})
-    assert sorted(f.name for f in tmp_path.iterdir()) == ["best.bin", "best.json"]
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["best.npz"]
     assert build_model(toy_config(), 14).load_checkpoint(path)["epoch"] == 2
 
 
