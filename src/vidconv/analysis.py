@@ -87,19 +87,20 @@ def order_permutation(order, n_frames, rng=None):
 def shuffle_eval(model, dataset, orders=("normal", "reverse", "random"), seed=0,
                  num_clips=1) -> ShuffleReport:
     """Evaluate with permuted clip frames; 'random' draws one permutation per
-    video, and an explicit order is reported as "explicit:<i>,<j>,..."."""
-    if isinstance(orders, (str, np.ndarray)):
+    video, and an explicit order is reported as "explicit:<i>,<j>,...".
+
+    ``orders`` is one order (a name, an index array, or a flat list or tuple
+    of ints) or a sequence of them."""
+    if isinstance(orders, (str, np.ndarray)) or \
+            (orders and all(isinstance(i, (int, np.integer)) for i in orders)):
         orders = (orders,)
     L = model.config.frames
     report = ShuffleReport(task=getattr(dataset, "task", "?"), seed=seed)
     for order in orders:
         rng = np.random.default_rng(seed)
-
-        def perm_fn(video_index, eval_rng, _order=order, _rng=rng):
-            return order_permutation(_order, L, _rng)
-
         res = evaluate_multiview(model, dataset, num_clips=num_clips,
-                                 rng=np.random.default_rng(seed + 1), frame_perm=perm_fn)
+                                 rng=np.random.default_rng(seed + 1),
+                                 frame_perm=lambda: order_permutation(order, L, rng))
         key = order if isinstance(order, str) else "explicit:" + ",".join(map(str, np.ravel(order)))
         report.accuracies[key] = {"top1": res["top1"], "top5": res["top5"]}
     return report

@@ -16,7 +16,7 @@ A ``SyntheticDataset`` renders each video on demand and stores nothing.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,11 +44,11 @@ BG_RANGE = (0.20, 0.50)
 
 @dataclass
 class SyntheticVideo:
+    """A rendered clip and its class; ``label_oracle`` recovers the label
+    from the pixels alone."""
+
     frames: np.ndarray          # (Nf, 3, H, W) float32 in [0, 1]
     label: int
-    task: str
-    seed: int
-    meta: dict = field(default_factory=dict)
 
 
 def num_classes(task: str) -> int:
@@ -108,9 +108,7 @@ def _gen_appearance(rng, label, h, w, nf):
         frame = np.repeat(bg[None], 3, axis=0)
         _paint(frame, cov, color)
         frames[t] = frame
-    return frames, {"shape": "disc" if shape == 0 else "square",
-                    "color": APPEARANCE_COLORS[label % 4][0],
-                    "center": (float(cy), float(cx)), "radius": float(radius)}
+    return frames
 
 
 def _gen_motion(rng, label, h, w, nf):
@@ -130,14 +128,12 @@ def _gen_motion(rng, label, h, w, nf):
     cy0 = rng.uniform(y_lo, y_hi)
     bg = _background(rng, h, w)
     frames = np.empty((nf, 3, h, w), dtype=np.float32)
-    centers = []
     for t in range(nf):
         cy, cx = cy0 + vy * t, cx0 + vx * t
         frame = np.repeat(bg[None], 3, axis=0)
         _paint(frame, disc_coverage(h, w, cy, cx, radius), MOTION_COLOR)
         frames[t] = frame
-        centers.append((float(cy), float(cx)))
-    return frames, {"centers": centers, "radius": float(radius), "speed": float(speed)}
+    return frames
 
 
 def _gen_temporal_order(rng, label, h, w, nf):
@@ -147,7 +143,6 @@ def _gen_temporal_order(rng, label, h, w, nf):
     # label 1: event A flashes first; label 0: event B flashes first
     t_a, t_b = (t1, t2) if label == 1 else (t2, t1)
     bg = _background(rng, h, w)
-    events = {}
     frames = np.empty((nf, 3, h, w), dtype=np.float32)
     placements = {}
     for key, color in (("a", EVENT_A_COLOR), ("b", EVENT_B_COLOR)):
@@ -164,9 +159,7 @@ def _gen_temporal_order(rng, label, h, w, nf):
             cy, cx, radius, color = placements["b"]
             _paint(frame, disc_coverage(h, w, cy, cx, radius), color)
         frames[t] = frame
-    events["frame_a"] = int(t_a)
-    events["frame_b"] = int(t_b)
-    return frames, events
+    return frames
 
 
 _GENERATORS = {
@@ -187,9 +180,8 @@ def generate_video(task, class_label, size=(64, 64), num_frames=9, seed=0) -> Sy
     if num_frames < 1:
         raise ConfigError("need at least one frame")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    frames, meta = _GENERATORS[task](rng, class_label, h, w, num_frames)
-    return SyntheticVideo(frames=frames, label=int(class_label), task=task,
-                          seed=int(seed), meta=meta)
+    frames = _GENERATORS[task](rng, class_label, h, w, num_frames)
+    return SyntheticVideo(frames=frames, label=int(class_label))
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +351,3 @@ class SyntheticDataset:
             raise IndexError(f"video {i} outside [0, {self.n_videos})")
         return generate_video(self.task, i % num_classes(self.task), size=self.size,
                               num_frames=self.num_frames, seed=video_seed(self.root_seed, i))
-
-    def labels(self):
-        return np.arange(self.n_videos) % num_classes(self.task)

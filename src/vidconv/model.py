@@ -578,9 +578,6 @@ class VidConvModel:
     def parameters(self) -> dict:
         return self._params
 
-    def num_params(self) -> int:
-        return sum(p.size for p in self._params.values())
-
     def zero_grad(self):
         for p in self._params.values():
             p.grad = None
@@ -641,8 +638,10 @@ class VidConvModel:
     def load_checkpoint(self, path) -> dict:
         """Load ``<path>.npz`` and return its ``meta``. Every entry is read whole,
         so zip checks its CRC-32, and every name, dtype and shape is checked before
-        a weight is replaced. A foreign or damaged file raises ``ConfigError`` and
-        leaves the model as it was; a missing one raises ``FileNotFoundError``."""
+        a weight is replaced, as is the stored config: it must match the model's in
+        every field but ``variant``, ``drop_path_rate`` and ``input_size``. A
+        foreign, damaged or differently wired file raises ``ConfigError`` and leaves
+        the model as it was; a missing one raises ``FileNotFoundError``."""
         file = f"{path}.npz"
         with open(file, "rb") as fh:
             try:
@@ -667,6 +666,20 @@ class VidConvModel:
             if arr.dtype != np.float32 or arr.shape != p.shape:
                 raise ConfigError(f"checkpoint/config mismatch for parameter {name}: stored "
                                   f"{arr.dtype} {arr.shape}, model expects float32 {p.shape}")
+        config = meta.get("config")
+        if not isinstance(config, dict) or config.keys() != ModelConfig.__dataclass_fields__.keys():
+            raise ConfigError(f"{file} holds no config with the fields of ModelConfig")
+        try:
+            config = config_from_dict(config)
+        except (TypeError, ValueError) as exc:  # ConfigError is a ValueError
+            raise ConfigError(f"{file} holds an invalid model config: {exc}") from exc
+        # the preset name, train-time stochastic depth and planned input size
+        # leave the forward alone; every other field changes it
+        differ = [key for key in ModelConfig.__dataclass_fields__
+                  if key not in ("variant", "drop_path_rate", "input_size")
+                  and getattr(config, key) != getattr(self.config, key)]
+        if differ:
+            raise ConfigError(f"checkpoint was saved from a model wired differently in {differ}")
         for name, p in self._params.items():
             p.data = arrays[name]
         return meta

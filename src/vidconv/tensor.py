@@ -272,13 +272,13 @@ class ConvSpec:
                 f"channels ({in_channels} -> {out_channels}) not divisible by groups={self.groups}")
 
 
-def conv2d(x: Tensor, weight: Tensor, bias, spec: ConvSpec) -> Tensor:
-    """2D cross-correlation NCHW -> NC'H'W', depth-wise or dense.
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor, spec: ConvSpec) -> Tensor:
+    """2D cross-correlation NCHW -> NC'H'W', depth-wise or dense, plus a bias.
 
-    ``weight`` is (Cout, Cin/groups, kh, kw); ``bias`` is (Cout,) or None.
-    Depth-wise convs take any stride, dilation and padding; a dense conv must
-    read each input pixel exactly once (see ``_conv_dense``). Differentiable
-    with respect to input, weight, and bias.
+    ``weight`` is (Cout, Cin/groups, kh, kw) and ``bias`` is (Cout,): every
+    conv in the model has one. Depth-wise convs take any stride, dilation and
+    padding; a dense conv must read each input pixel exactly once (see
+    ``_conv_dense``). Differentiable with respect to input, weight, and bias.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d expects 4D input/weight, got {x.shape} / {weight.shape}")
@@ -289,9 +289,8 @@ def conv2d(x: Tensor, weight: Tensor, bias, spec: ConvSpec) -> Tensor:
         raise ShapeError(f"weight kernel {(kh, kw)} does not match spec {spec.kernel}")
     if cpg != cin // spec.groups:
         raise ShapeError(f"weight expects {cpg} channels/group, input gives {cin // spec.groups}")
-    tensors = [x, weight] + ([bias] if bias is not None else [])
-    _check_same_dtype(*tensors)
-    if bias is not None and bias.shape != (cout,):
+    _check_same_dtype(x, weight, bias)
+    if bias.shape != (cout,):
         raise ShapeError(f"bias shape {bias.shape} != ({cout},)")
     ho = spec.out_extent(h, 0)
     wo = spec.out_extent(w, 1)
@@ -302,24 +301,22 @@ def conv2d(x: Tensor, weight: Tensor, bias, spec: ConvSpec) -> Tensor:
     # banded GEMM; dense (1x1, stem, downsample, neck) -> reshape + GEMM.
     # Depth-wise is checked first: a 1-channel conv is both.
     if spec.groups == cin and cout == cin and cpg == 1:
-        y, grad_fn = _conv_depthwise(x, weight, bias, spec, ho, wo)
+        y, grad_fn = _conv_depthwise(x, weight, spec, ho, wo)
     elif spec.groups == 1:
-        y, grad_fn = _conv_dense(x, weight, bias, spec, ho, wo)
+        y, grad_fn = _conv_dense(x, weight, spec, ho, wo)
     else:
         raise ShapeError(f"conv2d supports dense (groups=1) or depth-wise (groups == cin == cout) "
                          f"convs, got {cin} -> {cout} channels in {spec.groups} groups")
 
-    if bias is not None:
-        y += bias.data[None, :, None, None]  # y is freshly allocated above
-    parents = (x, weight) + ((bias,) if bias is not None else ())
-    return _from_op(y, parents, grad_fn, "conv2d")
+    y += bias.data[None, :, None, None]  # y is freshly allocated above
+    return _from_op(y, (x, weight, bias), grad_fn, "conv2d")
 
 
 def _bias_grad(g):
     return g.sum(axis=(0, 2, 3))
 
 
-def _conv_depthwise(x, weight, bias, spec, ho, wo):
+def _conv_depthwise(x, weight, spec, ho, wo):
     # Banded GEMM, one per kernel row i: the row-shifted padded input
     # (N, C, Ho, Wp) times a per-channel (Wp, Wo) band that holds row i's kw
     # taps at columns o*sw + j*dw. BLAS spends extra MACs on the band's zeros,
@@ -362,13 +359,12 @@ def _conv_depthwise(x, weight, bias, spec, ho, wo):
             gband = np.matmul(rows(xp, i).swapaxes(2, 3), g).sum(axis=0)
             gw[:, i] = gband[:, taps, cols].sum(axis=2)  # read the kw diagonals back
         gx = gxp[:, :, ph: ph + x.shape[2], pw: pw + x.shape[3]] if (ph or pw) else gxp
-        gb = _bias_grad(g) if bias is not None else None
-        return (gx, gw.reshape(weight.shape)) + ((gb,) if bias is not None else ())
+        return gx, gw.reshape(weight.shape), _bias_grad(g)
 
     return y, grad_fn
 
 
-def _conv_dense(x, weight, bias, spec, ho, wo):
+def _conv_dense(x, weight, spec, ho, wo):
     # Every dense conv the model runs reads each input pixel exactly once, so
     # im2col is a reshape plus a transpose (a view for 1x1) and its backward
     # is the inverse transpose. Along each axis the input splits into
@@ -404,8 +400,7 @@ def _conv_dense(x, weight, bias, spec, ho, wo):
         gw = np.einsum("nop,nkp->ok", gm, cols, optimize=True).reshape(weight.shape)
         gcols = np.matmul(w2.T, gm).reshape(n, cin, kh, kw, ho, wo)
         gx = gcols.transpose(np.argsort(perm)).reshape(x.shape)
-        gb = _bias_grad(g) if bias is not None else None
-        return (gx, gw) + ((gb,) if bias is not None else ())
+        return gx, gw, _bias_grad(g)
 
     return y, grad_fn
 
@@ -486,26 +481,21 @@ def global_avg_pool(x: Tensor) -> Tensor:
     return _from_op(y, (x,), grad_fn, "global_avg_pool")
 
 
-def linear(x: Tensor, weight: Tensor, bias) -> Tensor:
-    """(N, Cin) @ (Cout, Cin)^T + bias."""
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """(N, Cin) @ (Cout, Cin)^T + bias (Cout,): the head's classifier."""
     if x.ndim != 2 or weight.ndim != 2 or x.shape[1] != weight.shape[1]:
         raise ShapeError(f"linear: x {x.shape} vs weight {weight.shape}")
-    tensors = [x, weight] + ([bias] if bias is not None else [])
-    _check_same_dtype(*tensors)
-    y = x.data @ weight.data.T
-    if bias is not None:
-        if bias.shape != (weight.shape[0],):
-            raise ShapeError(f"bias shape {bias.shape} != ({weight.shape[0]},)")
-        y = y + bias.data
+    _check_same_dtype(x, weight, bias)
+    if bias.shape != (weight.shape[0],):
+        raise ShapeError(f"bias shape {bias.shape} != ({weight.shape[0]},)")
+    y = x.data @ weight.data.T + bias.data
 
     def grad_fn(g):
         gx = g @ weight.data
         gw = g.T @ x.data
-        gb = g.sum(axis=0) if bias is not None else None
-        return (gx, gw) + ((gb,) if bias is not None else ())
+        return gx, gw, g.sum(axis=0)
 
-    parents = (x, weight) + ((bias,) if bias is not None else ())
-    return _from_op(y, parents, grad_fn, "linear")
+    return _from_op(y, (x, weight, bias), grad_fn, "linear")
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

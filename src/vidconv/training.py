@@ -157,9 +157,8 @@ class TrainConfig:
     ``clip_norm`` (0 turns clipping off). Training clips are cropped at one
     of ``crop_scales`` and, with ``flip``, mirrored left-right half the time.
     Validation averages ``eval_clips`` clips per video. ``ckpt_dir`` receives
-    the weights as ``epochNNN.npz`` every ``ckpt_every`` epochs (0: never) and
-    as ``best.npz`` at the best top-1, and ``metrics_path`` one JSON line per
-    epoch; empty strings turn them off.
+    the weights as ``best.npz`` at the best top-1, and ``metrics_path`` one
+    JSON line per epoch; empty strings turn them off.
     """
 
     epochs: int = 20
@@ -174,7 +173,6 @@ class TrainConfig:
     crop_scales: tuple = (1.0,)
     eval_clips: int = 1
     ckpt_dir: str = ""
-    ckpt_every: int = 0
     metrics_path: str = ""
 
     def __post_init__(self):
@@ -183,9 +181,11 @@ class TrainConfig:
         if self.lr <= 0 or self.lr_min < 0 or self.lr_min > self.lr:
             raise ConfigError("need 0 <= lr_min <= lr and lr > 0")
         if not all(v >= 0 for v in (self.lb, self.weight_decay, self.warmup_epochs,
-                                    self.clip_norm, self.ckpt_every)):
-            raise ConfigError("lb, weight_decay, warmup_epochs, clip_norm and ckpt_every "
-                              "must be non-negative")
+                                    self.clip_norm)):
+            raise ConfigError("lb, weight_decay, warmup_epochs and clip_norm must be non-negative")
+        if not self.crop_scales or any(not 0 < s <= 1 for s in self.crop_scales):
+            raise ConfigError(f"crop_scales must hold one or more scales in (0, 1], "
+                              f"got {self.crop_scales}")
 
 
 def _emit_metric(path, record):
@@ -216,9 +216,9 @@ def train(model, train_ds, val_ds, cfg: TrainConfig, root_seed: int = 0,
     """Run the full training loop; deterministic for a fixed root seed.
 
     Metrics are appended per epoch as JSON lines when ``cfg.metrics_path`` is
-    set; checkpoints (weights and meta) go to ``<cfg.ckpt_dir>/epochNNN.npz``
-    every ``ckpt_every`` epochs and to ``<cfg.ckpt_dir>/best.npz`` at the best
-    validation top-1.
+    set. With ``cfg.ckpt_dir``, the weights and a meta of epoch, iteration and
+    best top-1 go to ``<cfg.ckpt_dir>/best.npz`` whenever validation top-1
+    improves.
     """
     n = len(train_ds)
     if n == 0:
@@ -273,13 +273,9 @@ def train(model, train_ds, val_ds, cfg: TrainConfig, root_seed: int = 0,
         if log:
             log(f"epoch {epoch:3d}  loss {train_loss:.4f}  "
                 f"val top1 {val['top1']:.3f}  top5 {val['top5']:.3f}  lr {lr_now:.2e}")
-        if cfg.ckpt_dir:
-            meta = {"epoch": epoch + 1, "iteration": state.iteration,
-                    "best_top1": max(state.best_top1, val["top1"])}
-            if cfg.ckpt_every and (epoch + 1) % cfg.ckpt_every == 0:
-                model.save_checkpoint(f"{cfg.ckpt_dir}/epoch{epoch + 1:03d}", meta=meta)
-            if val["top1"] > state.best_top1:
-                model.save_checkpoint(f"{cfg.ckpt_dir}/best", meta=meta)
+        if cfg.ckpt_dir and val["top1"] > state.best_top1:
+            meta = {"epoch": epoch + 1, "iteration": state.iteration, "best_top1": val["top1"]}
+            model.save_checkpoint(f"{cfg.ckpt_dir}/best", meta=meta)
         state.best_top1 = max(state.best_top1, val["top1"])
         state.epoch = epoch + 1
     return state
@@ -295,8 +291,9 @@ def evaluate_multiview(model, dataset, num_clips=1, rng=None, batch_size=32,
     top-1/top-5. A view is a clip's centre ``min(h, w)`` square.
 
     With ``rng``, a video longer than the clip length gets a random start per
-    clip. ``frame_perm`` optionally maps (video_index, rng) -> a permutation
-    applied to each sampled clip's frames before the forward pass.
+    clip. ``frame_perm``, if given, is called once per video, in order, and
+    returns a permutation applied to each of its clips' frames before the
+    forward pass.
     """
     if num_clips < 1:
         raise ConfigError("need at least one clip")
@@ -322,7 +319,7 @@ def evaluate_multiview(model, dataset, num_clips=1, rng=None, batch_size=32,
     for vi in range(n):
         video = dataset.video(vi)
         labels[vi] = video.label
-        perm = frame_perm(vi, rng) if frame_perm is not None else None
+        perm = frame_perm() if frame_perm is not None else None
         for _ in range(num_clips):
             clip = data.sample_clip(video, L, rng)
             if perm is not None:

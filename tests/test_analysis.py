@@ -20,6 +20,10 @@ def pct(value, target):
     return abs(value - target) / target
 
 
+def num_weights(model):
+    return sum(p.size for p in model.parameters().values())
+
+
 # ---------------------------------------------------------------------------
 # parameter accounting
 
@@ -49,9 +53,9 @@ def test_param_counts_strictly_increasing_by_variant():
 def test_symbolic_count_equals_instantiated_model():
     for kwargs in (dict(), dict(use_neck=False), dict(stacking_stage=None, use_temporal_branch=False, use_neck=False)):
         cfg = make_config("toy", num_classes=5, input_size=(64, 64), **kwargs)
-        assert count_flops(cfg).params == build_model(cfg, 0).num_params()
+        assert count_flops(cfg).params == num_weights(build_model(cfg, 0))
     cfg = make_config("tiny", num_classes=400)
-    assert count_flops(cfg).params == build_model(cfg, 0).num_params()
+    assert count_flops(cfg).params == num_weights(build_model(cfg, 0))
 
 
 def test_neck_conv_parameter_count_example():
@@ -142,7 +146,7 @@ def test_plan_matches_the_running_model(monkeypatch, branch):
     clips = rng(23).random((2 * cfg.frames, 3, 64, 64), dtype=np.float32)
     model.forward(clips, training=False)
     assert sum(macs) == 2 * count_flops(cfg).flops_per_view
-    assert count_flops(cfg).params == model.num_params()
+    assert count_flops(cfg).params == num_weights(model)
 
 
 @pytest.mark.parametrize("variant,params,macs,elt_flops,rows", [
@@ -219,6 +223,17 @@ def test_shuffle_eval_keeps_every_explicit_order():
                        seed=4).accuracies
     assert list(acc) == ["explicit:8,7,6,5,4,3,2,1,0", "explicit:8,0,1,2,3,4,5,6,7", "reverse"]
     assert acc["explicit:8,7,6,5,4,3,2,1,0"] == acc["reverse"]
+
+
+@pytest.mark.parametrize("order", [[8, 7, 6, 5, 4, 3, 2, 1, 0], tuple(range(8, -1, -1))],
+                         ids=["list", "tuple"])
+def test_shuffle_eval_takes_one_explicit_order_as_a_flat_sequence(order):
+    model, ds = _shuffle_setup()
+    acc = shuffle_eval(model, ds, orders=order, seed=4).accuracies
+    mixed = shuffle_eval(model, ds, orders=[order, "reverse"], seed=4).accuracies
+    assert list(acc) == ["explicit:8,7,6,5,4,3,2,1,0"]
+    assert list(mixed) == ["explicit:8,7,6,5,4,3,2,1,0", "reverse"]
+    assert acc["explicit:8,7,6,5,4,3,2,1,0"] == mixed["reverse"]
 
 
 # ---------------------------------------------------------------------------

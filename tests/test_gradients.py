@@ -57,11 +57,12 @@ def test_conv2d_depthwise_dilated_gradients(seed):
 @pytest.mark.parametrize("seed", [6, 7])
 def test_conv2d_strided_gradients(seed):
     r = rng(seed)
-    arrays = {"x": randn(r, (2, 2, 8, 8)), "w": randn(r, (4, 2, 2, 2)) * 0.5}
+    arrays = {"x": randn(r, (2, 2, 8, 8)), "w": randn(r, (4, 2, 2, 2)) * 0.5,
+              "b": randn(r, (4,))}
     spec = T.ConvSpec(kernel=(2, 2), stride=(2, 2))
 
     def build(t):
-        y = T.conv2d(t["x"], t["w"], None, spec)
+        y = T.conv2d(t["x"], t["w"], t["b"], spec)
         return T.sum_all(T.mul(y, y))
 
     check_gradients(build, arrays, rel_tol=REL_TOL)
@@ -69,11 +70,11 @@ def test_conv2d_strided_gradients(seed):
 
 def test_conv2d_strided_depthwise_gradients():
     r = rng(17)
-    arrays = {"x": randn(r, (1, 3, 9, 9)), "w": randn(r, (3, 1, 3, 3))}
+    arrays = {"x": randn(r, (1, 3, 9, 9)), "w": randn(r, (3, 1, 3, 3)), "b": randn(r, (3,))}
     spec = T.ConvSpec(kernel=(3, 3), stride=(2, 2), padding=(1, 1), groups=3)
 
     def build(t):
-        y = T.conv2d(t["x"], t["w"], None, spec)
+        y = T.conv2d(t["x"], t["w"], t["b"], spec)
         return T.sum_all(T.mul(y, y))
 
     check_gradients(build, arrays, rel_tol=REL_TOL)

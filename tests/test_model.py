@@ -2,6 +2,7 @@
 import io
 import json
 import zipfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -69,7 +70,8 @@ def test_collage_gradient_is_inverse_scatter():
 
 def temporal_conv(x, w, grid):
     """The temporal branch's conv: depth-wise, kernel = grid, dilation = tile."""
-    return T.conv2d(x, w, None, _tile_spec(x.shape[2:], grid, groups=x.shape[1]))
+    bias = T.Tensor(np.zeros(x.shape[1], dtype=x.dtype))
+    return T.conv2d(x, w, bias, _tile_spec(x.shape[2:], grid, groups=x.shape[1]))
 
 
 def test_temporal_conv_output_is_tile_size():
@@ -514,7 +516,11 @@ def test_checkpoint_foreign_manifest_rejected(tmp_path, foreign):
 
 _MALFORMED = {"no-entries": "missing parameters", "duplicate-name": "uniquely named",
               "no-meta": "JSON object", "meta-json-list": "JSON object",
-              "object-entry": "Object arrays", "float64-entry": "stored float64"}
+              "object-entry": "Object arrays", "float64-entry": "stored float64",
+              "no-config": "fields of ModelConfig", "config-list": "fields of ModelConfig",
+              "config-field-missing": "fields of ModelConfig",
+              "config-field-added": "fields of ModelConfig",
+              "config-bad-value": "invalid model config", "config-bad-type": "invalid model config"}
 
 
 @pytest.mark.parametrize("fault", list(_MALFORMED))
@@ -535,6 +541,22 @@ def test_checkpoint_malformed_manifest_rejected(tmp_path, fault):
         entries[first] = entries[first].astype(object)
     elif fault == "float64-entry":
         entries[first] = entries[first].astype(np.float64)
+    elif fault.startswith(("no-config", "config-")):
+        meta = json.loads(str(entries["meta"]))
+        config = meta["config"]
+        if fault == "no-config":
+            del meta["config"]
+        elif fault == "config-list":
+            meta["config"] = list(config.values())
+        elif fault == "config-field-missing":
+            del config["stacking_stage"]
+        elif fault == "config-field-added":
+            config["frames"] = 9
+        elif fault == "config-bad-value":
+            config["grid"] = [0, 3]
+        else:
+            config["channels"] = 8
+        entries["meta"] = np.array(json.dumps(meta))
     np.savez(tmp_path / "m.npz", **entries)
     if fault == "duplicate-name":
         buf = io.BytesIO()
@@ -545,13 +567,28 @@ def test_checkpoint_malformed_manifest_rejected(tmp_path, fault):
     _load_rejected(str(tmp_path / "m"), _MALFORMED[fault])
 
 
-@pytest.mark.parametrize("saved,loaded", [(dict(use_neck=False), {}),
-                                          (dict(stacking_stage=1), dict(stacking_stage=2))],
-                         ids=["neckless-into-neck", "stack1-into-stack2"])
-def test_rejected_checkpoint_leaves_weights_unchanged(tmp_path, saved, loaded):
-    # the stage-1 stack has 3 temporal entries that the stage-2 stack lacks
+@pytest.mark.parametrize("saved,loaded,match", [
+    (dict(use_neck=False), {}, "lacks|missing"),
+    (dict(stacking_stage=1), dict(stacking_stage=2), "lacks|missing"),
+    (dict(stacking_stage=2), dict(stacking_stage=None),
+     r"wired differently in \['stacking_stage'\]"),
+], ids=["neckless-into-neck", "stack1-into-stack2", "stack2-into-unstacked"])
+def test_rejected_checkpoint_leaves_weights_unchanged(tmp_path, saved, loaded, match):
+    # The stage-1 stack has 3 temporal entries that the stage-2 stack lacks.
+    # Stacking at stage 2 or not at all gives the same names and shapes, but
+    # not the same forward.
     build_model(toy_config(**saved), 19).save_checkpoint(str(tmp_path / "m"))
-    _load_rejected(str(tmp_path / "m"), "lacks|missing", **loaded)
+    _load_rejected(str(tmp_path / "m"), match, **loaded)
+
+
+def test_checkpoint_loads_across_preset_name_drop_path_and_input_size(tmp_path):
+    model = build_model(toy_config(), 20)
+    model.save_checkpoint(str(tmp_path / "m"))
+    other = replace(toy_config(), variant="custom", drop_path_rate=0.3, input_size=(96, 128))
+    clone = build_model(other, 21)
+    clone.load_checkpoint(str(tmp_path / "m"))
+    for name, p in model.parameters().items():
+        assert np.array_equal(p.data, clone.parameters()[name].data), name
 
 
 def test_failed_checkpoint_save_keeps_previous_pair(tmp_path, monkeypatch):
@@ -584,7 +621,6 @@ def test_failed_checkpoint_save_keeps_previous_pair(tmp_path, monkeypatch):
 
 
 def test_param_count_monotone_tiny_small_base():
-    counts = [build_model(make_config(v, num_classes=400), 0).num_params()
-              for v in ("tiny",)]
     # instantiate only tiny; compare small/base symbolically in analysis tests
-    assert counts[0] == 44_736_112
+    model = build_model(make_config("tiny", num_classes=400), 0)
+    assert sum(p.size for p in model.parameters().values()) == 44_736_112

@@ -15,6 +15,10 @@ def make(shape, seed=0, dtype=np.float32, requires_grad=False):
     return T.Tensor(data, requires_grad=requires_grad)
 
 
+def zero_bias(channels):
+    return T.Tensor(np.zeros(channels, dtype=np.float32))
+
+
 # ---------------------------------------------------------------------------
 # Tensor basics
 
@@ -48,7 +52,7 @@ def test_conv2d_identity_1x1():
     w = np.zeros((3, 3, 1, 1), dtype=np.float32)
     for c in range(3):
         w[c, c, 0, 0] = 1.0
-    y = T.conv2d(x, T.Tensor(w), None, T.ConvSpec(kernel=(1, 1)))
+    y = T.conv2d(x, T.Tensor(w), zero_bias(3), T.ConvSpec(kernel=(1, 1)))
     np.testing.assert_array_equal(y.data, x.data)
 
 
@@ -57,7 +61,7 @@ def test_conv2d_temporal_shape_stage3_analog():
     x = make((1, 192, 84, 84), seed=3)
     w = make((192, 1, 3, 3), seed=4)
     spec = T.ConvSpec(kernel=(3, 3), dilation=(28, 28), groups=192)
-    y = T.conv2d(x, w, None, spec)
+    y = T.conv2d(x, w, zero_bias(192), spec)
     assert y.shape == (1, 192, 28, 28)
 
 
@@ -116,7 +120,7 @@ def test_conv2d_strided_dilated_vs_oracle(stride, dilation):
     r = rng(7)
     if stride != (1, 1) and dilation != (1, 1):
         with pytest.raises(ShapeError, match="tile"):
-            T.conv2d(make((2, 3, 12, 12)), make((4, 3, 2, 2)), None,
+            T.conv2d(make((2, 3, 12, 12)), make((4, 3, 2, 2)), zero_bias(4),
                      T.ConvSpec(kernel=(2, 2), stride=stride, dilation=dilation))
         return
     kernel = stride if dilation == (1, 1) else (3, 2)
@@ -136,7 +140,7 @@ def test_conv2d_1x1_forward_copies_nothing(monkeypatch):
 
     x = make((2, 8, 6, 5))
     monkeypatch.setattr(np, "matmul", spy)
-    T.conv2d(x, make((4, 8, 1, 1), seed=1), None, T.ConvSpec(kernel=(1, 1)))
+    T.conv2d(x, make((4, 8, 1, 1), seed=1), zero_bias(4), T.ConvSpec(kernel=(1, 1)))
     assert len(operands) == 1 and np.shares_memory(operands[0], x.data)
 
 
@@ -177,7 +181,7 @@ def test_conv2d_depthwise_forward_backward_vs_oracle(geom):
     np.testing.assert_allclose(y32.data, ref, atol=1e-5)
 
     xt, wt = T.Tensor(x, requires_grad=True), T.Tensor(w, requires_grad=True)
-    y = T.conv2d(xt, wt, None, spec)
+    y = T.conv2d(xt, wt, T.Tensor(b), spec)
     g = r.standard_normal(y.shape)
     T.backward(T.sum_all(T.mul_const(y, g)))
     gx_ref, gw_ref = conv2d_loops_grads(x, w, g, stride=stride, dilation=dilation,
@@ -195,7 +199,7 @@ def test_conv2d_depthwise_memory_streams():
     spec = T.ConvSpec(kernel=(7, 7), padding=(3, 3), groups=32)
     tracemalloc.start()
     try:
-        T.backward(T.sum_all(T.conv2d(x, w, None, spec)))
+        T.backward(T.sum_all(T.conv2d(x, w, zero_bias(32), spec)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -215,9 +219,9 @@ def test_conv2d_output_extent_formula_sweep():
                     wt = T.Tensor(np.zeros((1, 1, k, k), dtype=np.float32))
                     if expect < 1:
                         with pytest.raises(ShapeError):
-                            T.conv2d(x, wt, None, spec)
+                            T.conv2d(x, wt, zero_bias(1), spec)
                     else:
-                        y = T.conv2d(x, wt, None, spec)
+                        y = T.conv2d(x, wt, zero_bias(1), spec)
                         assert y.shape == (1, 1, expect, expect), (k, s, d, p)
 
 
@@ -226,10 +230,10 @@ def test_conv2d_depthwise_never_mixes_channels():
     x = r.standard_normal((1, 6, 10, 10)).astype(np.float32)
     w = r.standard_normal((6, 1, 3, 3)).astype(np.float32)
     spec = T.ConvSpec(kernel=(3, 3), padding=(1, 1), groups=6)
-    base = T.conv2d(T.Tensor(x), T.Tensor(w), None, spec).data
+    base = T.conv2d(T.Tensor(x), T.Tensor(w), zero_bias(6), spec).data
     x2 = x.copy()
     x2[0, 2] += 1.0
-    pert = T.conv2d(T.Tensor(x2), T.Tensor(w), None, spec).data
+    pert = T.conv2d(T.Tensor(x2), T.Tensor(w), zero_bias(6), spec).data
     delta = np.abs(pert - base).sum(axis=(0, 2, 3))
     assert delta[2] > 0
     assert np.all(delta[[0, 1, 3, 4, 5]] == 0)
@@ -239,7 +243,7 @@ def test_conv2d_group_divisibility_errors():
     x = make((1, 3, 4, 4))
     w = make((4, 1, 1, 1))
     with pytest.raises(ShapeError):
-        T.conv2d(x, w, None, T.ConvSpec(kernel=(1, 1), groups=2))
+        T.conv2d(x, w, zero_bias(4), T.ConvSpec(kernel=(1, 1), groups=2))
 
 
 @pytest.mark.parametrize("w_shape,groups",
@@ -248,7 +252,8 @@ def test_conv2d_group_divisibility_errors():
 def test_conv2d_rejects_groupings_neither_dense_nor_depthwise(w_shape, groups):
     x = make((1, 4, 6, 6))
     with pytest.raises(ShapeError, match="depth-wise"):
-        T.conv2d(x, make(w_shape), None, T.ConvSpec(kernel=(3, 3), padding=(1, 1), groups=groups))
+        T.conv2d(x, make(w_shape), zero_bias(w_shape[0]),
+                 T.ConvSpec(kernel=(3, 3), padding=(1, 1), groups=groups))
 
 
 @pytest.mark.parametrize("x_shape,kernel,stride,dilation,padding", [
@@ -265,7 +270,7 @@ def test_conv2d_dense_rejects_geometries_that_do_not_tile(x_shape, kernel, strid
                                                           padding):
     spec = T.ConvSpec(kernel=kernel, stride=stride, dilation=dilation, padding=padding)
     with pytest.raises(ShapeError, match="does not tile") as err:
-        T.conv2d(make(x_shape), make((3, x_shape[1]) + kernel), None, spec)
+        T.conv2d(make(x_shape), make((3, x_shape[1]) + kernel), zero_bias(3), spec)
     assert str(spec) in str(err.value)
 
 
@@ -273,8 +278,8 @@ def test_conv2d_purity_bit_identical():
     x = make((2, 8, 12, 12), seed=9)
     w = make((8, 1, 7, 7), seed=10)
     spec = T.ConvSpec(kernel=(7, 7), padding=(3, 3), groups=8)
-    a = T.conv2d(x, w, None, spec).data
-    b = T.conv2d(x, w, None, spec).data
+    a = T.conv2d(x, w, zero_bias(8), spec).data
+    b = T.conv2d(x, w, zero_bias(8), spec).data
     assert np.array_equal(a, b)
 
 

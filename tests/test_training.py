@@ -140,7 +140,11 @@ def test_schedule_range_checks():
 
 @pytest.mark.parametrize("field,value", [("eval_clips", 0), ("warmup_epochs", -1),
                                          ("weight_decay", -0.1), ("clip_norm", -1.0),
-                                         ("ckpt_every", -2), ("lb", float("nan"))])
+                                         ("lb", float("nan")),
+                                         pytest.param("crop_scales", (), id="crop_scales-empty"),
+                                         pytest.param("crop_scales", (1.5,), id="crop_scales-1.5"),
+                                         pytest.param("crop_scales", (0.0, 1.0),
+                                                      id="crop_scales-0.0")])
 def test_train_config_rejects_bad_values(field, value):
     # at construction, not after the first epoch has trained
     with pytest.raises(ConfigError, match=field):
@@ -266,16 +270,15 @@ def test_train_metrics_file(tmp_path):
 
 def test_train_checkpoints_hold_weights_and_meta_only(tmp_path):
     model, tr, va = tiny_setup(seed=7)
-    cfg = TrainConfig(epochs=1, batch_size=4, ckpt_dir=str(tmp_path), ckpt_every=1)
+    cfg = TrainConfig(epochs=1, batch_size=4, ckpt_dir=str(tmp_path))
     train(model, tr, va, cfg, root_seed=7)
-    assert sorted(f.name for f in tmp_path.iterdir()) == ["best.npz", "epoch001.npz"]
-    for name in ("epoch001", "best"):
-        with np.load(tmp_path / f"{name}.npz") as npz:
-            assert npz.files == ["meta", *model.parameters()]
-        clone = build_model(model.config, 8)
-        assert clone.load_checkpoint(str(tmp_path / name))["epoch"] == 1
-        for pname, p in model.parameters().items():
-            assert np.array_equal(p.data, clone.parameters()[pname].data), (name, pname)
+    assert [f.name for f in tmp_path.iterdir()] == ["best.npz"]
+    with np.load(tmp_path / "best.npz") as npz:
+        assert npz.files == ["meta", *model.parameters()]
+    clone = build_model(model.config, 8)
+    assert clone.load_checkpoint(str(tmp_path / "best"))["epoch"] == 1
+    for pname, p in model.parameters().items():
+        assert np.array_equal(p.data, clone.parameters()[pname].data), pname
 
 
 # ---------------------------------------------------------------------------
