@@ -169,18 +169,22 @@ _GENERATORS = {
 }
 
 
-def generate_video(task, class_label, size=(64, 64), num_frames=9, seed=0) -> SyntheticVideo:
-    """Deterministic clip for (task, label, seed); bit-identical across calls."""
-    k = num_classes(task)
-    if not 0 <= class_label < k:
-        raise ConfigError(f"label {class_label} outside [0, {k}) for {task}")
+def _check_frames(size, num_frames):
     h, w = size
     if h < 32 or w < 32:
         raise ConfigError(f"frames must be at least 32x32, got {size}")
     if num_frames < 1:
         raise ConfigError("need at least one frame")
+
+
+def generate_video(task, class_label, size=(64, 64), num_frames=9, seed=0) -> SyntheticVideo:
+    """Deterministic clip for (task, label, seed); bit-identical across calls."""
+    k = num_classes(task)
+    if not 0 <= class_label < k:
+        raise ConfigError(f"label {class_label} outside [0, {k}) for {task}")
+    _check_frames(size, num_frames)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    frames = _GENERATORS[task](rng, class_label, h, w, num_frames)
+    frames = _GENERATORS[task](rng, class_label, *size, num_frames)
     return SyntheticVideo(frames=frames, label=int(class_label))
 
 
@@ -338,6 +342,7 @@ class SyntheticDataset:
         num_classes(self.task)
         if self.n_videos < 1:
             raise ConfigError("need at least one video")
+        _check_frames(self.size, self.num_frames)
 
     @classmethod
     def generate(cls, task, n_videos, size=(64, 64), num_frames=9, root_seed=0):

@@ -30,13 +30,13 @@ def _as_float_array(data, dtype):
 class Tensor:
     """Row-major dense array of reals (0 to 4 axes) with optional grad tracking.
 
-    Data is immutable by convention after construction; only ``grad``
-    accumulates. An op output that is recorded (see ``recording``) keeps
-    closures over its parents until ``backward`` consumes the tape (tapes are
-    single-use); an unrecorded one keeps neither and does not require grad.
+    Data is immutable by convention after construction, and gradients are
+    never written in place; two tensors may share one. A recorded op output
+    (see ``recording``) keeps closures over its parents until ``backward``
+    walks the tape; an unrecorded one keeps neither and does not require grad.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_grad_fn", "_consumed")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_grad_fn")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = _as_float_array(data, dtype)
@@ -49,7 +49,6 @@ class Tensor:
         self.grad = None
         self._parents = ()
         self._grad_fn = None
-        self._consumed = False
 
     @property
     def shape(self):
@@ -111,7 +110,6 @@ def _from_op(data, parents, grad_fn, what):
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out._consumed = False
     if _records(*parents):
         out.requires_grad = True
         out._parents = tuple(parents)
@@ -136,18 +134,17 @@ def parameter(data, dtype=np.float32) -> Tensor:
 
 
 def backward(root: Tensor):
-    """Reverse-mode accumulation from a scalar root through its tape.
+    """Reverse-mode accumulation from a scalar root through its single-use tape.
 
-    Populates ``.grad`` on every tracked tensor reachable from ``root``.
-    Each tape is single-use; a second call on the same root raises.
+    Each node is let go once its ``grad_fn`` has run, so a tensor keeps its
+    ``.grad`` only while the caller holds it: parameters, captures, the root.
     """
     if root.ndim != 0:
         raise ShapeError(f"backward root must be a scalar, got shape {root.shape}")
     if not root.requires_grad:
         raise ValueError("backward root does not track gradients")
-    if root._consumed:
-        raise RuntimeError("backward already ran on this tape; rebuild the graph")
-    root._consumed = True
+    if root._grad_fn is None:
+        raise RuntimeError("backward root has no tape: a leaf, or backward already ran on it")
 
     # Iterative topological sort over tracked nodes.
     topo, visited, stack = [], set(), [(root, False)]
@@ -165,20 +162,17 @@ def backward(root: Tensor):
                 stack.append((p, False))
 
     root.grad = np.ones((), dtype=root.dtype)
-    for node in reversed(topo):
-        if node._grad_fn is None or node.grad is None:
+    while topo:
+        node = topo.pop()
+        if node._grad_fn is None:
             continue
         grads = node._grad_fn(node.grad)
         for parent, g in zip(node._parents, grads):
-            if g is None or not parent.requires_grad:
+            if not parent.requires_grad:
                 continue
-            if g.shape != parent.data.shape:
-                raise ShapeError(
-                    f"gradient shape {g.shape} does not match tensor shape {parent.data.shape}")
-            if parent.grad is None:
-                parent.grad = g.astype(parent.dtype, copy=True)
-            else:
-                parent.grad += g
+            if g.shape != parent.data.shape or g.dtype != parent.dtype:
+                raise ShapeError(f"grad {g.dtype} {g.shape} for tensor {parent.dtype} {parent.shape}")
+            parent.grad = g if parent.grad is None else parent.grad + g
         # Release the closure so saved activations can be freed.
         node._parents = ()
         node._grad_fn = None

@@ -80,7 +80,7 @@ def adamw_step(params: dict, state: OptimState, lr_now: float, group_of=None):
 
 
 def clip_grad_norm(params: dict, max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most ``max_norm``."""
+    """Scale all gradients, rebinding each, so their global L2 norm is at most ``max_norm``."""
     total = 0.0
     for p in params.values():
         if p.grad is not None:
@@ -90,7 +90,7 @@ def clip_grad_norm(params: dict, max_norm: float) -> float:
         scale = max_norm / (norm + 1e-12)
         for p in params.values():
             if p.grad is not None:
-                p.grad *= scale
+                p.grad = p.grad * scale  # not in place: two tensors may share one array
     return norm
 
 

@@ -197,5 +197,7 @@ def test_dataset_labels_balanced_round_robin():
 
 
 def test_dataset_rejects_zero_videos():
-    with pytest.raises(ConfigError):
-        SyntheticDataset.generate("temporal-order", 0)
+    # at construction, not at the first video(i) mid-train
+    for kwargs in ({"n_videos": 0}, {"size": (16, 16)}, {"size": (64, 31)}, {"num_frames": 0}):
+        with pytest.raises(ConfigError):
+            SyntheticDataset(**{"task": "temporal-order", "n_videos": 4, **kwargs})

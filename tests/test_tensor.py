@@ -1,6 +1,7 @@
 """Forward-behavior tests for the tensor op set."""
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -412,6 +413,36 @@ def test_backward_requires_scalar_and_single_use():
     T.backward(s)
     with pytest.raises(RuntimeError):
         T.backward(s)
+    with pytest.raises(RuntimeError):
+        T.backward(T.parameter(np.float32(1.0)))  # a leaf records no tape
+
+
+def test_backward_lets_go_of_each_node_once_walked():
+    # The probe op runs its grad_fn last; by then every op output above it
+    # has been walked and nothing outside the tape holds them.
+    x = make((3, 4), seed=2, requires_grad=True)
+    refs, dead = [], []
+
+    def probe(g):
+        dead.append([r() is None for r in refs])
+        return (g,)
+
+    y = T._from_op(x.data.copy(), (x,), probe, "probe")
+    for _ in range(5):
+        y = T.mul_const(y, np.float32(0.5))
+        refs.append(weakref.ref(y.data))
+    loss = T.sum_all(y)
+    del y
+    T.backward(loss)
+    assert dead == [[True] * 5]
+    np.testing.assert_array_equal(x.grad, np.full((3, 4), 0.5 ** 5, np.float32))
+
+
+def test_backward_rejects_gradient_of_another_dtype():
+    x = make((3,), seed=3, requires_grad=True)
+    y = T._from_op(x.data.copy(), (x,), lambda g: (g.astype(np.float64),), "widen")
+    with pytest.raises(ShapeError, match="float64"):
+        T.backward(T.sum_all(y))
 
 
 def test_backward_accumulates_through_shared_nodes():

@@ -106,6 +106,16 @@ def test_clip_grad_norm():
     assert np.linalg.norm(p.grad) == pytest.approx(1.0, rel=1e-5)
 
 
+def test_clip_grad_norm_scales_a_shared_gradient_once():
+    # add hands one gradient array to both parents
+    p1, p2 = param([[1.0, 2.0], [3.0, 4.0]]), param([[0.5, 0.5], [0.5, 0.5]])
+    T.backward(T.sum_all(T.add(p1, p2)))
+    norm = clip_grad_norm({"p1": p1, "p2": p2}, max_norm=1.0)
+    assert norm == pytest.approx(math.sqrt(8.0))
+    for p in (p1, p2):
+        np.testing.assert_allclose(p.grad, np.full((2, 2), 1.0 / math.sqrt(8.0)), rtol=1e-6)
+
+
 # ---------------------------------------------------------------------------
 # schedule
 
