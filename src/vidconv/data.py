@@ -40,6 +40,10 @@ EVENT_B_COLOR = (0.12, 0.35, 1.0)
 MOTION_COLOR = (1.0, 1.0, 1.0)
 
 BG_RANGE = (0.20, 0.50)
+# the moving disc's radius, its speed in px per frame, and its least distance to the border
+MOTION_RADIUS_RANGE = (5.0, 8.0)
+MOTION_SPEED_RANGE = (2.5, 4.0)
+MOTION_MARGIN = 2.0
 
 
 @dataclass
@@ -112,18 +116,16 @@ def _gen_appearance(rng, label, h, w, nf):
 
 
 def _gen_motion(rng, label, h, w, nf):
-    radius = rng.uniform(5.0, 8.0)
-    speed = rng.uniform(2.5, 4.0)
+    radius = rng.uniform(*MOTION_RADIUS_RANGE)
+    speed = rng.uniform(*MOTION_SPEED_RANGE)
     angle = np.pi / 4.0 * label
     vx, vy = speed * np.cos(angle), -speed * np.sin(angle)   # image y grows down
     span_x, span_y = vx * (nf - 1), vy * (nf - 1)
-    margin = radius + 2.0
+    margin = radius + MOTION_MARGIN
     x_lo = margin + max(0.0, -span_x)
     x_hi = w - margin - max(0.0, span_x)
     y_lo = margin + max(0.0, -span_y)
-    y_hi = h - margin - max(0.0, span_y)
-    if x_lo >= x_hi or y_lo >= y_hi:
-        raise ConfigError(f"frame {h}x{w} too small for {nf}-frame motion at speed {speed:.1f}")
+    y_hi = h - margin - max(0.0, span_y)  # x_lo < x_hi and y_lo < y_hi: _check_frames saw to it
     cx0 = rng.uniform(x_lo, x_hi)
     cy0 = rng.uniform(y_lo, y_hi)
     bg = _background(rng, h, w)
@@ -169,12 +171,19 @@ _GENERATORS = {
 }
 
 
-def _check_frames(size, num_frames):
+def _check_frames(task, size, num_frames):
     h, w = size
     if h < 32 or w < 32:
         raise ConfigError(f"frames must be at least 32x32, got {size}")
     if num_frames < 1:
         raise ConfigError("need at least one frame")
+    if task == "motion-direction":
+        # the largest disc at the top speed, so that every seed renders
+        need = (2 * (MOTION_RADIUS_RANGE[1] + MOTION_MARGIN)
+                + MOTION_SPEED_RANGE[1] * (num_frames - 1))
+        if min(h, w) < need:
+            raise ConfigError(f"{num_frames}-frame motion-direction clips need each side to be "
+                              f"at least {need:g} px, got {size}")
 
 
 def generate_video(task, class_label, size=(64, 64), num_frames=9, seed=0) -> SyntheticVideo:
@@ -182,7 +191,7 @@ def generate_video(task, class_label, size=(64, 64), num_frames=9, seed=0) -> Sy
     k = num_classes(task)
     if not 0 <= class_label < k:
         raise ConfigError(f"label {class_label} outside [0, {k}) for {task}")
-    _check_frames(size, num_frames)
+    _check_frames(task, size, num_frames)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     frames = _GENERATORS[task](rng, class_label, *size, num_frames)
     return SyntheticVideo(frames=frames, label=int(class_label))
@@ -342,7 +351,7 @@ class SyntheticDataset:
         num_classes(self.task)
         if self.n_videos < 1:
             raise ConfigError("need at least one video")
-        _check_frames(self.size, self.num_frames)
+        _check_frames(self.task, self.size, self.num_frames)
 
     @classmethod
     def generate(cls, task, n_videos, size=(64, 64), num_frames=9, root_seed=0):

@@ -391,7 +391,8 @@ def _conv_dense(x, weight, spec, ho, wo):
 
     def grad_fn(g):
         gm = g.reshape(n, cout, ho * wo)
-        gw = np.einsum("nop,nkp->ok", gm, cols, optimize=True).reshape(weight.shape)
+        # (cout, k) is the GEMM's own output order, so gw is C-contiguous, not a transposed view
+        gw = np.tensordot(gm, cols, axes=([0, 2], [0, 2])).reshape(weight.shape)
         gcols = np.matmul(w2.T, gm).reshape(n, cin, kh, kw, ho, wo)
         gx = gcols.transpose(np.argsort(perm)).reshape(x.shape)
         return gx, gw, _bias_grad(g)

@@ -26,6 +26,7 @@ def seed_streams(root_seed: int) -> dict:
 
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
+_ADAM_BLOCK = 1 << 16  # floats: a block of p, m, v, g and two scratch arrays is 1.5 MB, in L2
 
 
 @dataclass
@@ -43,16 +44,34 @@ class OptimState:
         return float(self.lr_multipliers.get(group, 1.0))
 
 
+def _flat_view(a: np.ndarray, what: str) -> np.ndarray:
+    """``a`` as 1-D, sharing its memory, so that writes to it land in ``a``."""
+    if a.dtype != np.float32 or not a.flags.c_contiguous:
+        raise ShapeError(f"{what} must be a C-contiguous float32 array to be updated in place, "
+                         f"got {a.dtype} with strides {a.strides}")
+    return a.reshape(-1)
+
+
 def adamw_step(params: dict, state: OptimState, lr_now: float, group_of=None):
     """One decoupled-weight-decay Adam update over a named parameter dict.
 
     ``group_of`` maps a parameter name to its lr-multiplier group; parameters
     without a group use multiplier 1. Gradients must already be populated.
+
+    Each parameter, its moments and its gradient are walked together in
+    blocks of ``_ADAM_BLOCK`` floats, writing into two block-sized scratch
+    arrays, so the update's temporaries stay in cache. Every element sees
+    the same float32 ops in the same order as the whole-array update.
+    Parameters and moments are updated in place and must be C-contiguous
+    float32; a gradient may have any layout, and one that is not
+    C-contiguous is read through a contiguous copy.
     """
     state.step += 1
     b1, b2 = ADAM_BETAS
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
+    scratch_a = np.empty(_ADAM_BLOCK, dtype=np.float32)
+    scratch_b = np.empty(_ADAM_BLOCK, dtype=np.float32)
     for name, p in params.items():
         g = p.grad
         if g is None:
@@ -64,19 +83,35 @@ def adamw_step(params: dict, state: OptimState, lr_now: float, group_of=None):
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
-        m, v = state.m[name], state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
         mult = state.multiplier_for(group_of(name)) if group_of else 1.0
         lr_eff = lr_now * mult
-        if lr_eff == 0.0:
-            continue
-        mhat = m / c1
-        vhat = v / c2
-        p.data -= (lr_eff * state.weight_decay) * p.data
-        p.data -= lr_eff * (mhat / (np.sqrt(vhat) + ADAM_EPS))
+        decay = lr_eff * state.weight_decay
+        pf = _flat_view(p.data, f"parameter {name}")
+        mf = _flat_view(state.m[name], f"Adam m of {name}")
+        vf = _flat_view(state.v[name], f"Adam v of {name}")
+        gf = g.reshape(-1)
+        for start in range(0, pf.size, _ADAM_BLOCK):
+            stop = min(start + _ADAM_BLOCK, pf.size)
+            pb, mb, vb, gb = pf[start:stop], mf[start:stop], vf[start:stop], gf[start:stop]
+            a, b = scratch_a[: stop - start], scratch_b[: stop - start]
+            mb *= b1
+            np.multiply(1.0 - b1, gb, out=a)
+            mb += a
+            vb *= b2
+            np.multiply(gb, gb, out=a)
+            a *= 1.0 - b2
+            vb += a
+            if lr_eff == 0.0:
+                continue
+            np.divide(vb, c2, out=a)        # vhat
+            np.sqrt(a, out=a)
+            a += ADAM_EPS
+            np.divide(mb, c1, out=b)        # mhat
+            np.divide(b, a, out=a)
+            a *= lr_eff
+            np.multiply(pb, decay, out=b)
+            pb -= b
+            pb -= a
 
 
 def clip_grad_norm(params: dict, max_norm: float) -> float:
@@ -84,7 +119,7 @@ def clip_grad_norm(params: dict, max_norm: float) -> float:
     total = 0.0
     for p in params.values():
         if p.grad is not None:
-            total += float(np.sum(p.grad.astype(np.float64) ** 2))
+            total += float(np.sum(np.square(p.grad, dtype=np.float64)))
     norm = math.sqrt(total)
     if max_norm > 0 and norm > max_norm:
         scale = max_norm / (norm + 1e-12)

@@ -53,6 +53,16 @@ def test_motion_direction_oracle_and_reversal(label):
     assert label_oracle("motion-direction", v.frames[::-1]) == (label + 4) % 8
 
 
+def test_motion_frame_floor_is_the_worst_case():
+    # 9 frames need 2 * (8 + 2) + 4 * 8 = 52 px: any seed renders at 52, and 51 is rejected
+    # before a radius or speed is drawn
+    ds = SyntheticDataset("motion-direction", 32, size=(52, 60))
+    assert all(ds.video(i).frames.shape == (9, 3, 52, 60) for i in range(len(ds)))
+    for seed in range(4):
+        with pytest.raises(ConfigError, match="at least 52 px"):
+            generate_video("motion-direction", seed, size=(60, 51), seed=seed)
+
+
 def test_motion_east_centroid_strictly_increases():
     v = generate_video("motion-direction", 0, seed=7)
     xs = [_white_centroid(frame)[1] for frame in v.frames]
@@ -198,6 +208,7 @@ def test_dataset_labels_balanced_round_robin():
 
 def test_dataset_rejects_zero_videos():
     # at construction, not at the first video(i) mid-train
-    for kwargs in ({"n_videos": 0}, {"size": (16, 16)}, {"size": (64, 31)}, {"num_frames": 0}):
+    for kwargs in ({"n_videos": 0}, {"size": (16, 16)}, {"size": (64, 31)}, {"num_frames": 0},
+                   {"task": "motion-direction", "size": (32, 32)}):
         with pytest.raises(ConfigError):
             SyntheticDataset(**{"task": "temporal-order", "n_videos": 4, **kwargs})

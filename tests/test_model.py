@@ -344,6 +344,15 @@ def test_gradient_reaches_every_parameter():
     _assert_training_reaches_every_parameter(model, clip)
 
 
+def test_every_parameter_gradient_is_c_contiguous():
+    # adamw_step reads a gradient through a flat view; a transposed one costs a full copy
+    model = build_model(toy_config(use_neck=True), 5)
+    clip = rng(20).random((2 * 9, 3, 64, 64)).astype(np.float32)
+    _assert_training_reaches_every_parameter(model, clip)
+    strided = [name for name, p in model.parameters().items() if not p.grad.flags.c_contiguous]
+    assert not strided, f"gradients that are not C-contiguous: {strided}"
+
+
 def test_only_training_or_capture_forwards_record_a_tape():
     model = build_model(toy_config(), 8)
     clip = rng(22).random((9, 3, 64, 64)).astype(np.float32)

@@ -7,10 +7,11 @@ import pytest
 
 from vidconv import tensor as T
 from vidconv.data import SyntheticDataset
-from vidconv.errors import ConfigError, DivergenceError
+from vidconv.errors import ConfigError, DivergenceError, ShapeError
 from vidconv.model import build_model, drop_path, make_config
-from vidconv.training import (OptimState, Schedule, TrainConfig, adamw_step,
-                              clip_grad_norm, evaluate_multiview, lr_at, seed_streams, train)
+from vidconv.training import (ADAM_BETAS, ADAM_EPS, _ADAM_BLOCK, OptimState, Schedule,
+                              TrainConfig, adamw_step, clip_grad_norm, evaluate_multiview, lr_at,
+                              seed_streams, train)
 from conftest import rng
 
 
@@ -95,6 +96,64 @@ def test_adamw_nan_gradient_aborts():
     p = param([1.0])
     p.grad = np.array([np.nan], dtype=np.float32)
     with pytest.raises(DivergenceError):
+        adamw_step({"p": p}, OptimState(base_lr=1e-3), lr_now=1e-3)
+
+
+def adamw_whole_array(params, m, v, step, lr_now, weight_decay, mults):
+    """The unblocked update: each op over a whole parameter at once, as
+    ``adamw_step`` ran before it walked blocks."""
+    b1, b2 = ADAM_BETAS
+    c1 = 1.0 - b1 ** step
+    c2 = 1.0 - b2 ** step
+    for name, (p, g) in params.items():
+        m[name] *= b1
+        m[name] += (1.0 - b1) * g
+        v[name] *= b2
+        v[name] += (1.0 - b2) * (g * g)
+        lr_eff = lr_now * mults[name]
+        if lr_eff == 0.0:
+            continue
+        mhat = m[name] / c1
+        vhat = v[name] / c2
+        p -= (lr_eff * weight_decay) * p
+        p -= lr_eff * (mhat / (np.sqrt(vhat) + ADAM_EPS))
+
+
+def test_adamw_blocks_equal_the_whole_array_update():
+    r = rng(7)
+    shapes = {"h.wide": (3, 2 * _ADAM_BLOCK // 3 + 11),  # several blocks, the last one short
+              "h.bias": (5,), "h.scalar": (), "h.conv": (8, 3, 4, 4),
+              "h.strided": (40, 30), "b.frozen": (6, 7)}
+    params = {name: param(r.standard_normal(shape)) for name, shape in shapes.items()}
+    ref_p = {name: p.data.copy() for name, p in params.items()}
+    ref_m = {name: np.zeros(shape, np.float32) for name, shape in shapes.items()}
+    ref_v = {name: np.zeros(shape, np.float32) for name, shape in shapes.items()}
+    mults = {name: 0.0 if name.startswith("b.") else 1.0 for name in shapes}
+    frozen = params["b.frozen"].data.copy()
+    state = OptimState(base_lr=1e-2, weight_decay=0.05,
+                       lr_multipliers={"backbone": 0.0, "head": 1.0})
+    for step in (1, 2, 3):
+        grads = {name: r.standard_normal(shape).astype(np.float32) for name, shape in shapes.items()}
+        grads["h.strided"] = r.standard_normal((30, 40)).astype(np.float32).T
+        for name, p in params.items():
+            p.grad = grads[name]
+        lr = 1e-2 * step
+        adamw_step(params, state, lr_now=lr,
+                   group_of=lambda n: "backbone" if n.startswith("b.") else "head")
+        adamw_whole_array({n: (ref_p[n], grads[n]) for n in shapes}, ref_m, ref_v, step,
+                          lr, 0.05, mults)
+    for name in shapes:
+        assert np.array_equal(params[name].data, ref_p[name]), name
+        assert np.array_equal(state.m[name], ref_m[name]), name
+        assert np.array_equal(state.v[name], ref_v[name]), name
+    assert np.array_equal(params["b.frozen"].data, frozen)
+    assert np.any(state.m["b.frozen"] != 0) and np.any(state.v["b.frozen"] != 0)
+
+
+def test_adamw_rejects_a_parameter_it_cannot_update_in_place():
+    p = T.Tensor(np.zeros((3, 4), dtype=np.float32).T, requires_grad=True)
+    p.grad = np.ones((4, 3), dtype=np.float32)
+    with pytest.raises(ShapeError, match="C-contiguous"):
         adamw_step({"p": p}, OptimState(base_lr=1e-3), lr_now=1e-3)
 
 
