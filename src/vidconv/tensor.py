@@ -98,15 +98,34 @@ def _records(*parents) -> bool:
     return _recording and any(p.requires_grad for p in parents)
 
 
+_BLOCK = 1 << 16  # elements per block of a cache-blocked pass: a few float32 blocks fit in L2
+
+
+def all_finite(a: np.ndarray) -> bool:
+    """Whether a float array holds no NaN or +-Inf, in one pass and no temporary.
+
+    A C-contiguous array is dotted with itself, at BLAS speed. Squares are
+    never negative, so no +Inf can cancel a -Inf: the dot is finite unless an
+    element is NaN/Inf or the sum of squares overflows. Any other layout is
+    summed in float64, finite on the same terms. A non-finite fast answer is
+    confirmed element by element, so large finite values cost time but are
+    never reported.
+    """
+    with np.errstate(over="ignore"):  # an overflow only sends the check to the exact pass
+        if a.flags.c_contiguous:
+            f = a.reshape(-1)
+            fast = np.dot(f, f)
+        else:
+            fast = a.sum(dtype=np.float64)
+    return bool(np.isfinite(fast)) or bool(np.all(np.isfinite(a)))
+
+
 def _from_op(data, parents, grad_fn, what):
-    """Build an op output, checked to be finite. It tracks its parents iff
-    recording is on and any of them requires grad; otherwise ``grad_fn`` and
-    whatever it closes over are dropped here."""
-    # A single pairwise sum goes non-finite iff the array holds NaN/Inf, and
-    # costs one pass instead of isfinite()'s bool temporary.
-    if not np.isfinite(data.sum(dtype=np.float64)):
-        if not np.all(np.isfinite(data)):
-            raise NumericsError(f"{what} produced NaN/Inf values")
+    """Build an op output, checked by ``all_finite`` on every call, taped or
+    not. It tracks its parents iff recording is on and any of them requires
+    grad; otherwise ``grad_fn`` and whatever it closes over are dropped here."""
+    if not all_finite(data):
+        raise NumericsError(f"{what} produced NaN/Inf values")
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -442,23 +461,55 @@ _GELU_A = 0.044715
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Elementwise GELU, tanh approximation."""
-    u = x.data * x.data
-    u *= x.data
-    u *= _GELU_A
-    u += x.data
-    u *= _GELU_C
-    th = np.tanh(u, out=u)
-    # Only backward reads th, so without a tape y may take its buffer.
-    y = th + 1.0 if _records(x) else np.add(th, 1.0, out=th)
-    y *= x.data
-    y *= 0.5
+    """Elementwise GELU, tanh approximation.
+
+    Forward and backward walk flat views in blocks of ``_BLOCK`` elements, so
+    each block's chain of passes stays in cache. Every element sees the same
+    ops in the same order as the whole-array chain. Only a taped call keeps
+    tanh, for backward; otherwise tanh is written into the output's block.
+    Backward needs one block of scratch per call.
+    """
+    xf = x.data.reshape(-1)
+    th = np.empty_like(xf) if _records(x) else None
+    y = np.empty(x.shape, dtype=x.dtype)
+    yf = y.reshape(-1)
+    for s in range(0, xf.size, _BLOCK):
+        blk = slice(s, s + _BLOCK)
+        xb, yb = xf[blk], yf[blk]
+        tb = yb if th is None else th[blk]
+        np.multiply(xb, xb, out=tb)
+        tb *= xb
+        tb *= _GELU_A
+        tb += xb
+        tb *= _GELU_C
+        np.tanh(tb, out=tb)
+        np.add(tb, 1.0, out=yb)
+        yb *= xb
+        yb *= 0.5
 
     def grad_fn(g):
-        sech2 = 1.0 - th * th
-        du = _GELU_C * (1.0 + 3.0 * _GELU_A * (x.data * x.data))
-        d = 0.5 * (1.0 + th) + 0.5 * x.data * sech2 * du
-        return (d * g,)
+        gf = g.reshape(-1)
+        gx = np.empty(x.shape, dtype=x.dtype)
+        gxf = gx.reshape(-1)
+        scratch = np.empty(min(xf.size, _BLOCK), dtype=x.dtype)
+        for s in range(0, xf.size, _BLOCK):
+            blk = slice(s, s + _BLOCK)
+            xb, tb, gb, db = xf[blk], th[blk], gf[blk], gxf[blk]
+            a = scratch[:xb.size]
+            np.multiply(tb, tb, out=a)
+            np.subtract(1.0, a, out=a)           # sech2 = 1 - th*th
+            np.multiply(0.5, xb, out=db)
+            db *= a                              # (0.5*x)*sech2
+            np.multiply(xb, xb, out=a)
+            np.multiply(3.0 * _GELU_A, a, out=a)
+            a += 1.0
+            a *= _GELU_C                         # du = C*(1 + 3A*(x*x))
+            db *= a
+            np.add(tb, 1.0, out=a)
+            a *= 0.5
+            db += a                              # d = 0.5*(1+th) + ((0.5*x)*sech2)*du
+            db *= gb
+        return (gx,)
 
     return _from_op(y, (x,), grad_fn, "gelu")
 

@@ -26,7 +26,6 @@ def seed_streams(root_seed: int) -> dict:
 
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
-_ADAM_BLOCK = 1 << 16  # floats: a block of p, m, v, g and two scratch arrays is 1.5 MB, in L2
 
 
 @dataclass
@@ -59,7 +58,7 @@ def adamw_step(params: dict, state: OptimState, lr_now: float, group_of=None):
     without a group use multiplier 1. Gradients must already be populated.
 
     Each parameter, its moments and its gradient are walked together in
-    blocks of ``_ADAM_BLOCK`` floats, writing into two block-sized scratch
+    blocks of ``tensor._BLOCK`` floats, writing into two block-sized scratch
     arrays, so the update's temporaries stay in cache. Every element sees
     the same float32 ops in the same order as the whole-array update.
     Parameters and moments are updated in place and must be C-contiguous
@@ -70,15 +69,15 @@ def adamw_step(params: dict, state: OptimState, lr_now: float, group_of=None):
     b1, b2 = ADAM_BETAS
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
-    scratch_a = np.empty(_ADAM_BLOCK, dtype=np.float32)
-    scratch_b = np.empty(_ADAM_BLOCK, dtype=np.float32)
+    scratch_a = np.empty(T._BLOCK, dtype=np.float32)  # with a block of p, m, v, g: 1.5 MB, in L2
+    scratch_b = np.empty(T._BLOCK, dtype=np.float32)
     for name, p in params.items():
         g = p.grad
         if g is None:
             continue
         if g.shape != p.data.shape:
             raise ShapeError(f"gradient/parameter shape mismatch for {name}")
-        if not np.all(np.isfinite(g)):
+        if not T.all_finite(g):
             raise DivergenceError(f"non-finite gradient in parameter {name}")
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
@@ -90,8 +89,8 @@ def adamw_step(params: dict, state: OptimState, lr_now: float, group_of=None):
         mf = _flat_view(state.m[name], f"Adam m of {name}")
         vf = _flat_view(state.v[name], f"Adam v of {name}")
         gf = g.reshape(-1)
-        for start in range(0, pf.size, _ADAM_BLOCK):
-            stop = min(start + _ADAM_BLOCK, pf.size)
+        for start in range(0, pf.size, T._BLOCK):
+            stop = min(start + T._BLOCK, pf.size)
             pb, mb, vb, gb = pf[start:stop], mf[start:stop], vf[start:stop], gf[start:stop]
             a, b = scratch_a[: stop - start], scratch_b[: stop - start]
             mb *= b1

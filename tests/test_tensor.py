@@ -38,6 +38,61 @@ def test_finite_check_flags_nan():
     _ = x
 
 
+# sizes that straddle the unroll widths of BLAS dot kernels, and two larger ones
+FINITE_SIZES = (1, 2, 3, 7, 15, 16, 17, 31, 32, 33, 4097, 65537)
+
+
+@pytest.mark.parametrize("size", FINITE_SIZES)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_all_finite_flags_each_bad_value_anywhere(dtype, size):
+    a = rng(size).standard_normal(size).astype(dtype)
+    assert T.all_finite(a)
+    for bad in (np.nan, np.inf, -np.inf):
+        for at in sorted({0, size // 2, size - 1}):
+            b = a.copy()
+            b[at] = bad
+            assert not T.all_finite(b), (bad, at)
+            assert not T.all_finite(b.reshape(1, size, 1)), (bad, at)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_all_finite_reads_a_strided_array_through_its_view(dtype):
+    base = rng(3).standard_normal((33, 34)).astype(dtype)
+    base[:, 1::2] = np.nan  # not in the view below
+    view = base[:, ::2]
+    assert not view.flags.c_contiguous
+    assert T.all_finite(view)
+    assert T.all_finite(view.T)
+    for bad in (np.nan, np.inf, -np.inf):
+        for at in ((0, 0), (16, 8), (32, 16)):
+            b = base.copy()
+            b[:, ::2][at] = bad
+            assert not T.all_finite(b[:, ::2]), (bad, at)
+            f = view.copy(order="F")  # F order: summed; its transpose is C order: dotted
+            f[at] = bad
+            assert not T.all_finite(f), (bad, at)
+            assert not T.all_finite(f.T), (bad, at)
+
+
+def test_all_finite_passes_values_whose_squares_overflow():
+    # the fast sum of squares is Inf here; the exact pass must clear the array
+    assert T.all_finite(np.full(4097, 1e20, dtype=np.float32))
+    assert T.all_finite(np.full((3, 5), 1e200))
+    assert T.all_finite(np.full((40, 30), 1e308)[:, ::3])  # float64 sum of a strided view
+    assert T.all_finite(np.full(4097, -3e38, dtype=np.float32))
+
+
+def test_all_finite_makes_no_array_sized_temporary():
+    a = rng(4).standard_normal(1 << 20).astype(np.float32)
+    tracemalloc.start()
+    try:
+        assert T.all_finite(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < a.nbytes // 16
+
+
 def test_mixed_dtype_rejected():
     a = T.Tensor(np.ones(3, dtype=np.float32))
     b = T.Tensor(np.ones(3, dtype=np.float64))
@@ -322,6 +377,50 @@ def test_gelu_matches_erf_variant_closely():
     approx = T.gelu(x).data
     exact = [v * 0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x.data.tolist()]
     np.testing.assert_allclose(approx, exact, atol=2e-3)
+
+
+def gelu_whole_array(x):
+    """GELU with each pass over the whole array: the op order ``T.gelu`` keeps
+    block by block. Returns the output and a function of the upstream grad."""
+    u = x * x
+    u *= x
+    u *= T._GELU_A
+    u += x
+    u *= T._GELU_C
+    th = np.tanh(u, out=u)
+    y = th + 1.0
+    y *= x
+    y *= 0.5
+
+    def grad(g):
+        sech2 = 1.0 - th * th
+        du = T._GELU_C * (1.0 + 3.0 * T._GELU_A * (x * x))
+        d = 0.5 * (1.0 + th) + 0.5 * x * sech2 * du
+        return d * g
+
+    return y, grad
+
+
+@pytest.mark.parametrize("mode", ["taped", "no-grad-input", "recording-off"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_blocks_equal_the_whole_array_chain(dtype, mode):
+    shape = (2, 4, 8, 2 * T._BLOCK // 64 + 5)  # two full blocks and a short third
+    x = (3.0 * rng(11).standard_normal(shape)).astype(dtype)
+    g = rng(12).standard_normal(shape).astype(dtype)
+    y_ref, grad_ref = gelu_whole_array(x)
+    if mode == "taped":
+        t = T.Tensor(x, requires_grad=True)
+        y = T.gelu(t)
+        T.backward(T.sum_all(T.mul_const(y, g)))  # hands gelu's backward exactly g
+        assert np.array_equal(t.grad, grad_ref(g))
+    elif mode == "no-grad-input":
+        y = T.gelu(T.Tensor(x))
+    else:
+        with T.recording(False):
+            y = T.gelu(T.Tensor(x, requires_grad=True))
+        assert not y.requires_grad
+    assert y.dtype == dtype
+    assert np.array_equal(y.data, y_ref)
 
 
 @pytest.mark.parametrize("untaped", ["no-grad-input", "recording-off"])

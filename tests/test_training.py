@@ -9,7 +9,7 @@ from vidconv import tensor as T
 from vidconv.data import SyntheticDataset
 from vidconv.errors import ConfigError, DivergenceError, ShapeError
 from vidconv.model import build_model, drop_path, make_config
-from vidconv.training import (ADAM_BETAS, ADAM_EPS, _ADAM_BLOCK, OptimState, Schedule,
+from vidconv.training import (ADAM_BETAS, ADAM_EPS, OptimState, Schedule,
                               TrainConfig, adamw_step, clip_grad_norm, evaluate_multiview, lr_at,
                               seed_streams, train)
 from conftest import rng
@@ -99,6 +99,17 @@ def test_adamw_nan_gradient_aborts():
         adamw_step({"p": p}, OptimState(base_lr=1e-3), lr_now=1e-3)
 
 
+def test_adamw_checks_a_gradient_before_writing_its_parameter():
+    p = param(np.ones(2 * T._BLOCK + 3))
+    p.grad = np.zeros(p.data.shape, dtype=np.float32)
+    p.grad[-1] = np.inf  # in the last, short block
+    state = OptimState(base_lr=1e-3)
+    with pytest.raises(DivergenceError, match="parameter h.w"):
+        adamw_step({"h.w": p}, state, lr_now=1e-3)
+    assert np.array_equal(p.data, np.ones(p.data.shape, dtype=np.float32))
+    assert "h.w" not in state.m
+
+
 def adamw_whole_array(params, m, v, step, lr_now, weight_decay, mults):
     """The unblocked update: each op over a whole parameter at once, as
     ``adamw_step`` ran before it walked blocks."""
@@ -121,7 +132,7 @@ def adamw_whole_array(params, m, v, step, lr_now, weight_decay, mults):
 
 def test_adamw_blocks_equal_the_whole_array_update():
     r = rng(7)
-    shapes = {"h.wide": (3, 2 * _ADAM_BLOCK // 3 + 11),  # several blocks, the last one short
+    shapes = {"h.wide": (3, 2 * T._BLOCK // 3 + 11),  # several blocks, the last one short
               "h.bias": (5,), "h.scalar": (), "h.conv": (8, 3, 4, 4),
               "h.strided": (40, 30), "b.frozen": (6, 7)}
     params = {name: param(r.standard_normal(shape)) for name, shape in shapes.items()}
