@@ -290,8 +290,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, spec: ConvSpec) -> Tensor:
 
     ``weight`` is (Cout, Cin/groups, kh, kw) and ``bias`` is (Cout,): every
     conv in the model has one. Depth-wise convs take any stride, dilation and
-    padding; a dense conv must read each input pixel exactly once (see
-    ``_conv_dense``). Differentiable with respect to input, weight, and bias.
+    padding, and run on channel-major (C, H, N, W) copies of the input, made a
+    block of channels at a time and kept by neither the output nor the tape
+    (see ``_conv_depthwise``); a dense conv must read each input pixel
+    exactly once (see ``_conv_dense``). Differentiable with respect to
+    input, weight, and bias.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d expects 4D input/weight, got {x.shape} / {weight.shape}")
@@ -311,7 +314,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, spec: ConvSpec) -> Tensor:
         raise ShapeError(f"conv2d output extent not positive: {(ho, wo)} for input {(h, w)}")
 
     # Two kernels: depth-wise (the block's 7x7 and the temporal branch) ->
-    # banded GEMM; dense (1x1, stem, downsample, neck) -> reshape + GEMM.
+    # channel-major banded GEMM; dense (1x1, stem, downsample, neck) ->
+    # reshape + GEMM.
     # Depth-wise is checked first: a 1-channel conv is both.
     if spec.groups == cin and cout == cin and cpg == 1:
         y, grad_fn = _conv_depthwise(x, weight, spec, ho, wo)
@@ -330,48 +334,82 @@ def _bias_grad(g):
 
 
 def _conv_depthwise(x, weight, spec, ho, wo):
-    # Banded GEMM, one per kernel row i: the row-shifted padded input
-    # (N, C, Ho, Wp) times a per-channel (Wp, Wo) band that holds row i's kw
-    # taps at columns o*sw + j*dw. BLAS spends extra MACs on the band's zeros,
-    # but nothing like the (kh*kw)x patch copy of a window view plus einsum is
-    # built. Serves every stride, dilation and padding: the 7x7 spatial conv
-    # and the temporal branch (kernel = grid, dilation = tile, no padding).
-    n, c = x.shape[:2]
+    # Banded GEMM over a channel-major copy of the padded input, (C, Hp, N, Wp).
+    # For kernel row i the Ho input rows of all N frames form one (Ho*N, Wp)
+    # matrix per channel, times that channel's (Wp, Wo) band, which holds row
+    # i's kw taps at columns o*sw + j*dw: one GEMM per channel and kernel row,
+    # N frames tall. The weight gradient sums the frames inside its GEMM
+    # (K = Ho*N). BLAS spends extra MACs on the band's zeros, but nothing like
+    # the (kh*kw)x patch copy of a window view plus einsum is built.
+    # The channels are walked in blocks whose (Ho*N, Wp) row matrices hold
+    # about _BLOCK floats, so a block's copy, row sums and gradients stay in
+    # cache and no input-sized channel-major copy exists. Backward copies
+    # each block again from x rather than keep the copies on the tape.
+    # Serves every stride, dilation and padding: the 7x7 spatial conv and the
+    # temporal branch (kernel = grid, dilation = tile, no padding).
+    n, c, h, w = x.shape
     kh, kw = spec.kernel
     sh, sw = spec.stride
     dh, dw = spec.dilation
     ph, pw = spec.padding
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x.data
-    wp = xp.shape[3]
+    wp = w + 2 * pw
     w3 = weight.data.reshape(c, kh, kw)
     cols = np.arange(wo)
     taps = cols * sw + np.arange(kw)[:, None] * dw  # (kw, Wo) band row of each tap
+    cb = max(1, _BLOCK // (ho * n * wp))
+    blocks = [slice(c0, min(c0 + cb, c)) for c0 in range(0, c, cb)]
+
+    def channel_major(a, blk):
+        # channels blk of (N, C, H, W) -> (cb, Hp, N, Wp), zero-padded
+        t = np.zeros((blk.stop - blk.start, h + 2 * ph, n, wp), dtype=a.dtype)
+        t[:, ph: ph + h, :, pw: pw + w] = a[:, blk].transpose(1, 2, 0, 3)
+        return t
 
     def rows(a, i):
-        return a[:, :, i * dh: i * dh + (ho - 1) * sh + 1: sh, :]
+        # kernel row i's input rows, (cb, Ho, N, Wp): a view
+        return a[:, i * dh: i * dh + (ho - 1) * sh + 1: sh]
 
-    def band(i):
-        # Built per row, and again in backward rather than kept: a training
-        # tape would hold all kh bands of every depth-wise conv alive until
-        # backward.
-        b = np.zeros((c, wp, wo), dtype=x.dtype)
-        b[:, taps, cols] = w3[:, i, :, None]
+    def mat(r):
+        # (cb, Ho, N, Wp) -> (cb, Ho*N, Wp): a view at stride 1, a copy otherwise
+        return r.reshape(r.shape[0], ho * n, wp)
+
+    def band(i, blk):
+        # Built per block and row, and again in backward rather than kept: a
+        # training tape would hold all kh bands of every depth-wise conv alive
+        # until backward.
+        b = np.zeros((blk.stop - blk.start, wp, wo), dtype=x.dtype)
+        b[:, taps, cols] = w3[blk, i, :, None]
         return b
 
-    y = np.matmul(rows(xp, 0), band(0))
-    tmp = np.empty_like(y)
-    for i in range(1, kh):
-        y += np.matmul(rows(xp, i), band(i), out=tmp)
+    y = np.empty((n, c, ho, wo), dtype=x.dtype)
+    acc = np.empty((min(cb, c), ho * n, wo), dtype=x.dtype)
+    tmp = np.empty_like(acc)
+    for blk in blocks:
+        xt = channel_major(x.data, blk)
+        k = xt.shape[0]
+        a, t = acc[:k], tmp[:k]
+        np.matmul(mat(rows(xt, 0)), band(0, blk), out=a)
+        for i in range(1, kh):
+            a += np.matmul(mat(rows(xt, i)), band(i, blk), out=t)
+        y[:, blk] = a.reshape(k, ho, n, wo).transpose(2, 0, 1, 3)
 
     def grad_fn(g):
-        gxp = np.zeros_like(xp)
+        gx = np.empty(x.shape, dtype=x.dtype)
         gw = np.empty((c, kh, kw), dtype=x.dtype)
-        for i in range(kh):
-            gx_rows = rows(gxp, i)
-            gx_rows += np.matmul(g, band(i).swapaxes(1, 2))
-            gband = np.matmul(rows(xp, i).swapaxes(2, 3), g).sum(axis=0)
-            gw[:, i] = gband[:, taps, cols].sum(axis=2)  # read the kw diagonals back
-        gx = gxp[:, :, ph: ph + x.shape[2], pw: pw + x.shape[3]] if (ph or pw) else gxp
+        tmp = np.empty((min(cb, c), ho * n, wp), dtype=x.dtype)
+        for blk in blocks:
+            xt = channel_major(x.data, blk)
+            k = xt.shape[0]
+            gt = np.ascontiguousarray(g[:, blk].transpose(1, 2, 0, 3)).reshape(k, ho * n, wo)
+            gxt = np.zeros_like(xt)
+            for i in range(kh):
+                b = band(i, blk)
+                # through the 4-D row view: at stride > 1, mat() of it would be a copy
+                gx_rows = rows(gxt, i)
+                gx_rows += np.matmul(gt, b.swapaxes(1, 2), out=tmp[:k]).reshape(k, ho, n, wp)
+                gband = np.matmul(mat(rows(xt, i)).swapaxes(1, 2), gt)
+                gw[blk, i] = gband[:, taps, cols].sum(axis=2)  # read the kw diagonals back
+            gx[:, blk] = gxt[:, ph: ph + h, :, pw: pw + w].transpose(2, 0, 1, 3)
         return gx, gw.reshape(weight.shape), _bias_grad(g)
 
     return y, grad_fn

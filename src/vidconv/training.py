@@ -114,11 +114,24 @@ def adamw_step(params: dict, state: OptimState, lr_now: float, group_of=None):
 
 
 def clip_grad_norm(params: dict, max_norm: float) -> float:
-    """Scale all gradients, rebinding each, so their global L2 norm is at most ``max_norm``."""
+    """Scale all gradients, rebinding each, so their global L2 norm is at most ``max_norm``.
+
+    Returns the norm before clipping. Each gradient is read in blocks of
+    ``tensor._BLOCK`` floats, each converted into one reused float64 block and
+    dotted with itself, so the squares are summed in float64 without a
+    gradient-sized temporary.
+    """
+    scratch = np.empty(T._BLOCK, dtype=np.float64)
     total = 0.0
     for p in params.values():
-        if p.grad is not None:
-            total += float(np.sum(np.square(p.grad, dtype=np.float64)))
+        if p.grad is None:
+            continue
+        gf = p.grad.reshape(-1)
+        for start in range(0, gf.size, T._BLOCK):
+            blk = gf[start: start + T._BLOCK]
+            b = scratch[: blk.size]
+            b[...] = blk
+            total += float(np.dot(b, b))
     norm = math.sqrt(total)
     if max_norm > 0 and norm > max_norm:
         scale = max_norm / (norm + 1e-12)
@@ -290,7 +303,10 @@ def train(model, train_ds, val_ds, cfg: TrainConfig, root_seed: int = 0,
             except NumericsError as exc:
                 raise DivergenceError(
                     f"{exc}; state: " + _dump_divergence(state, {"lr": lr_now})) from exc
-            clip_grad_norm(params, cfg.clip_norm)
+            grad_norm = clip_grad_norm(params, cfg.clip_norm)
+            if not math.isfinite(grad_norm):
+                raise DivergenceError("non-finite gradient norm; state: " + _dump_divergence(
+                    state, {"lr": lr_now, "grad_norm": grad_norm}))
             adamw_step(params, state.optim, lr_now, group_of=model.param_group)
             model.zero_grad()
             losses.append(loss_val)

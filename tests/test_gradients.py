@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from vidconv import tensor as T
+from vidconv.model import ModelConfig, build_model
 from conftest import check_gradients, rng
 
 REL_TOL = 1e-4
@@ -194,3 +195,56 @@ def test_composite_chain_gradients():
         return loss
 
     check_gradients(build, arrays, rel_tol=REL_TOL)
+
+
+# Wirings of the whole network: the collage point, the per-frame path that
+# ends in frame_mean (no stacking, no neck), and the neck.
+WHOLE_MODEL_WIRINGS = {
+    "default": {},
+    "stack-none": dict(stacking_stage=None),
+    "stack-1": dict(stacking_stage=1),
+    "neckless": dict(use_neck=False),
+    "neckless-stack-none": dict(use_neck=False, stacking_stage=None),
+}
+
+
+@pytest.mark.parametrize("wiring", sorted(WHOLE_MODEL_WIRINGS))
+def test_whole_model_gradients(wiring):
+    # VidConvModel.forward end to end in float64: collage, tile_grid, the
+    # temporal branch, frame_mean, the neck and the head, and their wiring.
+    # The weights are moved off the near-identity init (layer scale 1e-6,
+    # alpha 1e-2), so every block's branch reaches the loss; three entries of
+    # each parameter are checked by central differences. The stem's layer
+    # norm over 2 channels is close to singular, so the differences' own
+    # O(h^2) error reached 1.3e-4 at h = 1e-6; at 1e-7 it is below 1e-5.
+    cfg = ModelConfig(channels=(2, 3, 4, 5), blocks=(1, 1, 1, 1), grid=(2, 2), head_width=6,
+                      num_classes=3, input_size=(32, 32), **WHOLE_MODEL_WIRINGS[wiring])
+    model = build_model(cfg, 0)
+    r = rng(21)
+    params = model.parameters()
+    for p in params.values():
+        p.data = p.data.astype(np.float64) + 0.3 * r.standard_normal(p.shape)
+    clips = T.Tensor(r.standard_normal((2 * cfg.frames, 3, 32, 32)))
+    labels = np.array([0, 2])
+
+    def loss_of(training):
+        logits = model.forward(clips, training=training)
+        return T.softmax_cross_entropy(logits, labels)[0]
+
+    T.backward(loss_of(True))
+    h, worst = 1e-7, {}
+    for name, p in params.items():
+        assert p.grad is not None, f"no gradient reached {name}"
+        flat, g = p.data.reshape(-1), p.grad.reshape(-1)
+        for k in r.choice(flat.size, size=min(3, flat.size), replace=False):
+            old = flat[k]
+            flat[k] = old + h
+            fp = loss_of(False).item()
+            flat[k] = old - h
+            fm = loss_of(False).item()
+            flat[k] = old
+            fd = (fp - fm) / (2 * h)
+            err = abs(fd - g[k]) / max(1e-3, abs(fd) + abs(g[k]))
+            worst[name] = max(worst.get(name, 0.0), err)
+    bad = {name: err for name, err in worst.items() if err > REL_TOL}
+    assert not bad, f"{wiring}: finite differences disagree with backward: {bad}"

@@ -248,8 +248,8 @@ def test_conv2d_depthwise_forward_backward_vs_oracle(geom):
 
 def test_conv2d_depthwise_memory_streams():
     # One 7x7 depth-wise forward plus backward holds a few input-sized arrays
-    # (padded input, output, grads, per-row band); a window view contracted by
-    # einsum would materialize the 49x patch copy.
+    # (output, grads) and block-sized ones (channel-major copies, bands); a
+    # window view contracted by einsum would materialize the 49x patch copy.
     x = make((2, 32, 56, 56), seed=14, requires_grad=True)
     w = make((32, 1, 7, 7), seed=15, requires_grad=True)
     spec = T.ConvSpec(kernel=(7, 7), padding=(3, 3), groups=32)
@@ -260,6 +260,34 @@ def test_conv2d_depthwise_memory_streams():
     finally:
         tracemalloc.stop()
     assert peak < 10 * x.data.nbytes
+
+
+@pytest.mark.parametrize("taped", [True, False], ids=["taped", "untaped"])
+@pytest.mark.parametrize("geom", ["7x7-pad3", "temporal", "nonsquare-strided-dilated"])
+def test_conv2d_depthwise_forward_holds_only_its_output(geom, taped):
+    # Backward rebuilds the padded channel-major input from x, which the tape
+    # holds anyway, so from forward to backward a depth-wise conv keeps its
+    # output and small closures: no padded copy, and no channel-major buffer
+    # left over from forward, taped or not.
+    shape, kernel, stride, dilation, padding = DEPTHWISE_GEOMETRIES[geom]
+    n, c, h, w = (4 * shape[0], 32 * shape[1], 4 * shape[2], 4 * shape[3])
+    x = make((n, c, h, w), seed=16, requires_grad=taped)
+    wt = make((c, 1) + kernel, seed=17, requires_grad=taped)
+    b = zero_bias(c)
+    spec = T.ConvSpec(kernel=kernel, stride=stride, dilation=dilation, padding=padding, groups=c)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        y = T.conv2d(x, wt, b, spec)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    out_bytes = y.data.nbytes
+    assert y.requires_grad == taped
+    assert held < 1.2 * out_bytes, (held, out_bytes)
+    if taped:
+        T.backward(T.sum_all(y))
+        assert x.grad.shape == x.shape and wt.grad.shape == wt.shape
 
 
 def test_conv2d_output_extent_formula_sweep():

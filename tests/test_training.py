@@ -1,4 +1,5 @@
 """Optimizer semantics, schedule, stochastic depth, loops, and multi-view eval."""
+import json
 import math
 from dataclasses import replace
 
@@ -335,6 +336,31 @@ def test_train_divergence_aborts_with_dump():
                       clip_norm=0.0)
     with pytest.raises(DivergenceError):
         train(model, tr, va, cfg, root_seed=5)
+
+
+def test_train_non_finite_gradient_norm_aborts_before_the_update(monkeypatch):
+    # A NaN that reaches a gradient after backward: the norm is NaN, and the
+    # step stops with the state dump before AdamW writes any weight or moment.
+    model, tr, va = tiny_setup(seed=5)
+    before = {n: p.data.copy() for n, p in model.parameters().items()}
+    target = model.parameters()["stage1.block0.pw1.weight"]
+    backward = T.backward
+
+    def poisoned(root):
+        backward(root)
+        target.grad = target.grad.copy()
+        target.grad.flat[0] = np.nan
+
+    monkeypatch.setattr(T, "backward", poisoned)
+    cfg = TrainConfig(epochs=1, batch_size=4, warmup_epochs=0)  # a first step at full lr
+    with pytest.raises(DivergenceError, match="non-finite gradient norm") as info:
+        train(model, tr, va, cfg, root_seed=5)
+    dump = json.loads(str(info.value).split("state: ", 1)[1])
+    assert dump["epoch"] == 0 and dump["iteration"] == 0
+    assert dump["lr"] == pytest.approx(cfg.lr)
+    assert math.isnan(dump["grad_norm"])
+    for name, p in model.parameters().items():
+        assert np.array_equal(p.data, before[name]), name
 
 
 def test_train_metrics_file(tmp_path):
