@@ -10,6 +10,7 @@ checks.
 from __future__ import annotations
 
 import math
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -32,11 +33,13 @@ class Tensor:
 
     Data is immutable by convention after construction, and gradients are
     never written in place; two tensors may share one. A recorded op output
-    (see ``recording``) keeps closures over its parents until ``backward``
-    walks the tape; an unrecorded one keeps neither and does not require grad.
+    (see ``recording``) gets a ``_Node`` on the tape, which links to its
+    parents' nodes, not to the parent tensors: an op output that no
+    ``grad_fn`` reads is freed once the caller lets go of it. An unrecorded
+    output has no node and does not require grad.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_grad_fn")
+    __slots__ = ("data", "requires_grad", "grad", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = _as_float_array(data, dtype)
@@ -47,8 +50,17 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._parents = ()
-        self._grad_fn = None
+        self._node = None
+
+    # perfbench's tracer times backward by reading and wrapping each op
+    # output's ``_grad_fn``, so it stays an attribute of the tensor.
+    @property
+    def _grad_fn(self):
+        return None if self._node is None else self._node.grad_fn
+
+    @_grad_fn.setter
+    def _grad_fn(self, fn):
+        self._node.grad_fn = fn
 
     @property
     def shape(self):
@@ -120,23 +132,46 @@ def all_finite(a: np.ndarray) -> bool:
     return bool(np.isfinite(fast)) or bool(np.all(np.isfinite(a)))
 
 
+class _Node:
+    """A tensor's place on the tape: the gradient summed so far, its parents'
+    nodes (``None`` for a parent that needs no grad), the ``grad_fn`` that maps
+    its gradient to theirs, and a weak reference to the tensor, with the shape
+    and dtype its gradient must have. ``grad_fn`` closes over the arrays its
+    backward reads, so the node keeps no tensor alive."""
+
+    __slots__ = ("grad", "parents", "grad_fn", "ref", "shape", "dtype")
+
+    def __init__(self, t, parents=(), grad_fn=None):
+        self.grad = None
+        self.parents = parents
+        self.grad_fn = grad_fn
+        self.ref = weakref.ref(t)
+        self.shape = t.data.shape
+        self.dtype = t.data.dtype
+
+
+def _parent_node(t):
+    # A leaf's node is made here, one per use, and has no grad_fn: backward
+    # hands each gradient for it straight to the tensor.
+    if not t.requires_grad:
+        return None
+    return t._node if t._node is not None else _Node(t)
+
+
 def _from_op(data, parents, grad_fn, what):
     """Build an op output, checked by ``all_finite`` on every call, taped or
-    not. It tracks its parents iff recording is on and any of them requires
-    grad; otherwise ``grad_fn`` and whatever it closes over are dropped here."""
+    not. It gets a tape node linked to its parents' nodes iff recording is on
+    and any parent requires grad; otherwise ``grad_fn`` and whatever it closes
+    over are dropped here. Either way the output holds no parent tensor."""
     if not all_finite(data):
         raise NumericsError(f"{what} produced NaN/Inf values")
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    if _records(*parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._grad_fn = grad_fn
-    else:
-        out.requires_grad = False
-        out._parents = ()
-        out._grad_fn = None
+    out.requires_grad = _records(*parents)
+    out._node = None
+    if out.requires_grad:
+        out._node = _Node(out, tuple(_parent_node(p) for p in parents), grad_fn)
     return out
 
 
@@ -155,8 +190,12 @@ def parameter(data, dtype=np.float32) -> Tensor:
 def backward(root: Tensor):
     """Reverse-mode accumulation from a scalar root through its single-use tape.
 
-    Each node is let go once its ``grad_fn`` has run, so a tensor keeps its
-    ``.grad`` only while the caller holds it: parameters, captures, the root.
+    The walk runs over tape nodes. A leaf's gradients go to the tensor as they
+    arrive (``g``, or ``grad + g`` onto a gradient it already has). An op
+    output's node sums its gradients, hands the sum to its tensor if that is
+    still alive (the root, captured stage outputs, logits the caller holds),
+    runs its ``grad_fn`` and lets go of it, so every activation only that
+    ``grad_fn`` read is freed as the walk passes.
     """
     if root.ndim != 0:
         raise ShapeError(f"backward root must be a scalar, got shape {root.shape}")
@@ -165,36 +204,40 @@ def backward(root: Tensor):
     if root._grad_fn is None:
         raise RuntimeError("backward root has no tape: a leaf, or backward already ran on it")
 
-    # Iterative topological sort over tracked nodes.
-    topo, visited, stack = [], set(), [(root, False)]
+    # Iterative topological sort over the nodes still to walk; leaves, and
+    # outputs an earlier backward walked, have no grad_fn and take no turn.
+    topo, visited, stack = [], set(), [(root._node, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             topo.append(node)
             continue
-        if id(node) in visited:
+        if node in visited:
             continue
-        visited.add(id(node))
+        visited.add(node)
         stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in visited:
+        for p in node.parents:
+            if p is not None and p.grad_fn is not None and p not in visited:
                 stack.append((p, False))
 
-    root.grad = np.ones((), dtype=root.dtype)
+    root._node.grad = np.ones((), dtype=root.dtype)
     while topo:
         node = topo.pop()
-        if node._grad_fn is None:
-            continue
-        grads = node._grad_fn(node.grad)
-        for parent, g in zip(node._parents, grads):
-            if not parent.requires_grad:
+        t = node.ref()
+        if t is not None:
+            t.grad = node.grad
+        grads = node.grad_fn(node.grad)
+        for p, g in zip(node.parents, grads):
+            if p is None:
                 continue
-            if g.shape != parent.data.shape or g.dtype != parent.dtype:
-                raise ShapeError(f"grad {g.dtype} {g.shape} for tensor {parent.dtype} {parent.shape}")
-            parent.grad = g if parent.grad is None else parent.grad + g
-        # Release the closure so saved activations can be freed.
-        node._parents = ()
-        node._grad_fn = None
+            if g.shape != p.shape or g.dtype != p.dtype:
+                raise ShapeError(f"grad {g.dtype} {g.shape} for tensor {p.dtype} {p.shape}")
+            if p.grad_fn is not None:
+                p.grad = g if p.grad is None else p.grad + g
+            elif (pt := p.ref()) is not None:
+                pt.grad = g if pt.grad is None else pt.grad + g
+        # Release the gradient and the closure so saved activations can be freed.
+        node.grad, node.parents, node.grad_fn = None, (), None
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +255,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_dtype(a, b)
     if a.shape != b.shape:
         raise ShapeError(f"mul shape mismatch: {a.shape} vs {b.shape}")
-    return _from_op(a.data * b.data, (a, b),
-                    lambda g: (g * b.data, g * a.data), "mul")
+    ad, bd = a.data, b.data
+    return _from_op(ad * bd, (a, b), lambda g: (g * bd, g * ad), "mul")
 
 
 def mul_const(x: Tensor, arr) -> Tensor:
@@ -227,12 +270,12 @@ def scale_channels(x: Tensor, alpha: Tensor) -> Tensor:
     _check_same_dtype(x, alpha)
     if x.ndim != 4 or alpha.ndim != 1 or alpha.shape[0] != x.shape[1]:
         raise ShapeError(f"scale_channels: x {x.shape}, alpha {alpha.shape}")
-    a4 = alpha.data[None, :, None, None]
+    xd, a4 = x.data, alpha.data[None, :, None, None]
 
     def grad_fn(g):
-        return g * a4, np.einsum("nchw,nchw->c", g, x.data, optimize=True)
+        return g * a4, np.einsum("nchw,nchw->c", g, xd, optimize=True)
 
-    return _from_op(x.data * a4, (x, alpha), grad_fn, "scale_channels")
+    return _from_op(xd * a4, (x, alpha), grad_fn, "scale_channels")
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -245,8 +288,11 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 
 def sum_all(x: Tensor) -> Tensor:
+    shape, dt = x.shape, x.dtype
+
     def grad_fn(g):
-        return (np.full(x.shape, g, dtype=x.dtype),)
+        return (np.full(shape, g, dtype=dt),)
+
     return _from_op(x.data.sum(dtype=x.dtype), (x,), grad_fn, "sum_all")
 
 
@@ -318,9 +364,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, spec: ConvSpec) -> Tensor:
     # reshape + GEMM.
     # Depth-wise is checked first: a 1-channel conv is both.
     if spec.groups == cin and cout == cin and cpg == 1:
-        y, grad_fn = _conv_depthwise(x, weight, spec, ho, wo)
+        y, grad_fn = _conv_depthwise(x.data, weight.data, spec, ho, wo)
     elif spec.groups == 1:
-        y, grad_fn = _conv_dense(x, weight, spec, ho, wo)
+        y, grad_fn = _conv_dense(x.data, weight.data, spec, ho, wo)
     else:
         raise ShapeError(f"conv2d supports dense (groups=1) or depth-wise (groups == cin == cout) "
                          f"convs, got {cin} -> {cout} channels in {spec.groups} groups")
@@ -353,14 +399,17 @@ def _conv_depthwise(x, weight, spec, ho, wo):
     dh, dw = spec.dilation
     ph, pw = spec.padding
     wp = w + 2 * pw
-    w3 = weight.data.reshape(c, kh, kw)
+    w3 = weight.reshape(c, kh, kw)
     cols = np.arange(wo)
     taps = cols * sw + np.arange(kw)[:, None] * dw  # (kw, Wo) band row of each tap
     cb = max(1, _BLOCK // (ho * n * wp))
     blocks = [slice(c0, min(c0 + cb, c)) for c0 in range(0, c, cb)]
 
     def channel_major(a, blk):
-        # channels blk of (N, C, H, W) -> (cb, Hp, N, Wp), zero-padded
+        # channels blk of (N, C, H, W) -> (cb, Hp, N, Wp), zero-padded. Unpadded
+        # (the temporal branch) at N = 1 (every eval clip) it is a view of a.
+        if ph == pw == 0:
+            return np.ascontiguousarray(a[:, blk].transpose(1, 2, 0, 3))
         t = np.zeros((blk.stop - blk.start, h + 2 * ph, n, wp), dtype=a.dtype)
         t[:, ph: ph + h, :, pw: pw + w] = a[:, blk].transpose(1, 2, 0, 3)
         return t
@@ -385,7 +434,7 @@ def _conv_depthwise(x, weight, spec, ho, wo):
     acc = np.empty((min(cb, c), ho * n, wo), dtype=x.dtype)
     tmp = np.empty_like(acc)
     for blk in blocks:
-        xt = channel_major(x.data, blk)
+        xt = channel_major(x, blk)
         k = xt.shape[0]
         a, t = acc[:k], tmp[:k]
         np.matmul(mat(rows(xt, 0)), band(0, blk), out=a)
@@ -398,7 +447,7 @@ def _conv_depthwise(x, weight, spec, ho, wo):
         gw = np.empty((c, kh, kw), dtype=x.dtype)
         tmp = np.empty((min(cb, c), ho * n, wp), dtype=x.dtype)
         for blk in blocks:
-            xt = channel_major(x.data, blk)
+            xt = channel_major(x, blk)
             k = xt.shape[0]
             gt = np.ascontiguousarray(g[:, blk].transpose(1, 2, 0, 3)).reshape(k, ho * n, wo)
             gxt = np.zeros_like(xt)
@@ -442,8 +491,8 @@ def _conv_dense(x, weight, spec, ho, wo):
                          f"{spec} does not tile a {h}x{w} input")
     perm = (0, 1, *taps, *pixels)
     k = cin * kh * kw
-    cols = x.data.reshape(split).transpose(perm).reshape(n, k, ho * wo)
-    w2 = weight.data.reshape(cout, k)
+    cols = x.reshape(split).transpose(perm).reshape(n, k, ho * wo)
+    w2 = weight.reshape(cout, k)
     y = np.matmul(w2, cols).reshape(n, cout, ho, wo)
 
     def grad_fn(g):
@@ -483,7 +532,7 @@ def layer_norm_channels(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-
     y += beta.data[None, :, None, None]
 
     def grad_fn(g):
-        gxh = g * gamma.data[None, :, None, None]
+        gxh = g * g4
         m1 = gxh.mean(axis=1, keepdims=True)
         m2 = (gxh * xhat).mean(axis=1, keepdims=True)
         gx = inv * (gxh - m1 - xhat * m2)
@@ -501,20 +550,26 @@ _GELU_A = 0.044715
 def gelu(x: Tensor) -> Tensor:
     """Elementwise GELU, tanh approximation.
 
-    Forward and backward walk flat views in blocks of ``_BLOCK`` elements, so
-    each block's chain of passes stays in cache. Every element sees the same
-    ops in the same order as the whole-array chain. Only a taped call keeps
-    tanh, for backward; otherwise tanh is written into the output's block.
-    Backward needs one block of scratch per call.
+    The forward walks flat views in blocks of ``_BLOCK`` elements, so each
+    block's chain of passes stays in cache. Every element sees the same ops in
+    the same order as the whole-array chain. Untaped, tanh is written into the
+    output's block. Taped, each block's tanh goes to scratch and dy/dx is
+    computed from it at once, with the ops and order of the whole-array
+    backward; the tape keeps dy/dx alone, not x or tanh, and backward
+    multiplies it by the incoming gradient in place.
     """
     xf = x.data.reshape(-1)
-    th = np.empty_like(xf) if _records(x) else None
     y = np.empty(x.shape, dtype=x.dtype)
     yf = y.reshape(-1)
+    taped = _records(x)
+    if taped:
+        d = np.empty(x.shape, dtype=x.dtype)
+        df = d.reshape(-1)
+        th, scratch = np.empty((2, min(xf.size, _BLOCK)), dtype=x.dtype)
     for s in range(0, xf.size, _BLOCK):
         blk = slice(s, s + _BLOCK)
         xb, yb = xf[blk], yf[blk]
-        tb = yb if th is None else th[blk]
+        tb = th[:xb.size] if taped else yb
         np.multiply(xb, xb, out=tb)
         tb *= xb
         tb *= _GELU_A
@@ -524,16 +579,12 @@ def gelu(x: Tensor) -> Tensor:
         np.add(tb, 1.0, out=yb)
         yb *= xb
         yb *= 0.5
-
-    def grad_fn(g):
-        gf = g.reshape(-1)
-        gx = np.empty(x.shape, dtype=x.dtype)
-        gxf = gx.reshape(-1)
-        scratch = np.empty(min(xf.size, _BLOCK), dtype=x.dtype)
-        for s in range(0, xf.size, _BLOCK):
-            blk = slice(s, s + _BLOCK)
-            xb, tb, gb, db = xf[blk], th[blk], gf[blk], gxf[blk]
-            a = scratch[:xb.size]
+        if not taped:
+            continue
+        # A non-finite x makes NaNs here (inf * 0) that y shows as well, so
+        # the finite check on y reports it, not a warning from this pass.
+        with np.errstate(invalid="ignore", over="ignore"):
+            db, a = df[blk], scratch[:xb.size]
             np.multiply(tb, tb, out=a)
             np.subtract(1.0, a, out=a)           # sech2 = 1 - th*th
             np.multiply(0.5, xb, out=db)
@@ -546,8 +597,9 @@ def gelu(x: Tensor) -> Tensor:
             np.add(tb, 1.0, out=a)
             a *= 0.5
             db += a                              # d = 0.5*(1+th) + ((0.5*x)*sech2)*du
-            db *= gb
-        return (gx,)
+
+    def grad_fn(g):
+        return (np.multiply(d, g, out=d),)  # the tape is walked once, so d is free to take
 
     return _from_op(y, (x,), grad_fn, "gelu")
 
@@ -560,7 +612,7 @@ def global_avg_pool(x: Tensor) -> Tensor:
     y = x.data.mean(axis=(2, 3))
 
     def grad_fn(g):
-        return (np.broadcast_to(g[:, :, None, None] / (h * w), x.shape),)
+        return (np.broadcast_to(g[:, :, None, None] / (h * w), (n, c, h, w)),)
 
     return _from_op(y, (x,), grad_fn, "global_avg_pool")
 
@@ -572,11 +624,12 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     _check_same_dtype(x, weight, bias)
     if bias.shape != (weight.shape[0],):
         raise ShapeError(f"bias shape {bias.shape} != ({weight.shape[0]},)")
-    y = x.data @ weight.data.T + bias.data
+    xd, wd = x.data, weight.data
+    y = xd @ wd.T + bias.data
 
     def grad_fn(g):
-        gx = g @ weight.data
-        gw = g.T @ x.data
+        gx = g @ wd
+        gw = g.T @ xd
         return gx, gw, g.sum(axis=0)
 
     return _from_op(y, (x, weight, bias), grad_fn, "linear")
@@ -604,16 +657,17 @@ def softmax_cross_entropy(logits: Tensor, labels) -> tuple:
     if labels.min() < 0 or labels.max() >= k:
         raise ValueError(f"label out of range [0, {k})")
 
+    dt = logits.dtype
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
     logp = z - lse
     probs = np.exp(logp)
-    loss_val = np.asarray(-logp[np.arange(n), labels].mean(), dtype=logits.dtype)
+    loss_val = np.asarray(-logp[np.arange(n), labels].mean(), dtype=dt)
 
     def grad_fn(g):
         gl = probs.copy()
         gl[np.arange(n), labels] -= 1.0
-        return ((g / n) * gl.astype(logits.dtype),)
+        return ((g / n) * gl.astype(dt),)
 
     loss = _from_op(loss_val, (logits,), grad_fn, "softmax_cross_entropy")
     return loss, probs

@@ -1,6 +1,7 @@
 """Collage movement, temporal branch, block fusion, and whole-model behavior."""
 import io
 import json
+import weakref
 import zipfile
 from dataclasses import replace
 
@@ -357,15 +358,57 @@ def test_only_training_or_capture_forwards_record_a_tape():
     model = build_model(toy_config(), 8)
     clip = rng(22).random((9, 3, 64, 64)).astype(np.float32)
     logits = model.forward(clip, training=False)
-    assert not logits.requires_grad and logits._parents == ()
+    assert not logits.requires_grad and logits._node is None
     with pytest.raises(ValueError):
         T.backward(T.sum_all(logits))
     captured = model.forward(clip, training=False, capture={})
-    assert captured.requires_grad and captured._parents
+    assert captured.requires_grad and captured._node.parents
     trained = model.forward(clip, training=True, rng=np.random.default_rng(0))
-    assert trained.requires_grad and trained._parents
+    assert trained.requires_grad and trained._node.parents
     # the in-place ops of the untaped forward give the taped forward's numbers
     assert np.array_equal(logits.data, captured.data)
+
+
+def test_block_tape_keeps_no_output_that_no_backward_reads(monkeypatch):
+    # The dw output feeds tile_grid, tile_grid's feeds the layer norm and the
+    # drop-path output feeds the residual add: none of their backwards reads
+    # them, so a taped block must not keep them once it returns.
+    from vidconv import model as M
+    block = build_model(toy_config(), 6).layers[2].blocks[0]  # with the temporal branch
+    monkeypatch.setattr(block, "drop_prob", 0.5)
+    dw_weight, refs = block.dw.weight, {}
+
+    def keep(name, fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            refs[name] = (weakref.ref(out), weakref.ref(out.data))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(block, "dw", keep("dw", block.dw))
+    monkeypatch.setattr(M, "tile_grid", keep("tile_grid", M.tile_grid))
+    monkeypatch.setattr(M, "drop_path", keep("drop_path", M.drop_path))
+    x = T.Tensor(rng(13).standard_normal((2, 32, 12, 12)).astype(np.float32), requires_grad=True)
+    y = block(x, collaged=True, training=True, rng=np.random.default_rng(1))
+    assert sorted(refs) == ["drop_path", "dw", "tile_grid"]
+    alive = [name for name, pair in refs.items() if any(r() is not None for r in pair)]
+    assert not alive, f"the tape keeps {alive}"
+    T.backward(T.sum_all(y))
+    assert x.grad is not None and dw_weight.grad is not None
+
+
+def test_backward_hands_gradients_to_the_root_and_captured_stages():
+    model = build_model(toy_config(), 8)
+    clip = rng(22).random((2 * 9, 3, 64, 64)).astype(np.float32)
+    caps = {"stage2": None, "stage4": None}
+    logits = model.forward(clip, training=True, rng=np.random.default_rng(0), capture=caps)
+    loss, probs = T.softmax_cross_entropy(logits, np.array([0, 1]))
+    T.backward(loss)
+    assert loss.grad == 1.0
+    np.testing.assert_allclose(logits.grad, (probs - np.eye(2)[[0, 1]]) / 2, atol=1e-6)
+    for name, t in caps.items():
+        assert t.grad is not None and t.grad.shape == t.shape, name
+        assert np.any(t.grad != 0), name
 
 
 def test_failed_eval_forward_restores_recording():

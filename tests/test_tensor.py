@@ -1,6 +1,7 @@
 """Forward-behavior tests for the tensor op set."""
 import math
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -472,6 +473,30 @@ def test_untaped_ops_leave_input_unchanged(op, untaped):
             y = run(x, requires_grad=True)
     assert np.array_equal(x.data, before)
     assert np.array_equal(y, taped)
+
+
+def test_gelu_tape_does_not_keep_its_input():
+    # backward reads only dy/dx, so the input (here an op output that no
+    # other backward reads) is freed once the caller lets go of it
+    x = make((2, 3, 4, 5), seed=4, requires_grad=True)
+    h = T.mul_const(x, np.float32(2.0))
+    refs = (weakref.ref(h), weakref.ref(h.data))
+    y = T.gelu(h)
+    del h
+    assert all(r() is None for r in refs)
+    T.backward(T.sum_all(y))
+    _, grad_ref = gelu_whole_array(2.0 * x.data)
+    np.testing.assert_array_equal(x.grad, 2.0 * grad_ref(np.ones(x.shape, np.float32)))
+
+
+def test_taped_gelu_on_non_finite_input_raises_numerics_error_not_a_warning():
+    # dy/dx at +inf is inf * 0; the finite check on y must report it, not a warning
+    x = np.zeros((3, 4), dtype=np.float32)
+    x[0, 0], x[1, 1] = np.inf, np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match="gelu"):
+            T.gelu(T.Tensor(x, requires_grad=True))
 
 
 def test_global_avg_pool_values():
