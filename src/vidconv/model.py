@@ -408,8 +408,9 @@ class Block:
     def __call__(self, x, collaged, training, rng):
         f = self.fuse(x, collaged)
         y = self.norm(f)
-        y = self.pw1(y)
-        y = T.gelu(y)
+        # pw1's output is dead once GELU has read it: the dense conv's backward
+        # reads its input, not its output. So GELU may write y over it.
+        y = T.gelu(self.pw1(y), overwrite_x=True)
         y = self.pw2(y)
         y = T.scale_channels(y, self.layer_scale)
         y = drop_path(y, self.drop_prob, rng, training)
@@ -485,7 +486,9 @@ class Neck:
         if self.collage_first:
             x = collage(x, self.grid)
         y = T.conv2d(x, self.weight, self.bias, _tile_spec(x.shape[2:], self.grid))
-        return T.gelu(self.norm(y))
+        # The norm's output is dead once GELU has read it (layer norm's
+        # backward reads its normalised input), so GELU may write y over it.
+        return T.gelu(self.norm(y), overwrite_x=True)
 
     def plan(self, ext):
         if self.collage_first:

@@ -31,8 +31,10 @@ def _as_float_array(data, dtype):
 class Tensor:
     """Row-major dense array of reals (0 to 4 axes) with optional grad tracking.
 
-    Data is immutable by convention after construction, and gradients are
-    never written in place; two tensors may share one. A recorded op output
+    Data is immutable by convention after construction, except where a caller
+    lets ``gelu`` write over an input that nothing reads afterwards
+    (``overwrite_x``). Gradients are never written in place; two tensors may
+    share one. A recorded op output
     (see ``recording``) gets a ``_Node`` on the tape, which links to its
     parents' nodes, not to the parent tensors: an op output that no
     ``grad_fn`` reads is freed once the caller lets go of it. An unrecorded
@@ -340,7 +342,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, spec: ConvSpec) -> Tensor:
     block of channels at a time and kept by neither the output nor the tape
     (see ``_conv_depthwise``); a dense conv must read each input pixel
     exactly once (see ``_conv_dense``). Differentiable with respect to
-    input, weight, and bias.
+    input, weight, and bias; a dense conv's backward skips the gradient of
+    an input that needs none.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d expects 4D input/weight, got {x.shape} / {weight.shape}")
@@ -366,7 +369,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, spec: ConvSpec) -> Tensor:
     if spec.groups == cin and cout == cin and cpg == 1:
         y, grad_fn = _conv_depthwise(x.data, weight.data, spec, ho, wo)
     elif spec.groups == 1:
-        y, grad_fn = _conv_dense(x.data, weight.data, spec, ho, wo)
+        y, grad_fn = _conv_dense(x.data, weight.data, spec, ho, wo, x.requires_grad)
     else:
         raise ShapeError(f"conv2d supports dense (groups=1) or depth-wise (groups == cin == cout) "
                          f"convs, got {cin} -> {cout} channels in {spec.groups} groups")
@@ -464,13 +467,14 @@ def _conv_depthwise(x, weight, spec, ho, wo):
     return y, grad_fn
 
 
-def _conv_dense(x, weight, spec, ho, wo):
+def _conv_dense(x, weight, spec, ho, wo, need_gx):
     # Every dense conv the model runs reads each input pixel exactly once, so
     # im2col is a reshape plus a transpose (a view for 1x1) and its backward
     # is the inverse transpose. Along each axis the input splits into
     # (out, k) when stride = kernel and dilation = 1 (1x1, stem, downsample),
     # or into (k, out) when stride = 1 and dilation = out (the neck: kernel =
-    # grid, dilation = tile). Any other geometry raises.
+    # grid, dilation = tile). Any other geometry raises. Without need_gx (the
+    # stem, whose input is the clip) backward returns None for the input.
     n, cin, h, w = x.shape
     cout = weight.shape[0]
     kh, kw = spec.kernel
@@ -499,6 +503,8 @@ def _conv_dense(x, weight, spec, ho, wo):
         gm = g.reshape(n, cout, ho * wo)
         # (cout, k) is the GEMM's own output order, so gw is C-contiguous, not a transposed view
         gw = np.tensordot(gm, cols, axes=([0, 2], [0, 2])).reshape(weight.shape)
+        if not need_gx:
+            return None, gw, _bias_grad(g)
         gcols = np.matmul(w2.T, gm).reshape(n, cin, kh, kw, ho, wo)
         gx = gcols.transpose(np.argsort(perm)).reshape(x.shape)
         return gx, gw, _bias_grad(g)
@@ -547,56 +553,64 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
-def gelu(x: Tensor) -> Tensor:
+def gelu(x: Tensor, overwrite_x: bool = False) -> Tensor:
     """Elementwise GELU, tanh approximation.
 
     The forward walks flat views in blocks of ``_BLOCK`` elements, so each
     block's chain of passes stays in cache. Every element sees the same ops in
-    the same order as the whole-array chain. Untaped, tanh is written into the
-    output's block. Taped, each block's tanh goes to scratch and dy/dx is
-    computed from it at once, with the ops and order of the whole-array
-    backward; the tape keeps dy/dx alone, not x or tanh, and backward
-    multiplies it by the incoming gradient in place.
+    the same order as the whole-array chain. Each block's tanh goes to
+    scratch; taped, dy/dx is computed from x and tanh at once, with the ops
+    and order of the whole-array backward, before y is written. The tape
+    keeps dy/dx alone, not x or tanh, and backward multiplies it by the
+    incoming gradient in place.
+
+    ``overwrite_x`` lets y be written into x's buffer, as ``scipy.linalg``'s
+    ``overwrite_a`` does: a caller passes it only when nothing reads x's data
+    afterwards. It takes effect when ``x.data`` is C-contiguous and writeable;
+    otherwise y is a new array, as without it.
     """
     xf = x.data.reshape(-1)
-    y = np.empty(x.shape, dtype=x.dtype)
+    if overwrite_x and x.data.flags.c_contiguous and x.data.flags.writeable:
+        y = x.data
+    else:
+        y = np.empty(x.shape, dtype=x.dtype)
     yf = y.reshape(-1)
     taped = _records(x)
     if taped:
         d = np.empty(x.shape, dtype=x.dtype)
         df = d.reshape(-1)
-        th, scratch = np.empty((2, min(xf.size, _BLOCK)), dtype=x.dtype)
-    for s in range(0, xf.size, _BLOCK):
-        blk = slice(s, s + _BLOCK)
-        xb, yb = xf[blk], yf[blk]
-        tb = th[:xb.size] if taped else yb
-        np.multiply(xb, xb, out=tb)
-        tb *= xb
-        tb *= _GELU_A
-        tb += xb
-        tb *= _GELU_C
-        np.tanh(tb, out=tb)
-        np.add(tb, 1.0, out=yb)
-        yb *= xb
-        yb *= 0.5
-        if not taped:
-            continue
-        # A non-finite x makes NaNs here (inf * 0) that y shows as well, so
-        # the finite check on y reports it, not a warning from this pass.
-        with np.errstate(invalid="ignore", over="ignore"):
-            db, a = df[blk], scratch[:xb.size]
-            np.multiply(tb, tb, out=a)
-            np.subtract(1.0, a, out=a)           # sech2 = 1 - th*th
-            np.multiply(0.5, xb, out=db)
-            db *= a                              # (0.5*x)*sech2
-            np.multiply(xb, xb, out=a)
-            np.multiply(3.0 * _GELU_A, a, out=a)
-            a += 1.0
-            a *= _GELU_C                         # du = C*(1 + 3A*(x*x))
-            db *= a
-            np.add(tb, 1.0, out=a)
-            a *= 0.5
-            db += a                              # d = 0.5*(1+th) + ((0.5*x)*sech2)*du
+        scratch = np.empty(min(xf.size, _BLOCK), dtype=x.dtype)
+    th = np.empty(min(xf.size, _BLOCK), dtype=x.dtype)
+    # A non-finite x makes NaNs here (inf * 0, or 0 * -inf) that y shows, so
+    # the finite check on y reports it, not a warning from these passes.
+    with np.errstate(invalid="ignore", over="ignore"):
+        for s in range(0, xf.size, _BLOCK):
+            blk = slice(s, s + _BLOCK)
+            xb, yb = xf[blk], yf[blk]
+            tb = th[:xb.size]
+            np.multiply(xb, xb, out=tb)
+            tb *= xb
+            tb *= _GELU_A
+            tb += xb
+            tb *= _GELU_C
+            np.tanh(tb, out=tb)
+            if taped:
+                db, a = df[blk], scratch[:xb.size]
+                np.multiply(tb, tb, out=a)
+                np.subtract(1.0, a, out=a)           # sech2 = 1 - th*th
+                np.multiply(0.5, xb, out=db)
+                db *= a                              # (0.5*x)*sech2
+                np.multiply(xb, xb, out=a)
+                np.multiply(3.0 * _GELU_A, a, out=a)
+                a += 1.0
+                a *= _GELU_C                         # du = C*(1 + 3A*(x*x))
+                db *= a
+                np.add(tb, 1.0, out=a)
+                a *= 0.5
+                db += a                              # d = 0.5*(1+th) + ((0.5*x)*sech2)*du
+            tb += 1.0
+            tb *= xb
+            np.multiply(tb, 0.5, out=yb)             # x's last read is above: yb may be xb
 
     def grad_fn(g):
         return (np.multiply(d, g, out=d),)  # the tape is walked once, so d is free to take

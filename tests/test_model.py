@@ -397,6 +397,53 @@ def test_block_tape_keeps_no_output_that_no_backward_reads(monkeypatch):
     assert x.grad is not None and dw_weight.grad is not None
 
 
+@pytest.mark.parametrize("training", [False, True], ids=["eval", "training"])
+def test_gelu_writes_over_pw1_and_neck_norm_outputs(monkeypatch, training):
+    # Nothing reads pw1's or the neck norm's output after GELU, so GELU's
+    # output takes their buffers, and the numbers are those of a GELU that
+    # allocates its output.
+    model = build_model(toy_config(), 7)
+    params = model.parameters()
+    pw1_weights = {id(p) for n, p in params.items() if n.endswith(".pw1.weight")}
+    clip = rng(23).random((2 * 9, 3, 64, 64)).astype(np.float32)
+    conv2d, gelu = T.conv2d, T.gelu
+
+    def run(gelu_fn):
+        monkeypatch.setattr(T, "gelu", gelu_fn)
+        logits = model.forward(clip, training=training, rng=np.random.default_rng(0))
+        grads = {}
+        if training:
+            T.backward(T.sum_all(T.mul(logits, logits)))
+            grads = {n: p.grad for n, p in params.items()}
+            model.zero_grad()
+        return logits.data, grads
+
+    pw1_out, gelu_io = [], []
+
+    def spy_conv2d(x, weight, bias, spec):
+        y = conv2d(x, weight, bias, spec)
+        if id(weight) in pw1_weights:
+            pw1_out.append(y.data)
+        return y
+
+    def spy_gelu(x, **kwargs):
+        y = gelu(x, **kwargs)
+        gelu_io.append((x.data, y.data))
+        return y
+
+    monkeypatch.setattr(T, "conv2d", spy_conv2d)
+    logits, grads = run(spy_gelu)
+    assert len(pw1_out) == len(pw1_weights) == 5 and len(gelu_io) == 6  # 5 blocks, then the neck
+    for h, (x, y) in zip(pw1_out, gelu_io):
+        assert x is h and np.shares_memory(y, h)
+    assert np.shares_memory(*gelu_io[-1])
+    ref_logits, ref_grads = run(lambda x, **kwargs: gelu(x))
+    assert np.array_equal(logits, ref_logits)
+    assert grads.keys() == ref_grads.keys()
+    assert all(g is not None for g in grads.values())
+    assert all(np.array_equal(grads[n], ref_grads[n]) for n in grads)
+
+
 def test_backward_hands_gradients_to_the_root_and_captured_stages():
     model = build_model(toy_config(), 8)
     clip = rng(22).random((2 * 9, 3, 64, 64)).astype(np.float32)

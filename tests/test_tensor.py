@@ -368,6 +368,19 @@ def test_conv2d_purity_bit_identical():
     assert np.array_equal(a, b)
 
 
+def test_conv2d_dense_on_a_no_grad_input_returns_no_input_gradient():
+    # The stem's input is the clip: backward must not compute a gradient for it
+    w, b = make((4, 3, 2, 2), seed=1, requires_grad=True), make((4,), seed=2, requires_grad=True)
+    spec = T.ConvSpec(kernel=(2, 2), stride=(2, 2))
+    g = rng(3).standard_normal((2, 4, 3, 3)).astype(np.float32)
+    x = make((2, 3, 6, 6))
+    gx, gw, gb = T.conv2d(x, w, b, spec)._grad_fn(g)
+    assert gx is None
+    ref = T.conv2d(T.Tensor(x.data, requires_grad=True), w, b, spec)._grad_fn(g)
+    assert ref[0].shape == x.shape
+    assert np.array_equal(gw, ref[1]) and np.array_equal(gb, ref[2])
+
+
 # ---------------------------------------------------------------------------
 # layer norm / gelu / pooling
 
@@ -430,26 +443,44 @@ def gelu_whole_array(x):
     return y, grad
 
 
-@pytest.mark.parametrize("mode", ["taped", "no-grad-input", "recording-off"])
+@pytest.mark.parametrize("mode", ["taped", "no-grad-input", "recording-off",
+                                  "taped-overwrite", "no-grad-input-overwrite"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_gelu_blocks_equal_the_whole_array_chain(dtype, mode):
     shape = (2, 4, 8, 2 * T._BLOCK // 64 + 5)  # two full blocks and a short third
     x = (3.0 * rng(11).standard_normal(shape)).astype(dtype)
     g = rng(12).standard_normal(shape).astype(dtype)
-    y_ref, grad_ref = gelu_whole_array(x)
-    if mode == "taped":
+    y_ref, grad_ref = gelu_whole_array(x.copy())
+    overwrite = mode.endswith("-overwrite")
+    if mode.startswith("taped"):
         t = T.Tensor(x, requires_grad=True)
-        y = T.gelu(t)
+        y = T.gelu(t, overwrite_x=overwrite)
         T.backward(T.sum_all(T.mul_const(y, g)))  # hands gelu's backward exactly g
         assert np.array_equal(t.grad, grad_ref(g))
-    elif mode == "no-grad-input":
-        y = T.gelu(T.Tensor(x))
+    elif mode.startswith("no-grad-input"):
+        y = T.gelu(T.Tensor(x), overwrite_x=overwrite)
     else:
         with T.recording(False):
             y = T.gelu(T.Tensor(x, requires_grad=True))
         assert not y.requires_grad
     assert y.dtype == dtype
     assert np.array_equal(y.data, y_ref)
+    assert np.shares_memory(y.data, x) == overwrite
+
+
+@pytest.mark.parametrize("layout", ["transposed", "read-only"])
+def test_gelu_overwrite_allocates_when_it_cannot_write_over_x(layout):
+    base = 3.0 * rng(13).standard_normal((4, 5, 6, 7)).astype(np.float32)
+    before = base.copy()
+    if layout == "transposed":
+        x = base.transpose(0, 1, 3, 2)
+    else:
+        x = base.view()
+        x.flags.writeable = False
+    y = T.gelu(T.Tensor(x), overwrite_x=True)
+    assert not np.shares_memory(y.data, base)
+    assert np.array_equal(base, before)
+    assert np.array_equal(y.data, gelu_whole_array(np.array(x))[0])
 
 
 @pytest.mark.parametrize("untaped", ["no-grad-input", "recording-off"])
@@ -490,13 +521,17 @@ def test_gelu_tape_does_not_keep_its_input():
 
 
 def test_taped_gelu_on_non_finite_input_raises_numerics_error_not_a_warning():
-    # dy/dx at +inf is inf * 0; the finite check on y must report it, not a warning
-    x = np.zeros((3, 4), dtype=np.float32)
-    x[0, 0], x[1, 1] = np.inf, np.nan
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(NumericsError, match="gelu"):
-            T.gelu(T.Tensor(x, requires_grad=True))
+    # At +inf dy/dx is inf * 0, and at -inf y is 0 * -inf: taped or not, and
+    # writing over x or not, the finite check on y must report it, not a warning
+    for bad in (np.inf, -np.inf, np.nan):
+        for requires_grad in (True, False):
+            for overwrite_x in (False, True):
+                x = np.zeros((3, 4), dtype=np.float32)
+                x[1, 1] = bad
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(NumericsError, match="gelu"):
+                        T.gelu(T.Tensor(x, requires_grad=requires_grad), overwrite_x=overwrite_x)
 
 
 def test_global_avg_pool_values():
