@@ -224,17 +224,14 @@ def drop_path(x: T.Tensor, prob: float, rng, training: bool) -> T.Tensor:
 # initialization
 
 
-_INIT_CHUNK = 1 << 16
-
-
 def trunc_normal(rng, shape, std=0.02):
     """float32 N(0, std) draws clipped at +-2 std. The float64 draws are made
-    in chunks of ``_INIT_CHUNK`` values: the same numbers, and the same rng
+    in chunks of ``tensor._BLOCK`` values: the same numbers, and the same rng
     state after, as one full-size draw, without its full-size temporaries."""
     out = np.empty(shape, dtype=np.float32)
     flat = out.reshape(-1)
-    buf = np.empty(min(flat.size, _INIT_CHUNK))
-    for start in range(0, flat.size, _INIT_CHUNK):
+    buf = np.empty(min(flat.size, T._BLOCK))
+    for start in range(0, flat.size, T._BLOCK):
         vals = buf[: flat.size - start]  # the last chunk may be short
         rng.standard_normal(out=vals)
         vals *= std
@@ -406,8 +403,9 @@ class Block:
         return tile_grid(s, T.scale_channels(t, self.alpha), self.grid, collaged)
 
     def __call__(self, x, collaged, training, rng):
-        f = self.fuse(x, collaged)
-        y = self.norm(f)
+        # Only the layer norm reads the fused map, and its backward reads its
+        # own xhat, so the map is freed here rather than live through the MLP.
+        y = self.norm(self.fuse(x, collaged))
         # pw1's output is dead once GELU has read it: the dense conv's backward
         # reads its input, not its output. So GELU may write y over it.
         y = T.gelu(self.pw1(y), overwrite_x=True)

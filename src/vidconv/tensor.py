@@ -337,13 +337,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, spec: ConvSpec) -> Tensor:
     """2D cross-correlation NCHW -> NC'H'W', depth-wise or dense, plus a bias.
 
     ``weight`` is (Cout, Cin/groups, kh, kw) and ``bias`` is (Cout,): every
-    conv in the model has one. Depth-wise convs take any stride, dilation and
-    padding, and run on channel-major (C, H, N, W) copies of the input, made a
-    block of channels at a time and kept by neither the output nor the tape
-    (see ``_conv_depthwise``); a dense conv must read each input pixel
-    exactly once (see ``_conv_dense``). Differentiable with respect to
-    input, weight, and bias; a dense conv's backward skips the gradient of
-    an input that needs none.
+    conv in the model has one. Depth-wise convs run at stride 1, with any
+    dilation and padding, on channel-major (C, Hp*N, Wp) copies of the padded
+    input, made a block of channels at a time and kept by neither the output
+    nor the tape (see ``_conv_depthwise``); a dense conv must read each input
+    pixel exactly once (see ``_conv_dense``). Any other conv raises
+    ``ShapeError``. Differentiable with respect to input, weight, and bias; a
+    dense conv's backward skips the gradient of an input that needs none.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d expects 4D input/weight, got {x.shape} / {weight.shape}")
@@ -362,17 +362,18 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, spec: ConvSpec) -> Tensor:
     if ho < 1 or wo < 1:
         raise ShapeError(f"conv2d output extent not positive: {(ho, wo)} for input {(h, w)}")
 
-    # Two kernels: depth-wise (the block's 7x7 and the temporal branch) ->
-    # channel-major banded GEMM; dense (1x1, stem, downsample, neck) ->
-    # reshape + GEMM.
-    # Depth-wise is checked first: a 1-channel conv is both.
-    if spec.groups == cin and cout == cin and cpg == 1:
+    # Two kernels: depth-wise at stride 1 (the block's 7x7 and the temporal
+    # branch) -> channel-major banded GEMM; dense (1x1, stem, downsample,
+    # neck) -> reshape + GEMM. The model downsamples only in its dense convs.
+    # Depth-wise is checked first: a 1-channel stride-1 conv is both.
+    if spec.groups == cin and cout == cin and cpg == 1 and tuple(spec.stride) == (1, 1):
         y, grad_fn = _conv_depthwise(x.data, weight.data, spec, ho, wo)
     elif spec.groups == 1:
         y, grad_fn = _conv_dense(x.data, weight.data, spec, ho, wo, x.requires_grad)
     else:
-        raise ShapeError(f"conv2d supports dense (groups=1) or depth-wise (groups == cin == cout) "
-                         f"convs, got {cin} -> {cout} channels in {spec.groups} groups")
+        raise ShapeError(f"conv2d runs depth-wise convs (groups == cin == cout) at stride 1 with "
+                         f"any dilation and padding, and dense convs (groups=1) that read each "
+                         f"input pixel once: got {spec} on {cin} -> {cout} channels")
 
     y += bias.data[None, :, None, None]  # y is freshly allocated above
     return _from_op(y, (x, weight, bias), grad_fn, "conv2d")
@@ -383,47 +384,40 @@ def _bias_grad(g):
 
 
 def _conv_depthwise(x, weight, spec, ho, wo):
-    # Banded GEMM over a channel-major copy of the padded input, (C, Hp, N, Wp).
-    # For kernel row i the Ho input rows of all N frames form one (Ho*N, Wp)
-    # matrix per channel, times that channel's (Wp, Wo) band, which holds row
-    # i's kw taps at columns o*sw + j*dw: one GEMM per channel and kernel row,
-    # N frames tall. The weight gradient sums the frames inside its GEMM
-    # (K = Ho*N). BLAS spends extra MACs on the band's zeros, but nothing like
-    # the (kh*kw)x patch copy of a window view plus einsum is built.
+    # Banded GEMM over a channel-major copy of the padded input, (C, Hp*N, Wp):
+    # padded row r of frame f is row r*N + f, so at stride 1 kernel row i reads
+    # the contiguous rows [i*dh*N, i*dh*N + Ho*N) of each channel, one (Ho*N, Wp)
+    # matrix, times that channel's (Wp, Wo) band, which holds row i's kw taps
+    # at columns o + j*dw: one GEMM per channel and kernel row, N frames tall.
+    # The weight gradient sums the frames inside its GEMM (K = Ho*N). BLAS
+    # spends extra MACs on the band's zeros, but nothing like the (kh*kw)x
+    # patch copy of a window view plus einsum is built.
     # The channels are walked in blocks whose (Ho*N, Wp) row matrices hold
     # about _BLOCK floats, so a block's copy, row sums and gradients stay in
     # cache and no input-sized channel-major copy exists. Backward copies
     # each block again from x rather than keep the copies on the tape.
-    # Serves every stride, dilation and padding: the 7x7 spatial conv and the
-    # temporal branch (kernel = grid, dilation = tile, no padding).
+    # Serves stride 1 with any dilation and padding: the 7x7 spatial conv and
+    # the temporal branch (kernel = grid, dilation = tile, no padding).
     n, c, h, w = x.shape
     kh, kw = spec.kernel
-    sh, sw = spec.stride
     dh, dw = spec.dilation
     ph, pw = spec.padding
-    wp = w + 2 * pw
+    hp, wp = h + 2 * ph, w + 2 * pw
     w3 = weight.reshape(c, kh, kw)
     cols = np.arange(wo)
-    taps = cols * sw + np.arange(kw)[:, None] * dw  # (kw, Wo) band row of each tap
+    taps = cols + np.arange(kw)[:, None] * dw  # (kw, Wo) band row of each tap
+    span = [slice(r, r + ho * n) for r in range(0, kh * dh * n, dh * n)]  # rows of kernel row i
     cb = max(1, _BLOCK // (ho * n * wp))
     blocks = [slice(c0, min(c0 + cb, c)) for c0 in range(0, c, cb)]
 
     def channel_major(a, blk):
-        # channels blk of (N, C, H, W) -> (cb, Hp, N, Wp), zero-padded. Unpadded
+        # channels blk of (N, C, H, W) -> (cb, Hp*N, Wp), zero-padded. Unpadded
         # (the temporal branch) at N = 1 (every eval clip) it is a view of a.
         if ph == pw == 0:
-            return np.ascontiguousarray(a[:, blk].transpose(1, 2, 0, 3))
-        t = np.zeros((blk.stop - blk.start, h + 2 * ph, n, wp), dtype=a.dtype)
+            return np.ascontiguousarray(a[:, blk].transpose(1, 2, 0, 3)).reshape(-1, hp * n, wp)
+        t = np.zeros((blk.stop - blk.start, hp, n, wp), dtype=a.dtype)
         t[:, ph: ph + h, :, pw: pw + w] = a[:, blk].transpose(1, 2, 0, 3)
-        return t
-
-    def rows(a, i):
-        # kernel row i's input rows, (cb, Ho, N, Wp): a view
-        return a[:, i * dh: i * dh + (ho - 1) * sh + 1: sh]
-
-    def mat(r):
-        # (cb, Ho, N, Wp) -> (cb, Ho*N, Wp): a view at stride 1, a copy otherwise
-        return r.reshape(r.shape[0], ho * n, wp)
+        return t.reshape(-1, hp * n, wp)
 
     def band(i, blk):
         # Built per block and row, and again in backward rather than kept: a
@@ -440,9 +434,9 @@ def _conv_depthwise(x, weight, spec, ho, wo):
         xt = channel_major(x, blk)
         k = xt.shape[0]
         a, t = acc[:k], tmp[:k]
-        np.matmul(mat(rows(xt, 0)), band(0, blk), out=a)
+        np.matmul(xt[:, span[0]], band(0, blk), out=a)
         for i in range(1, kh):
-            a += np.matmul(mat(rows(xt, i)), band(i, blk), out=t)
+            a += np.matmul(xt[:, span[i]], band(i, blk), out=t)
         y[:, blk] = a.reshape(k, ho, n, wo).transpose(2, 0, 1, 3)
 
     def grad_fn(g):
@@ -456,12 +450,11 @@ def _conv_depthwise(x, weight, spec, ho, wo):
             gxt = np.zeros_like(xt)
             for i in range(kh):
                 b = band(i, blk)
-                # through the 4-D row view: at stride > 1, mat() of it would be a copy
-                gx_rows = rows(gxt, i)
-                gx_rows += np.matmul(gt, b.swapaxes(1, 2), out=tmp[:k]).reshape(k, ho, n, wp)
-                gband = np.matmul(mat(rows(xt, i)).swapaxes(1, 2), gt)
+                gxt[:, span[i]] += np.matmul(gt, b.swapaxes(1, 2), out=tmp[:k])
+                gband = np.matmul(xt[:, span[i]].swapaxes(1, 2), gt)
                 gw[blk, i] = gband[:, taps, cols].sum(axis=2)  # read the kw diagonals back
-            gx[:, blk] = gxt[:, ph: ph + h, :, pw: pw + w].transpose(2, 0, 1, 3)
+            gxt = gxt.reshape(k, hp, n, wp)[:, ph: ph + h, :, pw: pw + w]
+            gx[:, blk] = gxt.transpose(2, 0, 1, 3)
         return gx, gw.reshape(weight.shape), _bias_grad(g)
 
     return y, grad_fn

@@ -297,8 +297,6 @@ def train(model, train_ds, val_ds, cfg: TrainConfig, root_seed: int = 0,
                                        rng=state.streams["droppath"])
                 loss, _ = T.softmax_cross_entropy(logits, labels)
                 loss_val = loss.item()
-                if not math.isfinite(loss_val):
-                    raise NumericsError("training loss is not finite")
                 T.backward(loss)
             except NumericsError as exc:
                 raise DivergenceError(

@@ -69,10 +69,11 @@ def test_conv2d_strided_gradients(seed):
     check_gradients(build, arrays, rel_tol=REL_TOL)
 
 
-def test_conv2d_strided_depthwise_gradients():
+def test_conv2d_depthwise_nonsquare_dilated_padded_gradients():
+    # two frames: the kernel interleaves their rows in its channel-major copy
     r = rng(17)
-    arrays = {"x": randn(r, (1, 3, 9, 9)), "w": randn(r, (3, 1, 3, 3)), "b": randn(r, (3,))}
-    spec = T.ConvSpec(kernel=(3, 3), stride=(2, 2), padding=(1, 1), groups=3)
+    arrays = {"x": randn(r, (2, 3, 7, 8)), "w": randn(r, (3, 1, 3, 5)), "b": randn(r, (3,))}
+    spec = T.ConvSpec(kernel=(3, 5), dilation=(2, 1), padding=(1, 2), groups=3)
 
     def build(t):
         y = T.conv2d(t["x"], t["w"], t["b"], spec)

@@ -10,9 +10,9 @@ import pytest
 
 from vidconv import tensor as T
 from vidconv.errors import ConfigError, NumericsError, ShapeError
-from vidconv.model import (_INIT_CHUNK, ModelConfig, _tile_spec, _uncollage_arr, build_model,
-                           collage, config_from_dict, config_to_dict, frame_mean, make_config,
-                           tile_grid, trunc_normal, uncollage)
+from vidconv.model import (ModelConfig, _tile_spec, _uncollage_arr, build_model, collage,
+                           config_from_dict, config_to_dict, frame_mean, make_config, tile_grid,
+                           trunc_normal, uncollage)
 from conftest import check_gradients, conv2d_loops, rng
 
 
@@ -398,6 +398,35 @@ def test_block_tape_keeps_no_output_that_no_backward_reads(monkeypatch):
 
 
 @pytest.mark.parametrize("training", [False, True], ids=["eval", "training"])
+def test_block_frees_the_fused_map_before_pw1(monkeypatch, training):
+    # Only the layer norm reads the fused map (tile_grid's output), and its
+    # backward reads its own xhat, so nothing holds the map once pw1 runs:
+    # there, in stage 1 of an eval forward, one C map less is live.
+    from vidconv import model as M
+    block = build_model(toy_config(), 6).layers[2].blocks[0]  # with the temporal branch
+    tile, pw1 = M.tile_grid, block.pw1
+    fused, alive_at_pw1 = [], []
+
+    def spy_tile_grid(*args):
+        out = tile(*args)
+        fused.append((weakref.ref(out), weakref.ref(out.data)))
+        return out
+
+    def spy_pw1(y):
+        alive_at_pw1.append([r() is not None for pair in fused for r in pair])
+        return pw1(y)
+
+    monkeypatch.setattr(M, "tile_grid", spy_tile_grid)
+    monkeypatch.setattr(block, "pw1", spy_pw1)
+    x = T.Tensor(rng(13).standard_normal((2, 32, 12, 12)).astype(np.float32),
+                 requires_grad=training)
+    with T.recording(training):  # as model.forward runs its layers
+        y = block(x, collaged=True, training=training, rng=np.random.default_rng(1))
+    assert alive_at_pw1 == [[False, False]]
+    assert y.requires_grad == training
+
+
+@pytest.mark.parametrize("training", [False, True], ids=["eval", "training"])
 def test_gelu_writes_over_pw1_and_neck_norm_outputs(monkeypatch, training):
     # Nothing reads pw1's or the neck norm's output after GELU, so GELU's
     # output takes their buffers, and the numbers are those of a GELU that
@@ -470,7 +499,7 @@ def test_failed_eval_forward_restores_recording():
     _assert_training_reaches_every_parameter(model, clip)
 
 
-@pytest.mark.parametrize("shape", [(3, _INIT_CHUNK + 5), (5, 7)], ids=["chunks", "one-chunk"])
+@pytest.mark.parametrize("shape", [(3, T._BLOCK + 5), (5, 7)], ids=["chunks", "one-chunk"])
 def test_trunc_normal_equals_one_shot_draw(shape):
     ours, oracle = np.random.default_rng(9), np.random.default_rng(9)
     std = 0.02

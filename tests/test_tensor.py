@@ -212,26 +212,25 @@ def test_conv2d_depthwise_vs_oracle():
     np.testing.assert_allclose(y.data, ref, atol=1e-5)
 
 
-# Depth-wise geometries: (input shape, kernel, stride, dilation, padding).
+# Depth-wise geometries, all at stride 1: (input shape, kernel, dilation, padding).
 DEPTHWISE_GEOMETRIES = {
-    "7x7-pad3": ((2, 3, 9, 10), (7, 7), (1, 1), (1, 1), (3, 3)),
+    "7x7-pad3": ((2, 3, 9, 10), (7, 7), (1, 1), (3, 3)),
     # temporal branch: kernel = (3, 3) grid, dilation = tile, on a 3Ht x 3Wt collage
-    "temporal": ((1, 3, 12, 9), (3, 3), (1, 1), (4, 3), (0, 0)),
-    "nonsquare-strided-dilated": ((2, 3, 11, 12), (3, 5), (2, 3), (2, 1), (1, 2)),
-    "stride-not-dividing": ((1, 3, 11, 11), (3, 3), (3, 3), (1, 1), (1, 0)),
+    "temporal": ((1, 3, 12, 9), (3, 3), (4, 3), (0, 0)),
+    "nonsquare-dilated-padded": ((2, 3, 11, 12), (3, 5), (2, 1), (1, 2)),
 }
 
 
 @pytest.mark.parametrize("geom", sorted(DEPTHWISE_GEOMETRIES))
 def test_conv2d_depthwise_forward_backward_vs_oracle(geom):
-    shape, kernel, stride, dilation, padding = DEPTHWISE_GEOMETRIES[geom]
+    shape, kernel, dilation, padding = DEPTHWISE_GEOMETRIES[geom]
     c = shape[1]
     r = rng(13)
     x = r.standard_normal(shape)
     w = r.standard_normal((c, 1) + kernel)
     b = r.standard_normal(c)
-    spec = T.ConvSpec(kernel=kernel, stride=stride, dilation=dilation, padding=padding, groups=c)
-    ref = conv2d_loops(x, w, b, stride=stride, dilation=dilation, padding=padding, groups=c)
+    spec = T.ConvSpec(kernel=kernel, dilation=dilation, padding=padding, groups=c)
+    ref = conv2d_loops(x, w, b, dilation=dilation, padding=padding, groups=c)
 
     y32 = T.conv2d(*(T.Tensor(a.astype(np.float32)) for a in (x, w, b)), spec)
     assert y32.shape == ref.shape
@@ -241,8 +240,7 @@ def test_conv2d_depthwise_forward_backward_vs_oracle(geom):
     y = T.conv2d(xt, wt, T.Tensor(b), spec)
     g = r.standard_normal(y.shape)
     T.backward(T.sum_all(T.mul_const(y, g)))
-    gx_ref, gw_ref = conv2d_loops_grads(x, w, g, stride=stride, dilation=dilation,
-                                        padding=padding, groups=c)
+    gx_ref, gw_ref = conv2d_loops_grads(x, w, g, dilation=dilation, padding=padding, groups=c)
     np.testing.assert_allclose(xt.grad, gx_ref, rtol=1e-10, atol=1e-10)
     np.testing.assert_allclose(wt.grad, gw_ref, rtol=1e-10, atol=1e-10)
 
@@ -264,18 +262,18 @@ def test_conv2d_depthwise_memory_streams():
 
 
 @pytest.mark.parametrize("taped", [True, False], ids=["taped", "untaped"])
-@pytest.mark.parametrize("geom", ["7x7-pad3", "temporal", "nonsquare-strided-dilated"])
+@pytest.mark.parametrize("geom", ["7x7-pad3", "temporal", "nonsquare-dilated-padded"])
 def test_conv2d_depthwise_forward_holds_only_its_output(geom, taped):
     # Backward rebuilds the padded channel-major input from x, which the tape
     # holds anyway, so from forward to backward a depth-wise conv keeps its
     # output and small closures: no padded copy, and no channel-major buffer
     # left over from forward, taped or not.
-    shape, kernel, stride, dilation, padding = DEPTHWISE_GEOMETRIES[geom]
+    shape, kernel, dilation, padding = DEPTHWISE_GEOMETRIES[geom]
     n, c, h, w = (4 * shape[0], 32 * shape[1], 4 * shape[2], 4 * shape[3])
     x = make((n, c, h, w), seed=16, requires_grad=taped)
     wt = make((c, 1) + kernel, seed=17, requires_grad=taped)
     b = zero_bias(c)
-    spec = T.ConvSpec(kernel=kernel, stride=stride, dilation=dilation, padding=padding, groups=c)
+    spec = T.ConvSpec(kernel=kernel, dilation=dilation, padding=padding, groups=c)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -292,6 +290,8 @@ def test_conv2d_depthwise_forward_holds_only_its_output(geom, taped):
 
 
 def test_conv2d_output_extent_formula_sweep():
+    # At stride 1 a 1-channel conv runs on the depth-wise kernel. At stride 2 it goes
+    # to the dense kernel, which raises: none of these geometries tiles its input.
     h = w = 90
     for k in (1, 3, 7):
         for s in (1, 2):
@@ -300,9 +300,10 @@ def test_conv2d_output_extent_formula_sweep():
                     spec = T.ConvSpec(kernel=(k, k), stride=(s, s), dilation=(d, d),
                                       padding=(p, p))
                     expect = (h + 2 * p - d * (k - 1) - 1) // s + 1
+                    assert spec.out_extent(h, 0) == spec.out_extent(w, 1) == expect
                     x = T.Tensor(np.zeros((1, 1, h, w), dtype=np.float32))
                     wt = T.Tensor(np.zeros((1, 1, k, k), dtype=np.float32))
-                    if expect < 1:
+                    if expect < 1 or s > 1:
                         with pytest.raises(ShapeError):
                             T.conv2d(x, wt, zero_bias(1), spec)
                     else:
@@ -356,6 +357,19 @@ def test_conv2d_dense_rejects_geometries_that_do_not_tile(x_shape, kernel, strid
     spec = T.ConvSpec(kernel=kernel, stride=stride, dilation=dilation, padding=padding)
     with pytest.raises(ShapeError, match="does not tile") as err:
         T.conv2d(make(x_shape), make((3, x_shape[1]) + kernel), zero_bias(3), spec)
+    assert str(spec) in str(err.value)
+
+
+@pytest.mark.parametrize("x_shape,kernel,stride,dilation,padding", [
+    ((2, 3, 11, 12), (3, 5), (2, 3), (2, 1), (1, 2)),
+    ((1, 3, 11, 11), (3, 3), (3, 3), (1, 1), (1, 0)),
+    ((1, 3, 9, 9), (3, 3), (1, 2), (1, 1), (1, 1)),
+], ids=["nonsquare-strided-dilated", "stride-not-dividing", "strided-in-one-axis"])
+def test_conv2d_depthwise_rejects_strides(x_shape, kernel, stride, dilation, padding):
+    c = x_shape[1]
+    spec = T.ConvSpec(kernel=kernel, stride=stride, dilation=dilation, padding=padding, groups=c)
+    with pytest.raises(ShapeError, match="depth-wise .* at stride 1") as err:
+        T.conv2d(make(x_shape), make((c, 1) + kernel), zero_bias(c), spec)
     assert str(spec) in str(err.value)
 
 
