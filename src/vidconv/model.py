@@ -362,7 +362,18 @@ class NormLayer:
 
 class Block:
     """One residual block; with a temporal branch it fuses S + alpha * T, the
-    temporal feature T added to every grid cell of S by broadcast."""
+    temporal feature T added to every grid cell of S by broadcast.
+
+    The pointwise half (layer norm, pw1, GELU, pw2, layer scale) takes one of
+    two paths. A training forward of a block before the collage point runs it
+    as one tiled op, ``tensor.pointwise_mlp``, whose tape keeps only the fused
+    map and the norm's statistics and whose backward recomputes the rest.
+    Backward walks these blocks last, so their tape is what is alive at its
+    peak, and their maps are the largest. Every other forward, and every
+    collaged block, runs the five ops in turn: behind the collage point a
+    recompute costs more time than the tape it saves is worth, and an eval
+    forward records no tape. Both paths give the same output, bit for bit.
+    """
 
     def __init__(self, prefix, channels, grid, temporal, drop_prob):
         c = channels
@@ -403,14 +414,22 @@ class Block:
         return tile_grid(s, T.scale_channels(t, self.alpha), self.grid, collaged)
 
     def __call__(self, x, collaged, training, rng):
-        # Only the layer norm reads the fused map, and its backward reads its
-        # own xhat, so the map is freed here rather than live through the MLP.
-        y = self.norm(self.fuse(x, collaged))
-        # pw1's output is dead once GELU has read it: the dense conv's backward
-        # reads its input, not its output. So GELU may write y over it.
-        y = T.gelu(self.pw1(y), overwrite_x=True)
-        y = self.pw2(y)
-        y = T.scale_channels(y, self.layer_scale)
+        if training and not collaged:
+            # Runs early in the forward, so late in backward, near its peak:
+            # keep one C map on the tape, not eleven (see the class docstring).
+            y = T.pointwise_mlp(self.fuse(x, collaged), self.norm.gamma, self.norm.beta,
+                                self.pw1.weight, self.pw1.bias, self.pw2.weight, self.pw2.bias,
+                                self.layer_scale, eps=LN_EPS)
+        else:
+            # Only the layer norm reads the fused map, and its backward reads
+            # its own xhat, so the map is freed here rather than live through
+            # the MLP.
+            y = self.norm(self.fuse(x, collaged))
+            # pw1's output is dead once GELU has read it: the dense conv's
+            # backward reads its input, not its output. So GELU may write y
+            # over it.
+            y = T.gelu(self.pw1(y), overwrite_x=True)
+            y = T.scale_channels(self.pw2(y), self.layer_scale)
         y = drop_path(y, self.drop_prob, rng, training)
         return T.add(x, y)
 

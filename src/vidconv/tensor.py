@@ -520,26 +520,36 @@ def layer_norm_channels(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-
         raise ShapeError(f"gamma/beta must be ({c},), got {gamma.shape}/{beta.shape}")
     _check_same_dtype(x, gamma, beta)
 
-    mu = x.data.mean(axis=1, keepdims=True)
-    xc = x.data - mu
-    var = np.mean(xc * xc, axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
-    xhat = np.multiply(xc, inv, out=xc)  # xc not needed past this point
+    xhat, _, inv = _ln_normalize(x.data, eps)
     g4 = gamma.data[None, :, None, None]
     # Only backward reads xhat, so without a tape y may take its buffer.
     y = xhat * g4 if _records(x, gamma, beta) else np.multiply(xhat, g4, out=xhat)
     y += beta.data[None, :, None, None]
 
     def grad_fn(g):
-        gxh = g * g4
-        m1 = gxh.mean(axis=1, keepdims=True)
-        m2 = (gxh * xhat).mean(axis=1, keepdims=True)
-        gx = inv * (gxh - m1 - xhat * m2)
-        ggamma = np.einsum("nchw,nchw->c", g, xhat, optimize=True)
-        gbeta = g.sum(axis=(0, 2, 3))
-        return gx, ggamma, gbeta
+        return _ln_grad(g, xhat, inv, g4)
 
     return _from_op(y, (x, gamma, beta), grad_fn, "layer_norm_channels")
+
+
+def _ln_normalize(x, eps):
+    """(x - mean) * inv_std over axis 1 of a (N, C, H, W) array, as a new array,
+    with the per-position mean and inverse std, each (N, 1, H, W)."""
+    mu = x.mean(axis=1, keepdims=True)
+    xc = x - mu
+    var = np.mean(xc * xc, axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
+    return np.multiply(xc, inv, out=xc), mu, inv  # xc not needed past this point
+
+
+def _ln_grad(g, xhat, inv, g4):
+    """Channel layer norm's input, gamma and beta gradients for upstream ``g``."""
+    gxh = g * g4
+    m1 = gxh.mean(axis=1, keepdims=True)
+    m2 = (gxh * xhat).mean(axis=1, keepdims=True)
+    gx = inv * (gxh - m1 - xhat * m2)
+    ggamma = np.einsum("nchw,nchw->c", g, xhat, optimize=True)
+    return gx, ggamma, g.sum(axis=(0, 2, 3))
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -562,18 +572,25 @@ def gelu(x: Tensor, overwrite_x: bool = False) -> Tensor:
     afterwards. It takes effect when ``x.data`` is C-contiguous and writeable;
     otherwise y is a new array, as without it.
     """
-    xf = x.data.reshape(-1)
     if overwrite_x and x.data.flags.c_contiguous and x.data.flags.writeable:
         y = x.data
     else:
         y = np.empty(x.shape, dtype=x.dtype)
-    yf = y.reshape(-1)
-    taped = _records(x)
-    if taped:
-        d = np.empty(x.shape, dtype=x.dtype)
-        df = d.reshape(-1)
-        scratch = np.empty(min(xf.size, _BLOCK), dtype=x.dtype)
-    th = np.empty(min(xf.size, _BLOCK), dtype=x.dtype)
+    d = np.empty(x.shape, dtype=x.dtype) if _records(x) else None
+    _gelu_blocks(x.data.reshape(-1), y.reshape(-1), None if d is None else d.reshape(-1))
+
+    def grad_fn(g):
+        return (np.multiply(d, g, out=d),)  # the tape is walked once, so d is free to take
+
+    return _from_op(y, (x,), grad_fn, "gelu")
+
+
+def _gelu_blocks(xf, yf, df=None):
+    """GELU of the flat array ``xf`` into ``yf`` (which may be ``xf``), and
+    with ``df`` its dy/dx, ``_BLOCK`` elements at a time (see ``gelu``)."""
+    th = np.empty(min(xf.size, _BLOCK), dtype=xf.dtype)
+    if df is not None:
+        scratch = np.empty_like(th)
     # A non-finite x makes NaNs here (inf * 0, or 0 * -inf) that y shows, so
     # the finite check on y reports it, not a warning from these passes.
     with np.errstate(invalid="ignore", over="ignore"):
@@ -587,7 +604,7 @@ def gelu(x: Tensor, overwrite_x: bool = False) -> Tensor:
             tb += xb
             tb *= _GELU_C
             np.tanh(tb, out=tb)
-            if taped:
+            if df is not None:
                 db, a = df[blk], scratch[:xb.size]
                 np.multiply(tb, tb, out=a)
                 np.subtract(1.0, a, out=a)           # sech2 = 1 - th*th
@@ -605,10 +622,112 @@ def gelu(x: Tensor, overwrite_x: bool = False) -> Tensor:
             tb *= xb
             np.multiply(tb, 0.5, out=yb)             # x's last read is above: yb may be xb
 
-    def grad_fn(g):
-        return (np.multiply(d, g, out=d),)  # the tape is walked once, so d is free to take
 
-    return _from_op(y, (x,), grad_fn, "gelu")
+def _position_tiles(n, c, h, w):
+    """Index tuples of the tiles ``pointwise_mlp`` walks on an (N, C, H, W) map,
+    each a 4-D view of about ``_BLOCK // C`` positions, so that the tile's C
+    channels span about ``_BLOCK`` floats: runs of whole items where an item
+    is smaller, otherwise bands of whole rows of one item. The last run or
+    band may be short."""
+    p = max(1, _BLOCK // c)
+    if h * w <= p:
+        run = p // (h * w)
+        return [(slice(i, i + run),) for i in range(0, n, run)]
+    rows = max(1, p // w)
+    return [(slice(i, i + 1), slice(None), slice(r, r + rows))
+            for i in range(n) for r in range(0, h, rows)]
+
+
+def pointwise_mlp(f: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor,
+                  w2: Tensor, b2: Tensor, scale: Tensor, eps: float = 1e-6) -> Tensor:
+    """A block's pointwise half on a (N, C, H, W) map, one tile at a time:
+    ``scale * (pw2(gelu(pw1(layer_norm_channels(f, gamma, beta)))))``, where
+    pw1 and pw2 are 1x1 convs with (K, C, 1, 1) and (C, K, 1, 1) weights.
+
+    Each tile (see ``_position_tiles``) calls the public ``conv2d`` and
+    ``gelu(overwrite_x=True)`` with recording off, so the output is bit for
+    bit that of the five ops in turn, each of those calls runs its finite
+    check, and its (K, P) hidden maps stay in cache. The tape keeps ``f`` and
+    the per-position mean and inverse std of the norm: one C map, where the
+    five ops keep eleven (gradient checkpointing, Chen et al., arXiv
+    1604.06174). Backward rebuilds each tile's norm, pw1 and GELU (the GEMM
+    ``conv2d`` runs and ``_gelu_blocks``, so no finite check runs twice and
+    no MAC is counted twice), and sums the parameter gradients tile by tile.
+    It does not rebuild pw2's output: the scale's gradient, the sum over
+    positions of g * (W2 a + b2), is read off the (C, K) sum of g a^T that
+    pw2's weight gradient needs anyway.
+    """
+    if eps <= 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    if f.ndim != 4:
+        raise ShapeError(f"pointwise_mlp expects 4D input, got {f.shape}")
+    n, c, h, w = f.shape
+    k = w1.shape[0]
+    want = {"gamma": (c,), "beta": (c,), "w1": (k, c, 1, 1), "b1": (k,),
+            "w2": (c, k, 1, 1), "b2": (c,), "scale": (c,)}
+    got = dict(gamma=gamma, beta=beta, w1=w1, b1=b1, w2=w2, b2=b2, scale=scale)
+    bad = {name: t.shape for name, t in got.items() if t.shape != want[name]}
+    if bad:
+        raise ShapeError(f"pointwise_mlp on {c} channels with hidden width {k}: bad shapes {bad}")
+    params = (gamma, beta, w1, b1, w2, b2, scale)
+    _check_same_dtype(f, *params)
+
+    taped = _records(f, *params)
+    tiles = _position_tiles(n, c, h, w)
+    one = ConvSpec(kernel=(1, 1))
+    g4, beta4, s4 = (t.data[None, :, None, None] for t in (gamma, beta, scale))
+    out = np.empty(f.shape, dtype=f.dtype)
+    if taped:
+        mu, inv = np.empty((n, 1, h, w), dtype=f.dtype), np.empty((n, 1, h, w), dtype=f.dtype)
+    with recording(False):
+        for t in tiles:
+            xhat, mu_t, inv_t = _ln_normalize(f.data[t], eps)
+            if taped:
+                mu[t], inv[t] = mu_t, inv_t
+            y = np.multiply(xhat, g4, out=xhat)
+            y += beta4
+            a = gelu(conv2d(Tensor(y), w1, b1, one), overwrite_x=True)
+            np.multiply(conv2d(a, w2, b2, one).data, s4, out=out[t])
+
+    fd, w1m, b1d = f.data, w1.data.reshape(k, c), b1.data[:, None]
+    w2m, b2d, sd = w2.data.reshape(c, k), b2.data, scale.data
+
+    def grad_fn(g):
+        gf = np.empty_like(fd)
+        gw1, gb1 = np.zeros((k, c), dtype=fd.dtype), np.zeros(k, dtype=fd.dtype)
+        ggamma, gbeta = np.zeros(c, dtype=fd.dtype), np.zeros(c, dtype=fd.dtype)
+        gza = np.zeros((c, k), dtype=fd.dtype)  # sum over positions of g * GELU output^T
+        gsum = np.zeros(c, dtype=fd.dtype)
+        w2s_t = (w2m * sd[:, None]).T  # pw2's input gradient with the scale folded in
+        for t in tiles:
+            xhat = np.subtract(fd[t], mu[t])
+            xhat *= inv[t]
+            y = xhat * g4
+            y += beta4
+            m = y.shape[0]
+            y3 = y.reshape(m, c, -1)
+            a = np.matmul(w1m, y3)  # pw1's GEMM in conv2d, so a is the forward's
+            a += b1d
+            d = np.empty_like(a)
+            _gelu_blocks(a.reshape(-1), a.reshape(-1), d.reshape(-1))
+            gt = g[t].reshape(m, c, -1)
+            gza += np.matmul(gt, a.swapaxes(1, 2)).sum(axis=0)
+            gsum += gt.sum(axis=(0, 2))
+            ga = np.matmul(w2s_t, gt)
+            ga *= d
+            gw1 += np.matmul(ga, y3.swapaxes(1, 2)).sum(axis=0)
+            gb1 += ga.sum(axis=(0, 2))
+            gy = np.matmul(w1m.T, ga).reshape(xhat.shape)
+            gf[t], gg, gbt = _ln_grad(gy, xhat, inv[t], g4)
+            ggamma += gg
+            gbeta += gbt
+        # pw2's output is W2 a + b2, so sum(g * it) over positions is the
+        # diagonal of W2 gza^T plus b2 * sum(g)
+        gscale = np.einsum("ck,ck->c", w2m, gza) + b2d * gsum
+        gw2 = (gza * sd[:, None]).reshape(c, k, 1, 1)
+        return gf, ggamma, gbeta, gw1.reshape(k, c, 1, 1), gb1, gw2, gsum * sd, gscale
+
+    return _from_op(out, (f, *params), grad_fn, "pointwise_mlp")
 
 
 def global_avg_pool(x: Tensor) -> Tensor:

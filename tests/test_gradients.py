@@ -198,6 +198,31 @@ def test_composite_chain_gradients():
     check_gradients(build, arrays, rel_tol=REL_TOL)
 
 
+
+@pytest.mark.parametrize("shape,tiles", [
+    ((5, 3, 2, 2), [(2, 3, 2, 2), (2, 3, 2, 2), (1, 3, 2, 2)]),  # runs of whole items
+    ((2, 3, 5, 3), [(1, 3, 2, 3), (1, 3, 2, 3), (1, 3, 1, 3)] * 2),  # bands of rows
+], ids=["item-runs", "row-bands"])
+def test_pointwise_mlp_gradients(monkeypatch, shape, tiles):
+    # _BLOCK = 24 makes tiles of 8 positions on 3 channels: 2x2 items run two
+    # at a time, 5x3 items split into bands of 2 rows, and the last run or
+    # band of each is short.
+    monkeypatch.setattr(T, "_BLOCK", 24)
+    n, c, h, w = shape
+    assert [np.empty(shape)[t].shape for t in T._position_tiles(n, c, h, w)] == tiles
+    k = 4 * c
+    r = rng(90)
+    arrays = {"x": randn(r, shape), "g": 1.0 + 0.2 * randn(r, (c,)), "b": 0.1 * randn(r, (c,)),
+              "w1": 0.5 * randn(r, (k, c, 1, 1)), "b1": 0.3 * randn(r, (k,)),
+              "w2": 0.5 * randn(r, (c, k, 1, 1)), "b2": 0.3 * randn(r, (c,)),
+              "s": 1.0 + 0.3 * randn(r, (c,))}
+
+    def build(t):
+        y = T.pointwise_mlp(t["x"], t["g"], t["b"], t["w1"], t["b1"], t["w2"], t["b2"], t["s"])
+        return T.sum_all(T.mul(y, y))
+
+    check_gradients(build, arrays, rel_tol=REL_TOL)
+
 # Wirings of the whole network: the collage point, the per-frame path that
 # ends in frame_mean (no stacking, no neck), and the neck.
 WHOLE_MODEL_WIRINGS = {

@@ -426,6 +426,60 @@ def test_block_frees_the_fused_map_before_pw1(monkeypatch, training):
     assert y.requires_grad == training
 
 
+def test_pre_collage_block_tape_keeps_only_the_fused_map_and_its_stats(monkeypatch):
+    # A training block before the collage point runs its pointwise half as
+    # pointwise_mlp: its backward rebuilds every tile from the fused map and
+    # the norm's per-position mean and inverse std, so no tile's pw1, GELU or
+    # pw2 output outlives the block.
+    from vidconv import model as M
+    block = build_model(toy_config(), 6).layers[0].blocks[0]  # stage 1
+    monkeypatch.setattr(T, "_BLOCK", 8 * 64)  # 64 positions: 16x16 items in 4-row bands
+    conv2d, gelu, pointwise_mlp = T.conv2d, T.gelu, T.pointwise_mlp
+    tile_outs, ops = [], []
+
+    def keep(fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            if out.shape[2:] == (4, 16):  # a tile's, not the depth-wise conv's
+                tile_outs.append((weakref.ref(out), weakref.ref(out.data)))
+            return out
+        return wrapper
+
+    def spy_pointwise_mlp(f, *args, **kwargs):
+        out = pointwise_mlp(f, *args, **kwargs)
+        ops.append((f.data, out._node))
+        return out
+
+    monkeypatch.setattr(T, "conv2d", keep(conv2d))
+    monkeypatch.setattr(T, "gelu", keep(gelu))
+    monkeypatch.setattr(T, "pointwise_mlp", spy_pointwise_mlp)
+    monkeypatch.setattr(block, "drop_prob", 0.5)
+    x = T.Tensor(rng(13).standard_normal((4, 8, 16, 16)).astype(np.float32), requires_grad=True)
+    with T.recording(True):  # as model.forward runs its layers
+        y = block(x, collaged=False, training=True, rng=np.random.default_rng(1))
+    assert len(ops) == 1 and len(tile_outs) == 16 * 3  # 4 items x 4 bands; pw1, GELU, pw2
+    alive = [i for i, pair in enumerate(tile_outs) if any(r() is not None for r in pair)]
+    assert not alive, f"the tape keeps tile outputs {alive}"
+    fused, node = ops[0]
+    kept = [c.cell_contents for c in node.grad_fn.__closure__
+            if isinstance(c.cell_contents, np.ndarray)]
+    maps = [a for a in kept if a.size > block.pw1.weight.size]  # the rest are parameter-sized
+    assert len(maps) == 3 and sum(a is fused for a in maps) == 1
+    assert sorted(a.shape for a in maps if a is not fused) == [(4, 1, 16, 16)] * 2
+    T.backward(T.sum_all(T.mul(y, y)))
+    assert x.grad is not None and block.pw1.weight.grad is not None
+
+
+@pytest.mark.parametrize("training", [False, True], ids=["eval", "training"])
+def test_nan_pw1_weight_before_the_collage_point_raises(training):
+    model = build_model(toy_config(), 5)
+    model.parameters()["stage1.block0.pw1.weight"].data[3, 2, 0, 0] = np.nan
+    clip = rng(20).random((2 * 9, 3, 64, 64)).astype(np.float32)
+    with pytest.raises(NumericsError, match="conv2d"):
+        model.forward(clip, training=training, rng=np.random.default_rng(0))
+    assert T._recording  # restored on the way out
+
+
 @pytest.mark.parametrize("training", [False, True], ids=["eval", "training"])
 def test_gelu_writes_over_pw1_and_neck_norm_outputs(monkeypatch, training):
     # Nothing reads pw1's or the neck norm's output after GELU, so GELU's

@@ -548,6 +548,63 @@ def test_taped_gelu_on_non_finite_input_raises_numerics_error_not_a_warning():
                         T.gelu(T.Tensor(x, requires_grad=requires_grad), overwrite_x=overwrite_x)
 
 
+def _pointwise_params(c, seed, requires_grad):
+    """gamma, beta, W1, b1, W2, b2 and the layer scale of a block on c channels,
+    drawn off the init so that every branch reaches the output."""
+    r = rng(seed)
+    k = 4 * c
+    arrays = (1.0 + 0.1 * r.standard_normal(c), 0.1 * r.standard_normal(c),
+              0.1 * r.standard_normal((k, c, 1, 1)), 0.1 * r.standard_normal(k),
+              0.05 * r.standard_normal((c, k, 1, 1)), 0.1 * r.standard_normal(c),
+              0.5 + 0.1 * r.standard_normal(c))
+    return [T.Tensor(a.astype(np.float32), requires_grad=requires_grad) for a in arrays]
+
+
+def _pointwise_five_ops(f, gamma, beta, w1, b1, w2, b2, scale):
+    one = T.ConvSpec(kernel=(1, 1))
+    y = T.layer_norm_channels(f, gamma, beta, eps=1e-6)
+    y = T.gelu(T.conv2d(y, w1, b1, one), overwrite_x=True)
+    return T.scale_channels(T.conv2d(y, w2, b2, one), scale)
+
+
+# tiny's stage-1 and stage-2 block maps: 2 clips at 96x96 (runs of whole
+# items) and 1 clip at 224x224 (bands of rows)
+TINY_PRE_COLLAGE_SHAPES = [(18, 96, 24, 24), (18, 192, 12, 12), (9, 96, 56, 56), (9, 192, 28, 28)]
+
+
+@pytest.mark.parametrize("taped", [False, True], ids=["eval", "training"])
+@pytest.mark.parametrize("shape", TINY_PRE_COLLAGE_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_pointwise_mlp_equals_the_five_ops(shape, taped):
+    # Bit for bit in the forward. The gradients sum over tiles, and take the
+    # layer scale's through W2, so they agree to float32 rounding only.
+    f = make(shape, seed=1, requires_grad=taped)
+    params = _pointwise_params(shape[1], 2, taped)
+    ref, got = _pointwise_five_ops(f, *params), T.pointwise_mlp(f, *params)
+    assert got.requires_grad == taped
+    assert np.array_equal(got.data, ref.data)
+    if not taped:
+        return
+    g = rng(3).standard_normal(shape).astype(np.float32)
+    grads = []
+    for y in (ref, got):
+        T.backward(T.sum_all(T.mul_const(y, g)))
+        grads.append([t.grad for t in (f, *params)])
+        for t in (f, *params):
+            t.grad = None
+    worst = max(float(np.abs(a - b).max() / np.abs(a).max()) for a, b in zip(*grads))
+    print(f"pointwise_mlp {shape}: largest gradient difference {worst:.2e} of the largest entry")
+    assert worst < 1e-5
+
+
+def test_pointwise_mlp_checks_shapes():
+    f = make((2, 3, 4, 4))
+    params = _pointwise_params(3, 4, False)
+    with pytest.raises(ShapeError, match="w2"):
+        T.pointwise_mlp(f, *params[:4], T.Tensor(np.zeros((3, 6, 1, 1), np.float32)), *params[5:])
+    with pytest.raises(ShapeError, match="4D"):
+        T.pointwise_mlp(make((3, 4)), *params)
+
+
 def test_global_avg_pool_values():
     x = T.Tensor(np.full((3, 2, 4, 4), 1.5, dtype=np.float32))
     np.testing.assert_array_equal(T.global_avg_pool(x).data, np.full((3, 2), 1.5, np.float32))
