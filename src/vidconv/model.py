@@ -122,20 +122,19 @@ def make_config(variant: str, **overrides) -> ModelConfig:
 # collage data movement (pure rearrangements; gradients are the inverse maps)
 
 
+# Both copy through tensor's thread parts, into new C-contiguous arrays.
 def _collage_arr(a: np.ndarray, h: int, w: int) -> np.ndarray:
     ln, c, ht, wt = a.shape
     n = ln // (h * w)
-    return (a.reshape(n, h, w, c, ht, wt)
-             .transpose(0, 3, 1, 4, 2, 5)
-             .reshape(n, c, h * ht, w * wt))
+    cells = a.reshape(n, h, w, c, ht, wt).transpose(0, 3, 1, 4, 2, 5)
+    return T._contiguous_copy(cells).reshape(n, c, h * ht, w * wt)
 
 
 def _uncollage_arr(a: np.ndarray, h: int, w: int) -> np.ndarray:
     n, c, hh, ww = a.shape
     ht, wt = hh // h, ww // w
-    return (a.reshape(n, c, h, ht, w, wt)
-             .transpose(0, 2, 4, 1, 3, 5)
-             .reshape(n * h * w, c, ht, wt))
+    frames = a.reshape(n, c, h, ht, w, wt).transpose(0, 2, 4, 1, 3, 5)
+    return T._contiguous_copy(frames).reshape(n * h * w, c, ht, wt)
 
 
 def collage(frames: T.Tensor, grid) -> T.Tensor:
@@ -144,8 +143,7 @@ def collage(frames: T.Tensor, grid) -> T.Tensor:
     ln = frames.shape[0]
     if frames.ndim != 4 or ln % (h * w):
         raise ShapeError(f"batch {ln} does not hold whole clips of {h * w} frames")
-    out = _collage_arr(frames.data, h, w)
-    return T._from_op(np.ascontiguousarray(out), (frames,),
+    return T._from_op(_collage_arr(frames.data, h, w), (frames,),
                       lambda g: (_uncollage_arr(g, h, w),), "collage")
 
 
@@ -154,8 +152,7 @@ def uncollage(x: T.Tensor, grid) -> T.Tensor:
     h, w = grid
     if x.ndim != 4 or x.shape[2] % h or x.shape[3] % w:
         raise ShapeError(f"spatial extents {x.shape[2:]} not divisible by grid {tuple(grid)}")
-    out = _uncollage_arr(x.data, h, w)
-    return T._from_op(np.ascontiguousarray(out), (x,),
+    return T._from_op(_uncollage_arr(x.data, h, w), (x,),
                       lambda g: (_collage_arr(g, h, w),), "uncollage")
 
 
@@ -181,7 +178,8 @@ def tile_grid(s: T.Tensor, t: T.Tensor, grid, collaged: bool) -> T.Tensor:
     def grad_fn(g):
         return g, g.reshape(cells).sum(axis=axes)
 
-    y = (s.data.reshape(cells) + tb).reshape(s.shape)
+    y = np.empty(s.shape, dtype=s.dtype)
+    T._map_parts(np.add, y.reshape(cells), s.data.reshape(cells), tb)
     return T._from_op(y, (s, t), grad_fn, "tile_grid")
 
 
@@ -347,8 +345,8 @@ class NormLayer:
         self.beta = _zeros((self.channels,))
         reg.register(self.name, gamma=self.gamma, beta=self.beta)
 
-    def __call__(self, x):
-        return T.layer_norm_channels(x, self.gamma, self.beta, eps=LN_EPS)
+    def __call__(self, x, overwrite_x=False):
+        return T.layer_norm_channels(x, self.gamma, self.beta, eps=LN_EPS, overwrite_x=overwrite_x)
 
     def vec(self, x):
         # (N, C) layer norm via a transient spatial axis pair
@@ -422,9 +420,9 @@ class Block:
                                 self.layer_scale, eps=LN_EPS)
         else:
             # Only the layer norm reads the fused map, and its backward reads
-            # its own xhat, so the map is freed here rather than live through
-            # the MLP.
-            y = self.norm(self.fuse(x, collaged))
+            # its own xhat: an untaped norm writes over the map, and a taped
+            # one lets it be freed here rather than live through the MLP.
+            y = self.norm(self.fuse(x, collaged), overwrite_x=True)
             # pw1's output is dead once GELU has read it: the dense conv's
             # backward reads its input, not its output. So GELU may write y
             # over it.

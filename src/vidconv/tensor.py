@@ -6,13 +6,55 @@ GELU, global pooling, a linear layer, softmax cross-entropy, and small
 elementwise and data-movement helpers. Arrays are 32-bit by default; passing
 float64 inputs runs every op in a 64-bit shadow mode used by the gradient
 checks.
+
+One thread budget. At import the OpenBLAS that numpy loaded is asked how
+many threads it has and is set to one thread, for the whole process; the
+module keeps a pool (``_Pool``) of that many threads less one, because the
+calling thread runs the first part of every split. The reason: after each
+GEMM, OpenBLAS's worker threads spin on the other cores, so numpy's passes
+that follow gained nothing from a second thread. On a 2-vCPU Xeon VM, GELU
+over a (9, 384, 56, 56) map right after a GEMM took 28-30 ms on one thread,
+29-31 ms on two pool threads with BLAS on two threads, and 19.8 ms on two
+pool threads with BLAS on one; the pw1 GEMM of that map took 21.5 ms with
+BLAS on two threads and 18.9 ms with BLAS on one and the frames split over
+two pool threads. One pool with a sequential BLAS inside it is the usual
+intra-op design (PyTorch's ``at::parallel_for``; ``threadpoolctl`` limits
+on BLAS inside joblib workers). Where BLAS's thread count cannot be read
+and set, or is 1 (``OPENBLAS_NUM_THREADS=1``), there is no pool and every
+kernel runs in one part on the calling thread.
+
+The private kernels cut their work into disjoint parts, each run through
+``_parallel``: the dense conv's forward, input-gradient and weight-gradient
+GEMMs (with the bias added in each part); the depth-wise conv's channel
+blocks, forward and backward; GELU's blocks and its backward product; layer
+norm's normalise and affine; the halves of ``all_finite``; the blocks of
+``training.adamw_step`` and of ``training.clip_grad_norm``'s float64 dots;
+``pointwise_mlp``'s backward tiles; and ``add``, ``scale_channels`` and
+``model``'s ``tile_grid`` and collage copies. A split only runs on the pool
+when every part holds enough work (``_PART_CALL``, ``_PART_LOOP``), so
+small maps, such as all of the ``toy`` variant's, run in one part and start
+no thread. No part reorders a reduction, so every output and gradient is
+bit for bit that of one part. Parts never touch the tape or ``recording``,
+call no public function of this module, ``model`` or ``training`` (a
+tracer may wrap those, and time them on one span stack), hand nothing to
+the pool themselves, and allocate nothing much larger than a block: the
+caller makes the outputs and any larger scratch, because glibc gives each
+thread its own heap, which keeps what it frees (a ``tiny`` train step
+peaked 24 MB higher when ``pointwise_mlp``'s backward tiles made their
+K-wide arrays on the pool).
 """
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
+import os
+import queue
+import threading
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -32,13 +74,15 @@ class Tensor:
     """Row-major dense array of reals (0 to 4 axes) with optional grad tracking.
 
     Data is immutable by convention after construction, except where a caller
-    lets ``gelu`` write over an input that nothing reads afterwards
-    (``overwrite_x``). Gradients are never written in place; two tensors may
-    share one. A recorded op output
-    (see ``recording``) gets a ``_Node`` on the tape, which links to its
-    parents' nodes, not to the parent tensors: an op output that no
-    ``grad_fn`` reads is freed once the caller lets go of it. An unrecorded
-    output has no node and does not require grad.
+    lets ``gelu`` or ``layer_norm_channels`` write over an input that nothing
+    reads afterwards (``overwrite_x``). Gradients are never written in place;
+    two tensors may share one. A recorded op output (see ``recording``) gets
+    a ``_Node`` on the tape, which links to its parents' nodes, not to the
+    parent tensors: an op output that no ``grad_fn`` reads is freed once the
+    caller lets go of it. An unrecorded
+    output has no node and does not require grad. Tensors, nodes and the
+    tape are made and walked on the calling thread only: the pool's threads
+    (see the module docstring) see plain arrays.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_node", "__weakref__")
@@ -96,6 +140,7 @@ def recording(on: bool):
 
     The previous setting is restored on exit, also when the block raises.
     The setting is process-wide, like the rest of the tape: not thread-safe.
+    The pool's threads never read or set it; only the calling thread does.
     """
     global _recording
     saved, _recording = _recording, bool(on)
@@ -115,10 +160,169 @@ def _records(*parents) -> bool:
 _BLOCK = 1 << 16  # elements per block of a cache-blocked pass: a few float32 blocks fit in L2
 
 
+# ---------------------------------------------------------------------------
+# the thread budget (see the module docstring)
+
+# OpenBLAS exports its thread calls under a prefix and suffix that depend on
+# how it was built; numpy wheels ship the ``scipy_openblas`` 64-bit build.
+_BLAS_THREAD_CALLS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+                      ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+                      ("openblas_get_num_threads", "openblas_set_num_threads"))
+
+
+def _take_blas_threads() -> int:
+    """Set the OpenBLAS that numpy loaded to one thread and return how many it
+    had; 1 if no OpenBLAS with both calls is found beside numpy."""
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(glob.glob(str(libdir / "*openblas*.so*"))):
+        try:
+            lib = ctypes.CDLL(path)  # the library numpy already holds, not a second copy
+        except OSError:
+            continue
+        for get_name, set_name in _BLAS_THREAD_CALLS:
+            get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is None or put is None:
+                continue
+            get.restype, get.argtypes = ctypes.c_int, []
+            put.restype, put.argtypes = None, [ctypes.c_int]
+            threads = int(get())
+            put(1)
+            return max(1, threads)
+    return 1
+
+
+class _Job:
+    """``part(piece)`` handed to the pool, to run in the numpy error state
+    ``err``; ``done`` is held until it has run, and ``error`` is what it
+    raised, if anything."""
+
+    __slots__ = ("part", "piece", "err", "error", "done")
+
+    def __init__(self, part, piece, err):
+        self.part, self.piece, self.err, self.error = part, piece, err, None
+        self.done = threading.Lock()
+        self.done.acquire()
+
+
+class _Pool:
+    """Daemon threads, started at the first hand-over, that run ``_Job``s in
+    the caller's numpy error state (numpy keeps one per thread). This is the
+    core of ``concurrent.futures.ThreadPoolExecutor``, whose import, with
+    the ``logging`` it loads, adds 0.6 MB to a process."""
+
+    def __init__(self, threads: int):
+        self.threads = threads
+        self._reset()
+        os.register_at_fork(after_in_child=self._reset)  # a forked child has no workers
+
+    def _reset(self):
+        self._jobs, self._started = queue.SimpleQueue(), False
+
+    def run(self, part, piece, err) -> _Job:
+        if not self._started:
+            self._started = True
+            for i in range(self.threads):
+                threading.Thread(target=self._work, name=f"vidconv-{i}", daemon=True).start()
+        job = _Job(part, piece, err)
+        self._jobs.put(job)
+        return job
+
+    def _work(self):
+        while True:
+            job = self._jobs.get()
+            try:
+                with np.errstate(**job.err):
+                    job.part(job.piece)
+            except BaseException as exc:  # handed to the caller
+                job.error = exc
+            finally:
+                job.done.release()
+
+
+_THREADS = _take_blas_threads()
+_POOL = _Pool(_THREADS - 1) if _THREADS > 1 else None
+# Least work a part must hold, in float passes of one thread (a 64K-float
+# block of one elementwise pass takes about 15 us on a 2-vCPU Xeon VM),
+# before a split runs on the pool. Handing a part to a pool thread and
+# waiting for it costs 20-50 us, and each numpy call in a part hands the GIL
+# over once more. So a part that is one numpy call (a GEMM, an elementwise
+# op) pays off from about 100 us of work, and a part that walks blocks, a
+# dozen calls per block, only from about 1 ms: GELU over 4.5 blocks was
+# slower on two threads than on one.
+_PART_CALL = 4 * _BLOCK
+_PART_LOOP = 64 * _BLOCK
+# A GEMM's MAC costs about this many times less than one float pass of an
+# elementwise ufunc: the unit of the work figures handed to ``_cut``.
+_MACS_PER_PASS = 16
+
+_ALL = (slice(None),)  # a whole range, or a whole array, as one part
+_WHOLE = ((),)
+
+
+def _cut(n: int, work: float, least: int):
+    """Slices cutting ``range(n)``, ``n`` units of ``work`` float passes each,
+    into consecutive parts: one per thread at most, each of at least
+    ``least`` work; ``_ALL`` when that is one part, or there is no pool."""
+    if _POOL is None or n < 2 or n * work < 2 * least:
+        return _ALL
+    k = min(_THREADS, n, int(n * work // least))
+    return [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
+
+
+def _slabs(shape, work: float, least: int, axes=None):
+    """Index tuples cutting an array of ``shape`` into parts (see ``_cut``)
+    along the first of ``axes`` (default: every axis, in order) whose extent
+    has room for a part per thread; ``work`` is per element. ``_WHOLE`` when
+    that is one part."""
+    if _POOL is None:
+        return _WHOLE
+    size = math.prod(shape)
+    if size * work < 2 * least:
+        return _WHOLE
+    for ax in range(len(shape)) if axes is None else axes:
+        if shape[ax] >= _THREADS:
+            pieces = _cut(shape[ax], size // shape[ax] * work, least)
+            head = (slice(None),) * ax
+            return _WHOLE if pieces is _ALL else [head + (s,) for s in pieces]
+    return _WHOLE
+
+
+def _at(a, idx):
+    """``a[idx]``, leaving whole the axes ``a`` broadcasts (extent 1)."""
+    return a[tuple(s if a.shape[i] != 1 else slice(None) for i, s in enumerate(idx))]
+
+
+def _parallel(part, pieces):
+    """``part(p)`` for every ``p`` in ``pieces`` (slices, index tuples or
+    tile numbers): the first on the calling thread, the rest on the pool,
+    each in the caller's numpy error state. Returns once every part has,
+    then re-raises the first error a part raised, in the order of
+    ``pieces``. Parts must write disjoint outputs and must not themselves
+    call ``_parallel``."""
+    if _POOL is None or len(pieces) == 1:
+        for piece in pieces:
+            part(piece)
+        return
+    err = np.geterr()
+    jobs = [_POOL.run(part, piece, err) for piece in pieces[1:]]
+    errors = []
+    try:
+        part(pieces[0])
+    except BaseException as exc:  # re-raised below, once the pool's parts are done
+        errors.append(exc)
+    for job in jobs:
+        with job.done:
+            if job.error is not None:
+                errors.append(job.error)
+    if errors:
+        raise errors[0]
+
+
 def all_finite(a: np.ndarray) -> bool:
     """Whether a float array holds no NaN or +-Inf, in one pass and no temporary.
 
-    A C-contiguous array is dotted with itself, at BLAS speed. Squares are
+    A C-contiguous array is dotted with itself, at BLAS speed, in halves
+    that may run on two threads (see ``_parallel``). Squares are
     never negative, so no +Inf can cancel a -Inf: the dot is finite unless an
     element is NaN/Inf or the sum of squares overflows. Any other layout is
     summed in float64, finite on the same terms. A non-finite fast answer is
@@ -126,11 +330,20 @@ def all_finite(a: np.ndarray) -> bool:
     never reported.
     """
     with np.errstate(over="ignore"):  # an overflow only sends the check to the exact pass
-        if a.flags.c_contiguous:
+        if not a.flags.c_contiguous:
+            fast = a.sum(dtype=np.float64)
+        elif (pieces := _cut(2, a.size / 2, _PART_CALL)) is _ALL:
             f = a.reshape(-1)
             fast = np.dot(f, f)
         else:
-            fast = a.sum(dtype=np.float64)
+            f, halves = a.reshape(-1), np.empty(2, dtype=a.dtype)
+
+            def part(s):
+                h = f[f.size * s.start // 2: f.size * s.stop // 2]
+                halves[s] = np.dot(h, h)
+
+            _parallel(part, pieces)
+            fast = halves[0] + halves[1]
     return bool(np.isfinite(fast)) or bool(np.all(np.isfinite(a)))
 
 
@@ -246,11 +459,37 @@ def backward(root: Tensor):
 # elementwise / movement ops
 
 
+def _map_parts(ufunc, out, *operands):
+    """``ufunc(*operands, out=out)``, one pass over ``out``, the operands
+    broadcast to its ndim, split over the parts in slabs of ``out`` (see
+    ``_slabs``). Returns ``out``."""
+    pieces = _slabs(out.shape, 1, _PART_CALL)
+    if pieces is _WHOLE:
+        ufunc(*operands, out=out)
+        return out
+
+    def part(idx):
+        ufunc(*(_at(a, idx) for a in operands), out=out[idx])
+
+    _parallel(part, pieces)
+    return out
+
+
+def _copy(src, out):
+    np.copyto(out, src)
+
+
+def _contiguous_copy(a):
+    """A C-contiguous copy of ``a``, split over the parts."""
+    return _map_parts(_copy, np.empty(a.shape, dtype=a.dtype), a)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_dtype(a, b)
     if a.shape != b.shape:
         raise ShapeError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    return _from_op(a.data + b.data, (a, b), lambda g: (g, g), "add")
+    y = _map_parts(np.add, np.empty(a.shape, dtype=a.dtype), a.data, b.data)
+    return _from_op(y, (a, b), lambda g: (g, g), "add")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -277,7 +516,8 @@ def scale_channels(x: Tensor, alpha: Tensor) -> Tensor:
     def grad_fn(g):
         return g * a4, np.einsum("nchw,nchw->c", g, xd, optimize=True)
 
-    return _from_op(xd * a4, (x, alpha), grad_fn, "scale_channels")
+    y = _map_parts(np.multiply, np.empty(x.shape, dtype=x.dtype), xd, a4)
+    return _from_op(y, (x, alpha), grad_fn, "scale_channels")
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -367,15 +607,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, spec: ConvSpec) -> Tensor:
     # neck) -> reshape + GEMM. The model downsamples only in its dense convs.
     # Depth-wise is checked first: a 1-channel stride-1 conv is both.
     if spec.groups == cin and cout == cin and cpg == 1 and tuple(spec.stride) == (1, 1):
-        y, grad_fn = _conv_depthwise(x.data, weight.data, spec, ho, wo)
+        y, grad_fn = _conv_depthwise(x.data, weight.data, bias.data, spec, ho, wo)
     elif spec.groups == 1:
-        y, grad_fn = _conv_dense(x.data, weight.data, spec, ho, wo, x.requires_grad)
+        y, grad_fn = _conv_dense(x.data, weight.data, bias.data, spec, ho, wo, x.requires_grad)
     else:
         raise ShapeError(f"conv2d runs depth-wise convs (groups == cin == cout) at stride 1 with "
                          f"any dilation and padding, and dense convs (groups=1) that read each "
                          f"input pixel once: got {spec} on {cin} -> {cout} channels")
 
-    y += bias.data[None, :, None, None]  # y is freshly allocated above
     return _from_op(y, (x, weight, bias), grad_fn, "conv2d")
 
 
@@ -383,7 +622,7 @@ def _bias_grad(g):
     return g.sum(axis=(0, 2, 3))
 
 
-def _conv_depthwise(x, weight, spec, ho, wo):
+def _conv_depthwise(x, weight, bias, spec, ho, wo):
     # Banded GEMM over a channel-major copy of the padded input, (C, Hp*N, Wp):
     # padded row r of frame f is row r*N + f, so at stride 1 kernel row i reads
     # the contiguous rows [i*dh*N, i*dh*N + Ho*N) of each channel, one (Ho*N, Wp)
@@ -396,6 +635,8 @@ def _conv_depthwise(x, weight, spec, ho, wo):
     # about _BLOCK floats, so a block's copy, row sums and gradients stay in
     # cache and no input-sized channel-major copy exists. Backward copies
     # each block again from x rather than keep the copies on the tape.
+    # The blocks are split over the parts, forward and backward, each part
+    # with its own block-sized scratch.
     # Serves stride 1 with any dilation and padding: the 7x7 spatial conv and
     # the temporal branch (kernel = grid, dilation = tile, no padding).
     n, c, h, w = x.shape
@@ -419,48 +660,71 @@ def _conv_depthwise(x, weight, spec, ho, wo):
         t[:, ph: ph + h, :, pw: pw + w] = a[:, blk].transpose(1, 2, 0, 3)
         return t.reshape(-1, hp * n, wp)
 
-    def band(i, blk):
-        # Built per block and row, and again in backward rather than kept: a
-        # training tape would hold all kh bands of every depth-wise conv alive
-        # until backward.
-        b = np.zeros((blk.stop - blk.start, wp, wo), dtype=x.dtype)
-        b[:, taps, cols] = w3[blk, i, :, None]
-        return b
+    def bands():
+        # A part's band scratch, zeroed once: every band holds its taps at the
+        # same places, the kw diagonals (o + j*dw, o), written through a
+        # strided view. Filled per block and row, in backward too, rather
+        # than kept: a training tape would hold all kh bands of every
+        # depth-wise conv alive until backward.
+        b = np.zeros((min(cb, c), wp, wo), dtype=x.dtype)
+        s0, s1, s2 = b.strides
+        diag = np.lib.stride_tricks.as_strided(b, (b.shape[0], kw, wo), (s0, dw * s1, s1 + s2))
 
+        def band(i, blk):
+            k = blk.stop - blk.start
+            diag[:k] = w3[blk, i, :, None]
+            return b[:k]
+
+        return band
+
+    # The band GEMMs are small, one per channel: a MAC costs about half a
+    # float pass (a 7x7 conv on (2, 384, 18, 18) takes 5.9 ms on one thread).
+    parts = _cut(len(blocks), kh * cb * ho * n * wp * wo / 2, _PART_LOOP)
     y = np.empty((n, c, ho, wo), dtype=x.dtype)
-    acc = np.empty((min(cb, c), ho * n, wo), dtype=x.dtype)
-    tmp = np.empty_like(acc)
-    for blk in blocks:
-        xt = channel_major(x, blk)
-        k = xt.shape[0]
-        a, t = acc[:k], tmp[:k]
-        np.matmul(xt[:, span[0]], band(0, blk), out=a)
-        for i in range(1, kh):
-            a += np.matmul(xt[:, span[i]], band(i, blk), out=t)
-        y[:, blk] = a.reshape(k, ho, n, wo).transpose(2, 0, 1, 3)
+
+    def forward(part):
+        band = bands()
+        acc = np.empty((min(cb, c), ho * n, wo), dtype=x.dtype)
+        tmp = np.empty_like(acc)
+        for blk in blocks[part]:
+            xt = channel_major(x, blk)
+            k = xt.shape[0]
+            a, t = acc[:k], tmp[:k]
+            np.matmul(xt[:, span[0]], band(0, blk), out=a)
+            for i in range(1, kh):
+                a += np.matmul(xt[:, span[i]], band(i, blk), out=t)
+            a += bias[blk, None, None]
+            y[:, blk] = a.reshape(k, ho, n, wo).transpose(2, 0, 1, 3)
+
+    _parallel(forward, parts)
 
     def grad_fn(g):
         gx = np.empty(x.shape, dtype=x.dtype)
         gw = np.empty((c, kh, kw), dtype=x.dtype)
-        tmp = np.empty((min(cb, c), ho * n, wp), dtype=x.dtype)
-        for blk in blocks:
-            xt = channel_major(x, blk)
-            k = xt.shape[0]
-            gt = np.ascontiguousarray(g[:, blk].transpose(1, 2, 0, 3)).reshape(k, ho * n, wo)
-            gxt = np.zeros_like(xt)
-            for i in range(kh):
-                b = band(i, blk)
-                gxt[:, span[i]] += np.matmul(gt, b.swapaxes(1, 2), out=tmp[:k])
-                gband = np.matmul(xt[:, span[i]].swapaxes(1, 2), gt)
-                gw[blk, i] = gband[:, taps, cols].sum(axis=2)  # read the kw diagonals back
-            gxt = gxt.reshape(k, hp, n, wp)[:, ph: ph + h, :, pw: pw + w]
-            gx[:, blk] = gxt.transpose(2, 0, 1, 3)
+
+        def backward(part):
+            band = bands()
+            tmp = np.empty((min(cb, c), ho * n, wp), dtype=x.dtype)
+            for blk in blocks[part]:
+                xt = channel_major(x, blk)
+                k = xt.shape[0]
+                gt = np.ascontiguousarray(g[:, blk].transpose(1, 2, 0, 3)).reshape(k, ho * n, wo)
+                gxt = np.zeros_like(xt)
+                for i in range(kh):
+                    b = band(i, blk)
+                    gxt[:, span[i]] += np.matmul(gt, b.swapaxes(1, 2), out=tmp[:k])
+                    gband = np.matmul(xt[:, span[i]].swapaxes(1, 2), gt)
+                    gw[blk, i] = gband[:, taps, cols].sum(axis=2)  # read the kw diagonals back
+                gxt = gxt.reshape(k, hp, n, wp)[:, ph: ph + h, :, pw: pw + w]
+                gx[:, blk] = gxt.transpose(2, 0, 1, 3)
+
+        _parallel(backward, parts)
         return gx, gw.reshape(weight.shape), _bias_grad(g)
 
     return y, grad_fn
 
 
-def _conv_dense(x, weight, spec, ho, wo, need_gx):
+def _conv_dense(x, weight, bias, spec, ho, wo, need_gx):
     # Every dense conv the model runs reads each input pixel exactly once, so
     # im2col is a reshape plus a transpose (a view for 1x1) and its backward
     # is the inverse transpose. Along each axis the input splits into
@@ -490,41 +754,101 @@ def _conv_dense(x, weight, spec, ho, wo, need_gx):
     k = cin * kh * kw
     cols = x.reshape(split).transpose(perm).reshape(n, k, ho * wo)
     w2 = weight.reshape(cout, k)
-    y = np.matmul(w2, cols).reshape(n, cout, ho, wo)
+    y = np.empty((n, cout, ho * wo), dtype=x.dtype)
+    _gemm_parts(w2, cols, y, bias)
 
     def grad_fn(g):
         gm = g.reshape(n, cout, ho * wo)
-        # (cout, k) is the GEMM's own output order, so gw is C-contiguous, not a transposed view
-        gw = np.tensordot(gm, cols, axes=([0, 2], [0, 2])).reshape(weight.shape)
+        # gw = sum over items and pixels of gm cols^T, one GEMM with K = n*ho*wo
+        # as np.tensordot lays it out, its rows of gw split over the parts.
+        # (cout, k) is the GEMM's own output order, so gw is C-contiguous.
+        gmk = gm.transpose(1, 0, 2).reshape(cout, n * ho * wo)
+        colsk = cols.transpose(0, 2, 1).reshape(n * ho * wo, k)
+        gw = np.empty((cout, k), dtype=x.dtype)
+
+        def gw_part(s):
+            np.dot(gmk[s], colsk, out=gw[s])
+
+        _parallel(gw_part, _cut(cout, n * ho * wo * k / _MACS_PER_PASS, _PART_CALL))
+        gw = gw.reshape(weight.shape)
         if not need_gx:
             return None, gw, _bias_grad(g)
-        gcols = np.matmul(w2.T, gm).reshape(n, cin, kh, kw, ho, wo)
-        gx = gcols.transpose(np.argsort(perm)).reshape(x.shape)
+        gcols = np.empty((n, k, ho * wo), dtype=x.dtype)
+        _gemm_parts(w2.T, gm, gcols)
+        gx = gcols.reshape(n, cin, kh, kw, ho, wo).transpose(np.argsort(perm)).reshape(x.shape)
         return gx, gw, _bias_grad(g)
 
-    return y, grad_fn
+    return y.reshape(n, cout, ho, wo), grad_fn
+
+
+def _gemm_parts(a, b, out, bias=None):
+    """``out[i] = a @ b[i]``, plus ``bias`` (M,) on each row if given, for the
+    (M, K) matrix ``a`` and each of the items of ``b``, (N, K, P): split by
+    items, or by rows of ``a`` and ``out`` for one item. Each part runs the
+    GEMMs numpy's batched ``matmul`` would, then adds the bias to its part
+    while that is in cache."""
+    n, m = b.shape[0], a.shape[0]
+    work = m * a.shape[1] * b.shape[2] / _MACS_PER_PASS
+
+    if n > 1:
+        def part(s):
+            np.matmul(a, b[s], out=out[s])
+            if bias is not None:
+                out[s] += bias[:, None]
+
+        _parallel(part, _cut(n, work, _PART_CALL))
+    else:
+        def part(s):
+            np.matmul(a[s], b, out=out[:, s])
+            if bias is not None:
+                out[:, s] += bias[s, None]
+
+        _parallel(part, _cut(m, work / m, _PART_CALL))
 
 
 # ---------------------------------------------------------------------------
 # normalization / activation / pooling / head ops
 
 
-def layer_norm_channels(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
-    """Normalize a (N, C, H, W) map across C at every spatial position."""
+def layer_norm_channels(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6,
+                        overwrite_x: bool = False) -> Tensor:
+    """Normalize a (N, C, H, W) map across C at every spatial position.
+
+    The normalise and affine passes are split by items, or by rows of a
+    single item, over the parts (see ``_parallel``); each part reads its
+    whole slice of x before it writes its slice of y. ``overwrite_x`` lets
+    y be written into x's buffer, as ``gelu``'s does: a caller passes it
+    only when nothing reads x's data afterwards. It takes effect when the
+    output is not taped and ``x.data`` is C-contiguous and writeable;
+    otherwise y is a new array, as without it.
+    """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     if x.ndim != 4:
         raise ShapeError(f"layer_norm_channels expects 4D input, got {x.shape}")
-    c = x.shape[1]
+    n, c, h, w = x.shape
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"gamma/beta must be ({c},), got {gamma.shape}/{beta.shape}")
     _check_same_dtype(x, gamma, beta)
 
-    xhat, _, inv = _ln_normalize(x.data, eps)
-    g4 = gamma.data[None, :, None, None]
-    # Only backward reads xhat, so without a tape y may take its buffer.
-    y = xhat * g4 if _records(x, gamma, beta) else np.multiply(xhat, g4, out=xhat)
-    y += beta.data[None, :, None, None]
+    xd, taped = x.data, _records(x, gamma, beta)
+    if overwrite_x and not taped and xd.flags.c_contiguous and xd.flags.writeable:
+        y = xd
+    else:
+        y = np.empty(x.shape, dtype=x.dtype)
+    # Only backward reads xhat, so without a tape y takes its buffer.
+    xhat = np.empty(x.shape, dtype=x.dtype) if taped else y
+    mu, inv = np.empty((n, 1, h, w), dtype=x.dtype), np.empty((n, 1, h, w), dtype=x.dtype)
+    g4, b4 = gamma.data[None, :, None, None], beta.data[None, :, None, None]
+
+    def part(idx):
+        _ln_normalize(xd[idx], xhat[idx], mu[idx], inv[idx], eps)
+        np.multiply(xhat[idx], g4, out=y[idx])
+        y[idx] += b4
+
+    # Charged 7 passes per float, a quarter of its cost: splitting paid off
+    # only on maps of more than about a million floats.
+    _parallel(part, _slabs(x.shape, 7, _PART_LOOP, axes=(0, 2)))
 
     def grad_fn(g):
         return _ln_grad(g, xhat, inv, g4)
@@ -532,14 +856,25 @@ def layer_norm_channels(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-
     return _from_op(y, (x, gamma, beta), grad_fn, "layer_norm_channels")
 
 
-def _ln_normalize(x, eps):
-    """(x - mean) * inv_std over axis 1 of a (N, C, H, W) array, as a new array,
-    with the per-position mean and inverse std, each (N, 1, H, W)."""
-    mu = x.mean(axis=1, keepdims=True)
-    xc = x - mu
-    var = np.mean(xc * xc, axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
-    return np.multiply(xc, inv, out=xc), mu, inv  # xc not needed past this point
+def _ln_normalize(x, out, mu, inv, eps):
+    """(x - mean) * inv_std over axis 1 of a (N, C, H, W) array, into ``out``,
+    which may be ``x``: x is read whole before ``out`` is written. The
+    per-position mean and inverse std go to ``mu`` and ``inv``, each
+    (N, 1, H, W). The squares for the variance are taken one tile of
+    positions (see ``_position_tiles``) at a time, in block-sized scratch."""
+    n, c, h, w = x.shape
+    np.mean(x, axis=1, keepdims=True, out=mu)
+    np.subtract(x, mu, out=out)
+    sq = np.empty(min(x.size, max(_BLOCK, c * w)), dtype=x.dtype)
+    for t in _WHOLE if x.size <= sq.size else _position_tiles(n, c, h, w):
+        ot = out[t]
+        st = sq[:ot.size].reshape(ot.shape)
+        np.multiply(ot, ot, out=st)
+        np.mean(st, axis=1, keepdims=True, out=inv[t])  # the variance, for now
+    inv += np.asarray(eps, dtype=x.dtype)
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    np.multiply(out, inv, out=out)
 
 
 def _ln_grad(g, xhat, inv, g4):
@@ -565,7 +900,8 @@ def gelu(x: Tensor, overwrite_x: bool = False) -> Tensor:
     scratch; taped, dy/dx is computed from x and tanh at once, with the ops
     and order of the whole-array backward, before y is written. The tape
     keeps dy/dx alone, not x or tanh, and backward multiplies it by the
-    incoming gradient in place.
+    incoming gradient in place. The blocks, and backward's product, are
+    split over the parts (see ``_parallel``).
 
     ``overwrite_x`` lets y be written into x's buffer, as ``scipy.linalg``'s
     ``overwrite_a`` does: a caller passes it only when nothing reads x's data
@@ -580,14 +916,33 @@ def gelu(x: Tensor, overwrite_x: bool = False) -> Tensor:
     _gelu_blocks(x.data.reshape(-1), y.reshape(-1), None if d is None else d.reshape(-1))
 
     def grad_fn(g):
-        return (np.multiply(d, g, out=d),)  # the tape is walked once, so d is free to take
+        def part(idx):  # the tape is walked once, so d is free to take
+            np.multiply(d[idx], g[idx], out=d[idx])
+
+        _parallel(part, _slabs(d.shape, 1, _PART_CALL))
+        return (d,)
 
     return _from_op(y, (x,), grad_fn, "gelu")
 
 
 def _gelu_blocks(xf, yf, df=None):
     """GELU of the flat array ``xf`` into ``yf`` (which may be ``xf``), and
-    with ``df`` its dy/dx, ``_BLOCK`` elements at a time (see ``gelu``)."""
+    with ``df`` its dy/dx, ``_BLOCK`` elements at a time (see ``gelu``), the
+    blocks split over the parts."""
+    pieces = _cut(-(-xf.size // _BLOCK), _BLOCK * (12 if df is None else 24), _PART_LOOP)
+    if pieces is _ALL:
+        _gelu_run(xf, yf, df)
+        return
+
+    def part(s):
+        run = slice(s.start * _BLOCK, s.stop * _BLOCK)
+        _gelu_run(xf[run], yf[run], None if df is None else df[run])
+
+    _parallel(part, pieces)
+
+
+def _gelu_run(xf, yf, df=None):
+    """``_gelu_blocks`` on the calling thread alone."""
     th = np.empty(min(xf.size, _BLOCK), dtype=xf.dtype)
     if df is not None:
         scratch = np.empty_like(th)
@@ -647,15 +1002,20 @@ def pointwise_mlp(f: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor
     Each tile (see ``_position_tiles``) calls the public ``conv2d`` and
     ``gelu(overwrite_x=True)`` with recording off, so the output is bit for
     bit that of the five ops in turn, each of those calls runs its finite
-    check, and its (K, P) hidden maps stay in cache. The tape keeps ``f`` and
+    check and splits its own work over the parts, and its (K, P) hidden maps
+    stay in cache. The tiles run one after another: the tracer times the
+    public ops on one span stack, so they are called from this thread alone.
+    The tape keeps ``f`` and
     the per-position mean and inverse std of the norm: one C map, where the
     five ops keep eleven (gradient checkpointing, Chen et al., arXiv
     1604.06174). Backward rebuilds each tile's norm, pw1 and GELU (the GEMM
-    ``conv2d`` runs and ``_gelu_blocks``, so no finite check runs twice and
-    no MAC is counted twice), and sums the parameter gradients tile by tile.
-    It does not rebuild pw2's output: the scale's gradient, the sum over
-    positions of g * (W2 a + b2), is read off the (C, K) sum of g a^T that
-    pw2's weight gradient needs anyway.
+    ``conv2d`` runs and ``_gelu_run``, so no finite check runs twice and no
+    MAC is counted twice), and sums the parameter gradients tile by tile. It
+    runs the tiles in groups, a tile per part, and adds each tile's
+    parameter-gradient partials in tile order, so the sums are those of one
+    thread. It does not rebuild pw2's output: the scale's gradient, the sum
+    over positions of g * (W2 a + b2), is read off the (C, K) sum of g a^T
+    that pw2's weight gradient needs anyway.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -672,19 +1032,17 @@ def pointwise_mlp(f: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor
     params = (gamma, beta, w1, b1, w2, b2, scale)
     _check_same_dtype(f, *params)
 
-    taped = _records(f, *params)
     tiles = _position_tiles(n, c, h, w)
     one = ConvSpec(kernel=(1, 1))
     g4, beta4, s4 = (t.data[None, :, None, None] for t in (gamma, beta, scale))
     out = np.empty(f.shape, dtype=f.dtype)
-    if taped:
-        mu, inv = np.empty((n, 1, h, w), dtype=f.dtype), np.empty((n, 1, h, w), dtype=f.dtype)
+    mu, inv = np.empty((n, 1, h, w), dtype=f.dtype), np.empty((n, 1, h, w), dtype=f.dtype)
     with recording(False):
         for t in tiles:
-            xhat, mu_t, inv_t = _ln_normalize(f.data[t], eps)
-            if taped:
-                mu[t], inv[t] = mu_t, inv_t
-            y = np.multiply(xhat, g4, out=xhat)
+            ft = f.data[t]
+            y = np.empty(ft.shape, dtype=f.dtype)
+            _ln_normalize(ft, y, mu[t], inv[t], eps)
+            y *= g4
             y += beta4
             a = gelu(conv2d(Tensor(y), w1, b1, one), overwrite_x=True)
             np.multiply(conv2d(a, w2, b2, one).data, s4, out=out[t])
@@ -699,28 +1057,63 @@ def pointwise_mlp(f: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor
         gza = np.zeros((c, k), dtype=fd.dtype)  # sum over positions of g * GELU output^T
         gsum = np.zeros(c, dtype=fd.dtype)
         w2s_t = (w2m * sd[:, None]).T  # pw2's input gradient with the scale folded in
-        for t in tiles:
+        # A group of tiles runs on the pool, a tile per part, when each of
+        # its tiles holds a part's work: per position, three GEMMs of C x K
+        # and GELU with dy/dx over K. Otherwise its tiles run in turn.
+        per_position = 3 * c * k / _MACS_PER_PASS + 24 * k
+        step = 1 if _POOL is None else _THREADS
+        groups = [range(lo, min(lo + step, len(tiles))) for lo in range(0, len(tiles), step)]
+        pooled = [min(fd[tiles[j]].size for j in grp) // c * per_position >= _PART_LOOP
+                  for grp in groups]
+
+        def buffers(ft):
+            # tile ft's three K-wide arrays and two (C, K) partials
+            return ([np.empty(ft.size // c * k, dtype=fd.dtype) for _ in range(3)],
+                    np.empty((2, ft.shape[0] * c * k), dtype=fd.dtype),
+                    np.empty((2, c, k), dtype=fd.dtype))
+
+        # A tile on the pool writes these into a set made here, one set per
+        # part of a group (no tile is larger than the first): a pool
+        # thread's heap would keep them (see the module docstring). Its
+        # C-wide arrays are about a block each. A tile run on the calling
+        # thread makes its own.
+        slots = [buffers(fd[tiles[0]]) for _ in range(step)] if any(pooled) else []
+        partials = [None] * len(tiles)
+
+        def tile_grads(piece):
+            j, slot = piece  # tile j, into buffer set slot, or new buffers
+            t = tiles[j]
+            kbuf, mbuf, (gza_t, gw1_t) = buffers(fd[t]) if slot is None else slots[slot]
             xhat = np.subtract(fd[t], mu[t])
             xhat *= inv[t]
             y = xhat * g4
             y += beta4
             m = y.shape[0]
             y3 = y.reshape(m, c, -1)
-            a = np.matmul(w1m, y3)  # pw1's GEMM in conv2d, so a is the forward's
+            a, d, ga = (b[:m * k * y3.shape[2]].reshape(m, k, -1) for b in kbuf)
+            np.matmul(w1m, y3, out=a)  # pw1's GEMM in conv2d, so a is the forward's
             a += b1d
-            d = np.empty_like(a)
-            _gelu_blocks(a.reshape(-1), a.reshape(-1), d.reshape(-1))
+            _gelu_run(a.reshape(-1), a.reshape(-1), d.reshape(-1))
             gt = g[t].reshape(m, c, -1)
-            gza += np.matmul(gt, a.swapaxes(1, 2)).sum(axis=0)
-            gsum += gt.sum(axis=(0, 2))
-            ga = np.matmul(w2s_t, gt)
+            gza_m, gw1_m = mbuf[0, :m * c * k].reshape(m, c, k), mbuf[1, :m * k * c].reshape(m, k, c)
+            np.sum(np.matmul(gt, a.swapaxes(1, 2), out=gza_m), axis=0, out=gza_t)
+            np.matmul(w2s_t, gt, out=ga)
             ga *= d
-            gw1 += np.matmul(ga, y3.swapaxes(1, 2)).sum(axis=0)
-            gb1 += ga.sum(axis=(0, 2))
+            np.sum(np.matmul(ga, y3.swapaxes(1, 2), out=gw1_m), axis=0, out=gw1_t.reshape(k, c))
             gy = np.matmul(w1m.T, ga).reshape(xhat.shape)
             gf[t], gg, gbt = _ln_grad(gy, xhat, inv[t], g4)
-            ggamma += gg
-            gbeta += gbt
+            partials[j] = (gza_t, gt.sum(axis=(0, 2)), gw1_t.reshape(k, c), ga.sum(axis=(0, 2)),
+                           gg, gbt)
+
+        sums = (gza, gsum, gw1, gb1, ggamma, gbeta)
+        for grp, on_pool in zip(groups, pooled):
+            pieces = [(j, slot if on_pool else None) for slot, j in enumerate(grp)]
+            for run in [pieces] if on_pool else [[piece] for piece in pieces]:
+                _parallel(tile_grads, run)
+                for j, _ in run:  # in tile order, whichever thread ran the tile
+                    for total, part in zip(sums, partials[j]):
+                        total += part
+                    partials[j] = None
         # pw2's output is W2 a + b2, so sum(g * it) over positions is the
         # diagonal of W2 gza^T plus b2 * sum(g)
         gscale = np.einsum("ck,ck->c", w2m, gza) + b2d * gsum

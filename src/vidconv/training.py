@@ -60,17 +60,15 @@ def adamw_step(params: dict, state: OptimState, lr_now: float, group_of=None):
     Each parameter, its moments and its gradient are walked together in
     blocks of ``tensor._BLOCK`` floats, writing into two block-sized scratch
     arrays, so the update's temporaries stay in cache. Every element sees
-    the same float32 ops in the same order as the whole-array update.
-    Parameters and moments are updated in place and must be C-contiguous
-    float32; a gradient may have any layout, and one that is not
-    C-contiguous is read through a contiguous copy.
+    the same float32 ops in the same order as the whole-array update. A
+    large parameter's blocks are split over tensor's thread parts, each with
+    its own scratch. Parameters and moments are updated in place and must
+    be C-contiguous float32; a gradient may have any layout, and one that is
+    not C-contiguous is read through a contiguous copy.
     """
     state.step += 1
-    b1, b2 = ADAM_BETAS
-    c1 = 1.0 - b1 ** state.step
-    c2 = 1.0 - b2 ** state.step
-    scratch_a = np.empty(T._BLOCK, dtype=np.float32)  # with a block of p, m, v, g: 1.5 MB, in L2
-    scratch_b = np.empty(T._BLOCK, dtype=np.float32)
+    c1 = 1.0 - ADAM_BETAS[0] ** state.step
+    c2 = 1.0 - ADAM_BETAS[1] ** state.step
     for name, p in params.items():
         g = p.grad
         if g is None:
@@ -84,54 +82,67 @@ def adamw_step(params: dict, state: OptimState, lr_now: float, group_of=None):
             state.v[name] = np.zeros_like(p.data)
         mult = state.multiplier_for(group_of(name)) if group_of else 1.0
         lr_eff = lr_now * mult
-        decay = lr_eff * state.weight_decay
-        pf = _flat_view(p.data, f"parameter {name}")
-        mf = _flat_view(state.m[name], f"Adam m of {name}")
-        vf = _flat_view(state.v[name], f"Adam v of {name}")
-        gf = g.reshape(-1)
-        for start in range(0, pf.size, T._BLOCK):
-            stop = min(start + T._BLOCK, pf.size)
-            pb, mb, vb, gb = pf[start:stop], mf[start:stop], vf[start:stop], gf[start:stop]
-            a, b = scratch_a[: stop - start], scratch_b[: stop - start]
-            mb *= b1
-            np.multiply(1.0 - b1, gb, out=a)
-            mb += a
-            vb *= b2
-            np.multiply(gb, gb, out=a)
-            a *= 1.0 - b2
-            vb += a
-            if lr_eff == 0.0:
-                continue
-            np.divide(vb, c2, out=a)        # vhat
-            np.sqrt(a, out=a)
-            a += ADAM_EPS
-            np.divide(mb, c1, out=b)        # mhat
-            np.divide(b, a, out=a)
-            a *= lr_eff
-            np.multiply(pb, decay, out=b)
-            pb -= b
-            pb -= a
+        flats = (_flat_view(p.data, f"parameter {name}"),
+                 _flat_view(state.m[name], f"Adam m of {name}"),
+                 _flat_view(state.v[name], f"Adam v of {name}"),
+                 g.reshape(-1))
+        blocks = range(0, p.data.size, T._BLOCK)
+        # about 5 ns a float on one thread: 24 float passes
+        T._parallel(lambda part: _adamw_blocks(*flats, blocks[part], c1, c2, lr_eff,
+                                               lr_eff * state.weight_decay),
+                    T._cut(len(blocks), 24 * T._BLOCK, T._PART_LOOP))
+
+
+def _adamw_blocks(pf, mf, vf, gf, starts, c1, c2, lr_eff, decay):
+    """``adamw_step`` on the blocks of one parameter's flat views that begin
+    at ``starts``, with block-sized scratch of its own."""
+    b1, b2 = ADAM_BETAS
+    scratch_a = np.empty(min(pf.size, T._BLOCK), dtype=np.float32)  # with a block of p, m, v, g:
+    scratch_b = np.empty_like(scratch_a)                             # 1.5 MB, in L2
+    for start in starts:
+        stop = min(start + T._BLOCK, pf.size)
+        pb, mb, vb, gb = pf[start:stop], mf[start:stop], vf[start:stop], gf[start:stop]
+        a, b = scratch_a[: stop - start], scratch_b[: stop - start]
+        mb *= b1
+        np.multiply(1.0 - b1, gb, out=a)
+        mb += a
+        vb *= b2
+        np.multiply(gb, gb, out=a)
+        a *= 1.0 - b2
+        vb += a
+        if lr_eff == 0.0:
+            continue
+        np.divide(vb, c2, out=a)        # vhat
+        np.sqrt(a, out=a)
+        a += ADAM_EPS
+        np.divide(mb, c1, out=b)        # mhat
+        np.divide(b, a, out=a)
+        a *= lr_eff
+        np.multiply(pb, decay, out=b)
+        pb -= b
+        pb -= a
 
 
 def clip_grad_norm(params: dict, max_norm: float) -> float:
     """Scale all gradients, rebinding each, so their global L2 norm is at most ``max_norm``.
 
     Returns the norm before clipping. Each gradient is read in blocks of
-    ``tensor._BLOCK`` floats, each converted into one reused float64 block and
+    ``tensor._BLOCK`` floats, each converted into a reused float64 block and
     dotted with itself, so the squares are summed in float64 without a
-    gradient-sized temporary.
+    gradient-sized temporary. A large gradient's blocks are split over
+    tensor's thread parts; the block dots are summed in block order.
     """
-    scratch = np.empty(T._BLOCK, dtype=np.float64)
     total = 0.0
     for p in params.values():
         if p.grad is None:
             continue
         gf = p.grad.reshape(-1)
-        for start in range(0, gf.size, T._BLOCK):
-            blk = gf[start: start + T._BLOCK]
-            b = scratch[: blk.size]
-            b[...] = blk
-            total += float(np.dot(b, b))
+        blocks = range(0, gf.size, T._BLOCK)
+        dots = np.empty(len(blocks), dtype=np.float64)
+        T._parallel(lambda part: _block_dots(gf, blocks, part, dots),
+                    T._cut(len(blocks), 3 * T._BLOCK, T._PART_LOOP))
+        for d in dots:
+            total += float(d)
     norm = math.sqrt(total)
     if max_norm > 0 and norm > max_norm:
         scale = max_norm / (norm + 1e-12)
@@ -139,6 +150,17 @@ def clip_grad_norm(params: dict, max_norm: float) -> float:
             if p.grad is not None:
                 p.grad = p.grad * scale  # not in place: two tensors may share one array
     return norm
+
+
+def _block_dots(gf, blocks, part, dots):
+    """``dots[j]``, the float64 sum of squares of the block of ``gf`` that
+    starts at ``blocks[j]``, for the block numbers ``j`` in the slice ``part``."""
+    scratch = np.empty(min(gf.size, T._BLOCK), dtype=np.float64)
+    for j in range(len(blocks))[part]:
+        blk = gf[blocks[j]: blocks[j] + T._BLOCK]
+        b = scratch[: blk.size]
+        b[...] = blk
+        dots[j] = np.dot(b, b)
 
 
 # ---------------------------------------------------------------------------

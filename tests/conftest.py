@@ -123,3 +123,19 @@ def check_gradients(build, arrays, rel_tol=1e-4, atol=1e-6, h=1e-6):
 @pytest.fixture
 def f64_rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def one_thread_pool():
+    return T._Pool(1)  # its thread starts at the first hand-over
+
+
+@pytest.fixture
+def pool(monkeypatch, one_thread_pool):
+    """tensor's thread pool; where BLAS has one thread and tensor keeps none
+    (as under OPENBLAS_NUM_THREADS=1), a pool of one thread for the test, so
+    that kernels split into two parts."""
+    if T._POOL is None:
+        monkeypatch.setattr(T, "_POOL", one_thread_pool)
+        monkeypatch.setattr(T, "_THREADS", 2)
+    return T._POOL

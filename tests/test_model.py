@@ -400,12 +400,13 @@ def test_block_tape_keeps_no_output_that_no_backward_reads(monkeypatch):
 @pytest.mark.parametrize("training", [False, True], ids=["eval", "training"])
 def test_block_frees_the_fused_map_before_pw1(monkeypatch, training):
     # Only the layer norm reads the fused map (tile_grid's output), and its
-    # backward reads its own xhat, so nothing holds the map once pw1 runs:
-    # there, in stage 1 of an eval forward, one C map less is live.
+    # backward reads its own xhat, so nothing but the norm's output holds the
+    # map once pw1 runs: there, in stage 1 of an eval forward, one C map less
+    # is live. Taped, the map is freed; untaped, the norm writes over it.
     from vidconv import model as M
     block = build_model(toy_config(), 6).layers[2].blocks[0]  # with the temporal branch
     tile, pw1 = M.tile_grid, block.pw1
-    fused, alive_at_pw1 = [], []
+    fused, alive_at_pw1, pw1_reads_fused = [], [], []
 
     def spy_tile_grid(*args):
         out = tile(*args)
@@ -414,6 +415,7 @@ def test_block_frees_the_fused_map_before_pw1(monkeypatch, training):
 
     def spy_pw1(y):
         alive_at_pw1.append([r() is not None for pair in fused for r in pair])
+        pw1_reads_fused.append([data() is y.data for _, data in fused])
         return pw1(y)
 
     monkeypatch.setattr(M, "tile_grid", spy_tile_grid)
@@ -422,7 +424,8 @@ def test_block_frees_the_fused_map_before_pw1(monkeypatch, training):
                  requires_grad=training)
     with T.recording(training):  # as model.forward runs its layers
         y = block(x, collaged=True, training=training, rng=np.random.default_rng(1))
-    assert alive_at_pw1 == [[False, False]]
+    assert alive_at_pw1 == [[False, not training]]
+    assert pw1_reads_fused == [[not training]]
     assert y.requires_grad == training
 
 

@@ -186,8 +186,10 @@ def test_conv2d_strided_dilated_vs_oracle(stride, dilation):
     _dense_vs_oracle(r, x_shape, 4, kernel, stride, dilation, atol=1e-5)
 
 
-def test_conv2d_1x1_forward_copies_nothing(monkeypatch):
+def test_conv2d_1x1_forward_copies_nothing(monkeypatch, pool):
     # The 1x1 im2col is a view of the input, so the GEMM reads it in place.
+    # A large map's GEMM is split over tensor's thread pool, by items or by
+    # rows of the weight for one item: every part's GEMM reads x in place too.
     operands = []
     matmul = np.matmul
 
@@ -199,6 +201,11 @@ def test_conv2d_1x1_forward_copies_nothing(monkeypatch):
     monkeypatch.setattr(np, "matmul", spy)
     T.conv2d(x, make((4, 8, 1, 1), seed=1), zero_bias(4), T.ConvSpec(kernel=(1, 1)))
     assert len(operands) == 1 and np.shares_memory(operands[0], x.data)
+    for shape in ((18, 96, 24, 24), (1, 192, 28, 28)):  # tiny's stage-1 and stage-2 maps
+        x, c = make(shape), shape[1]
+        operands.clear()
+        T.conv2d(x, make((4 * c, c, 1, 1), seed=1), zero_bias(4 * c), T.ConvSpec(kernel=(1, 1)))
+        assert len(operands) >= 2 and all(np.shares_memory(b, x.data) for b in operands), shape
 
 
 def test_conv2d_depthwise_vs_oracle():
@@ -495,6 +502,36 @@ def test_gelu_overwrite_allocates_when_it_cannot_write_over_x(layout):
     assert not np.shares_memory(y.data, base)
     assert np.array_equal(base, before)
     assert np.array_equal(y.data, gelu_whole_array(np.array(x))[0])
+
+
+def test_untaped_layer_norm_writes_over_its_input_when_allowed(pool):
+    x = make((9, 96, 56, 56), seed=3)
+    gamma, beta = make((96,), seed=1), make((96,), seed=2)
+    ref = T.layer_norm_channels(x, gamma, beta)
+    buf = x.data.copy()
+    y = T.layer_norm_channels(T.Tensor(buf), gamma, beta, overwrite_x=True)
+    assert y.data is buf
+    assert np.array_equal(y.data, ref.data)
+
+
+@pytest.mark.parametrize("case", ["taped", "read-only"])
+def test_layer_norm_overwrite_leaves_input_when_taped_or_read_only(case):
+    # A taped norm's output is a new array, whatever the caller passes:
+    # only untaped may it take its input's buffer.
+    taped = case == "taped"
+    x = make((2, 5, 3, 4), seed=4, requires_grad=taped)
+    if not taped:
+        x.data.flags.writeable = False
+    gamma, beta = make((5,), seed=1, requires_grad=taped), make((5,), seed=2, requires_grad=taped)
+    before = x.data.copy()
+    y = T.layer_norm_channels(x, gamma, beta, overwrite_x=True)
+    assert y.requires_grad == taped
+    assert not np.shares_memory(y.data, x.data)
+    assert np.array_equal(x.data, before)
+    assert np.array_equal(y.data, T.layer_norm_channels(T.Tensor(before), gamma, beta).data)
+    if taped:
+        T.backward(T.sum_all(y))
+        assert np.array_equal(x.data, before)
 
 
 @pytest.mark.parametrize("untaped", ["no-grad-input", "recording-off"])
