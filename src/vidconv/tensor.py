@@ -23,25 +23,30 @@ on BLAS inside joblib workers). Where BLAS's thread count cannot be read
 and set, or is 1 (``OPENBLAS_NUM_THREADS=1``), there is no pool and every
 kernel runs in one part on the calling thread.
 
-The private kernels cut their work into disjoint parts, each run through
-``_parallel``: the dense conv's forward, input-gradient and weight-gradient
-GEMMs (with the bias added in each part); the depth-wise conv's channel
-blocks, forward and backward; GELU's blocks and its backward product; layer
-norm's normalise and affine; the halves of ``all_finite``; the blocks of
-``training.adamw_step`` and of ``training.clip_grad_norm``'s float64 dots;
-``pointwise_mlp``'s backward tiles; and ``add``, ``scale_channels`` and
-``model``'s ``tile_grid`` and collage copies. A split only runs on the pool
-when every part holds enough work (``_PART_CALL``, ``_PART_LOOP``), so
-small maps, such as all of the ``toy`` variant's, run in one part and start
-no thread. No part reorders a reduction, so every output and gradient is
-bit for bit that of one part. Parts never touch the tape or ``recording``,
-call no public function of this module, ``model`` or ``training`` (a
-tracer may wrap those, and time them on one span stack), hand nothing to
-the pool themselves, and allocate nothing much larger than a block: the
-caller makes the outputs and any larger scratch, because glibc gives each
-thread its own heap, which keeps what it frees (a ``tiny`` train step
-peaked 24 MB higher when ``pointwise_mlp``'s backward tiles made their
-K-wide arrays on the pool).
+The private kernels cut their work into disjoint parts with ``_cut`` or
+``_slabs`` and run them through ``_parallel``: the dense conv's forward,
+input-gradient and weight-gradient GEMMs (``_gemm_parts``, with the bias
+added in each part); the depth-wise conv's channel blocks, forward and
+backward; GELU's blocks; layer norm's normalise and affine; the parts of
+``all_finite``; the blocks of ``training.adamw_step``; ``pointwise_mlp``'s
+backward tiles; and ``add``, ``scale_channels`` and ``model``'s
+``tile_grid`` and collage copies. A cut has more than one part only where
+each part holds enough work (``_PART_CALL``, ``_PART_LOOP``), and
+``_parallel`` runs a cut of one part inline: small maps, such as all of
+the ``toy`` variant's, start no thread. GELU's backward product and
+``training.clip_grad_norm``'s float64 dots run on the calling thread. In
+a ``tiny`` train step at 96x96 the product split 9 times, each on a
+(2, 1536, 18, 18) map that took 0.47 ms split and 0.45 ms inline, and the
+dots split only the neck weight's gradient, 1 of 220, saving about 3.5 ms
+of a 2 s step (2-vCPU Xeon VM). No part reorders a reduction, so every
+output and gradient is bit for bit that of one part. Parts never touch
+the tape or ``recording``, call no public function of this module,
+``model`` or ``training`` (a tracer may wrap those, and time them on one
+span stack), hand nothing to the pool themselves, and allocate nothing
+much larger than a block: the caller makes the outputs and any larger
+scratch, because glibc gives each thread its own heap, which keeps what
+it frees (a ``tiny`` train step peaked 24 MB higher when
+``pointwise_mlp``'s backward tiles made their K-wide arrays on the pool).
 """
 from __future__ import annotations
 
@@ -255,36 +260,27 @@ _PART_LOOP = 64 * _BLOCK
 # elementwise ufunc: the unit of the work figures handed to ``_cut``.
 _MACS_PER_PASS = 16
 
-_ALL = (slice(None),)  # a whole range, or a whole array, as one part
-_WHOLE = ((),)
-
 
 def _cut(n: int, work: float, least: int):
     """Slices cutting ``range(n)``, ``n`` units of ``work`` float passes each,
     into consecutive parts: one per thread at most, each of at least
-    ``least`` work; ``_ALL`` when that is one part, or there is no pool."""
-    if _POOL is None or n < 2 or n * work < 2 * least:
-        return _ALL
-    k = min(_THREADS, n, int(n * work // least))
+    ``least`` work. One slice, the whole range, when there is no pool or too
+    little work for two parts; ``_parallel`` runs that inline."""
+    k = 1 if _POOL is None else max(1, min(_THREADS, n, int(n * work // least)))
     return [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
 
 
 def _slabs(shape, work: float, least: int, axes=None):
     """Index tuples cutting an array of ``shape`` into parts (see ``_cut``)
     along the first of ``axes`` (default: every axis, in order) whose extent
-    has room for a part per thread; ``work`` is per element. ``_WHOLE`` when
-    that is one part."""
-    if _POOL is None:
-        return _WHOLE
-    size = math.prod(shape)
-    if size * work < 2 * least:
-        return _WHOLE
-    for ax in range(len(shape)) if axes is None else axes:
-        if shape[ax] >= _THREADS:
-            pieces = _cut(shape[ax], size // shape[ax] * work, least)
-            head = (slice(None),) * ax
-            return _WHOLE if pieces is _ALL else [head + (s,) for s in pieces]
-    return _WHOLE
+    has room for a part per thread; ``work`` is per element. ``[()]``, the
+    whole array, when that is one part."""
+    if _POOL is not None:
+        for ax in range(len(shape)) if axes is None else axes:
+            if shape[ax] >= _THREADS:
+                pieces = _cut(shape[ax], math.prod(shape) // shape[ax] * work, least)
+                return [()] if len(pieces) == 1 else [(slice(None),) * ax + (s,) for s in pieces]
+    return [()]
 
 
 def _at(a, idx):
@@ -294,7 +290,7 @@ def _at(a, idx):
 
 def _parallel(part, pieces):
     """``part(p)`` for every ``p`` in ``pieces`` (slices, index tuples or
-    tile numbers): the first on the calling thread, the rest on the pool,
+    numbers): the first on the calling thread, the rest on the pool,
     each in the caller's numpy error state. Returns once every part has,
     then re-raises the first error a part raised, in the order of
     ``pieces``. Parts must write disjoint outputs and must not themselves
@@ -321,8 +317,8 @@ def _parallel(part, pieces):
 def all_finite(a: np.ndarray) -> bool:
     """Whether a float array holds no NaN or +-Inf, in one pass and no temporary.
 
-    A C-contiguous array is dotted with itself, at BLAS speed, in halves
-    that may run on two threads (see ``_parallel``). Squares are
+    A C-contiguous array is dotted with itself, at BLAS speed, in parts
+    that may run on the pool's threads (see ``_cut``). Squares are
     never negative, so no +Inf can cancel a -Inf: the dot is finite unless an
     element is NaN/Inf or the sum of squares overflows. Any other layout is
     summed in float64, finite on the same terms. A non-finite fast answer is
@@ -332,18 +328,17 @@ def all_finite(a: np.ndarray) -> bool:
     with np.errstate(over="ignore"):  # an overflow only sends the check to the exact pass
         if not a.flags.c_contiguous:
             fast = a.sum(dtype=np.float64)
-        elif (pieces := _cut(2, a.size / 2, _PART_CALL)) is _ALL:
-            f = a.reshape(-1)
-            fast = np.dot(f, f)
         else:
-            f, halves = a.reshape(-1), np.empty(2, dtype=a.dtype)
+            f = a.reshape(-1)
+            pieces = _cut(f.size, 1, _PART_CALL)
+            dots = np.empty(len(pieces), dtype=a.dtype)
 
-            def part(s):
-                h = f[f.size * s.start // 2: f.size * s.stop // 2]
-                halves[s] = np.dot(h, h)
+            def part(i):
+                h = f[pieces[i]]
+                dots[i] = np.dot(h, h)
 
-            _parallel(part, pieces)
-            fast = halves[0] + halves[1]
+            _parallel(part, range(len(pieces)))
+            fast = dots.sum()
     return bool(np.isfinite(fast)) or bool(np.all(np.isfinite(a)))
 
 
@@ -463,15 +458,10 @@ def _map_parts(ufunc, out, *operands):
     """``ufunc(*operands, out=out)``, one pass over ``out``, the operands
     broadcast to its ndim, split over the parts in slabs of ``out`` (see
     ``_slabs``). Returns ``out``."""
-    pieces = _slabs(out.shape, 1, _PART_CALL)
-    if pieces is _WHOLE:
-        ufunc(*operands, out=out)
-        return out
-
     def part(idx):
         ufunc(*(_at(a, idx) for a in operands), out=out[idx])
 
-    _parallel(part, pieces)
+    _parallel(part, _slabs(out.shape, 1, _PART_CALL))
     return out
 
 
@@ -764,12 +754,8 @@ def _conv_dense(x, weight, bias, spec, ho, wo, need_gx):
         # (cout, k) is the GEMM's own output order, so gw is C-contiguous.
         gmk = gm.transpose(1, 0, 2).reshape(cout, n * ho * wo)
         colsk = cols.transpose(0, 2, 1).reshape(n * ho * wo, k)
-        gw = np.empty((cout, k), dtype=x.dtype)
-
-        def gw_part(s):
-            np.dot(gmk[s], colsk, out=gw[s])
-
-        _parallel(gw_part, _cut(cout, n * ho * wo * k / _MACS_PER_PASS, _PART_CALL))
+        gw = np.empty((1, cout, k), dtype=x.dtype)
+        _gemm_parts(gmk, colsk[None], gw)
         gw = gw.reshape(weight.shape)
         if not need_gx:
             return None, gw, _bias_grad(g)
@@ -866,7 +852,7 @@ def _ln_normalize(x, out, mu, inv, eps):
     np.mean(x, axis=1, keepdims=True, out=mu)
     np.subtract(x, mu, out=out)
     sq = np.empty(min(x.size, max(_BLOCK, c * w)), dtype=x.dtype)
-    for t in _WHOLE if x.size <= sq.size else _position_tiles(n, c, h, w):
+    for t in [()] if x.size <= sq.size else _position_tiles(n, c, h, w):
         ot = out[t]
         st = sq[:ot.size].reshape(ot.shape)
         np.multiply(ot, ot, out=st)
@@ -900,8 +886,8 @@ def gelu(x: Tensor, overwrite_x: bool = False) -> Tensor:
     scratch; taped, dy/dx is computed from x and tanh at once, with the ops
     and order of the whole-array backward, before y is written. The tape
     keeps dy/dx alone, not x or tanh, and backward multiplies it by the
-    incoming gradient in place. The blocks, and backward's product, are
-    split over the parts (see ``_parallel``).
+    incoming gradient in place, on the calling thread. The blocks are split
+    over the parts (see ``_parallel``).
 
     ``overwrite_x`` lets y be written into x's buffer, as ``scipy.linalg``'s
     ``overwrite_a`` does: a caller passes it only when nothing reads x's data
@@ -916,10 +902,7 @@ def gelu(x: Tensor, overwrite_x: bool = False) -> Tensor:
     _gelu_blocks(x.data.reshape(-1), y.reshape(-1), None if d is None else d.reshape(-1))
 
     def grad_fn(g):
-        def part(idx):  # the tape is walked once, so d is free to take
-            np.multiply(d[idx], g[idx], out=d[idx])
-
-        _parallel(part, _slabs(d.shape, 1, _PART_CALL))
+        np.multiply(d, g, out=d)  # the tape is walked once, so d is free to take
         return (d,)
 
     return _from_op(y, (x,), grad_fn, "gelu")
@@ -929,16 +912,11 @@ def _gelu_blocks(xf, yf, df=None):
     """GELU of the flat array ``xf`` into ``yf`` (which may be ``xf``), and
     with ``df`` its dy/dx, ``_BLOCK`` elements at a time (see ``gelu``), the
     blocks split over the parts."""
-    pieces = _cut(-(-xf.size // _BLOCK), _BLOCK * (12 if df is None else 24), _PART_LOOP)
-    if pieces is _ALL:
-        _gelu_run(xf, yf, df)
-        return
-
     def part(s):
         run = slice(s.start * _BLOCK, s.stop * _BLOCK)
         _gelu_run(xf[run], yf[run], None if df is None else df[run])
 
-    _parallel(part, pieces)
+    _parallel(part, _cut(-(-xf.size // _BLOCK), _BLOCK * (12 if df is None else 24), _PART_LOOP))
 
 
 def _gelu_run(xf, yf, df=None):

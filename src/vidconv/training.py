@@ -129,20 +129,19 @@ def clip_grad_norm(params: dict, max_norm: float) -> float:
     Returns the norm before clipping. Each gradient is read in blocks of
     ``tensor._BLOCK`` floats, each converted into a reused float64 block and
     dotted with itself, so the squares are summed in float64 without a
-    gradient-sized temporary. A large gradient's blocks are split over
-    tensor's thread parts; the block dots are summed in block order.
+    gradient-sized temporary. The blocks run in order on the calling thread
+    (the ``tensor`` docstring says why they are not split).
     """
     total = 0.0
     for p in params.values():
         if p.grad is None:
             continue
         gf = p.grad.reshape(-1)
-        blocks = range(0, gf.size, T._BLOCK)
-        dots = np.empty(len(blocks), dtype=np.float64)
-        T._parallel(lambda part: _block_dots(gf, blocks, part, dots),
-                    T._cut(len(blocks), 3 * T._BLOCK, T._PART_LOOP))
-        for d in dots:
-            total += float(d)
+        scratch = np.empty(min(gf.size, T._BLOCK), dtype=np.float64)
+        for start in range(0, gf.size, T._BLOCK):
+            b = scratch[: min(T._BLOCK, gf.size - start)]
+            b[...] = gf[start: start + T._BLOCK]
+            total += float(np.dot(b, b))
     norm = math.sqrt(total)
     if max_norm > 0 and norm > max_norm:
         scale = max_norm / (norm + 1e-12)
@@ -150,17 +149,6 @@ def clip_grad_norm(params: dict, max_norm: float) -> float:
             if p.grad is not None:
                 p.grad = p.grad * scale  # not in place: two tensors may share one array
     return norm
-
-
-def _block_dots(gf, blocks, part, dots):
-    """``dots[j]``, the float64 sum of squares of the block of ``gf`` that
-    starts at ``blocks[j]``, for the block numbers ``j`` in the slice ``part``."""
-    scratch = np.empty(min(gf.size, T._BLOCK), dtype=np.float64)
-    for j in range(len(blocks))[part]:
-        blk = gf[blocks[j]: blocks[j] + T._BLOCK]
-        b = scratch[: blk.size]
-        b[...] = blk
-        dots[j] = np.dot(b, b)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,17 @@
 """The thread budget of ``vidconv.tensor``: kernels split over a pool of
 threads give the bits of one thread, and errors in a part surface cleanly."""
+import os
+import subprocess
+import sys
 import threading
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from vidconv import data
 from vidconv import model as M
 from vidconv import tensor as T
 from vidconv import training
@@ -62,12 +67,18 @@ def test_pool_changes_no_bits_dense_conv(pool, monkeypatch, shape):
     cout = 4 * shape[1]
     x = make(shape, requires_grad=True)
     w, b = make((cout, shape[1], 1, 1), 1, 0.1, True), make((cout,), 2, 0.1, True)
+    seen, in_backward = splits_seen(monkeypatch), []
 
     def run():
         y = T.conv2d(x, w, b, ONE)
-        return [y.data, *grads_of(y, 3)]
+        seen.clear()
+        grads = grads_of(y, 3)
+        in_backward.extend(seen)
+        return [y.data, *grads]
 
-    assert_pool_changes_no_bits(monkeypatch, run, "_gemm_parts", "gw_part")
+    assert_pool_changes_no_bits(monkeypatch, run, "_gemm_parts")
+    # backward's input-gradient and weight-gradient GEMMs both split
+    assert in_backward == ["_gemm_parts.<locals>.part"] * 2, in_backward
 
 
 def test_pool_changes_no_bits_depthwise_conv(pool, monkeypatch):
@@ -90,7 +101,7 @@ def test_pool_changes_no_bits_gelu(pool, monkeypatch):
         y = T.gelu(x)
         return [y.data, T.gelu(T.Tensor(x.data)).data, *grads_of(y, 3)]
 
-    assert_pool_changes_no_bits(monkeypatch, run, "_gelu_blocks", "gelu.<locals>.grad_fn")
+    assert_pool_changes_no_bits(monkeypatch, run, "_gelu_blocks")
 
 
 @pytest.mark.parametrize("shape", [(9, 96, 56, 56), (1, 192, 112, 112)], ids=["items", "rows"])
@@ -142,7 +153,7 @@ def test_pool_changes_no_bits_elementwise_and_collage(pool, monkeypatch):
 
 def test_pool_changes_no_bits_adamw_and_clip_grad_norm(pool, monkeypatch):
     shapes = {"pw1": (1536, 768, 1, 1), "bias": (768,)}  # a large parameter, and a small one
-    clip_shape = (48, T._BLOCK)  # a gradient whose norm's blocks split
+    clip_shape = (48, T._BLOCK)  # a gradient of many blocks
 
     def run():
         params = {n: T.Tensor(rng(i).standard_normal(s).astype(np.float32), requires_grad=True)
@@ -158,7 +169,66 @@ def test_pool_changes_no_bits_adamw_and_clip_grad_norm(pool, monkeypatch):
         return [*(p.data for p in params.values()), *state.m.values(), *state.v.values(),
                 np.float64(norm)]
 
-    assert_pool_changes_no_bits(monkeypatch, run, "adamw_step", "clip_grad_norm")
+    assert_pool_changes_no_bits(monkeypatch, run, "adamw_step")
+
+
+# ---------------------------------------------------------------------------
+# three parts: a 2- or 4-thread machine never cuts ``n * i // 3``
+
+
+@pytest.fixture(scope="session")
+def two_thread_pool():
+    return T._Pool(2)  # its threads start at the first hand-over
+
+
+@pytest.fixture
+def three_parts(monkeypatch, two_thread_pool):
+    """Kernels cut into three parts, as on three threads, run over a pool of
+    two threads beside the calling one. Returns a list of the number of
+    pieces of each ``_parallel`` call."""
+    monkeypatch.setattr(T, "_POOL", two_thread_pool)
+    monkeypatch.setattr(T, "_THREADS", 3)
+    counts, parallel = [], T._parallel
+
+    def spy(part, pieces):
+        counts.append(len(pieces))
+        return parallel(part, pieces)
+
+    monkeypatch.setattr(T, "_parallel", spy)
+    return counts
+
+
+def test_cut_and_slabs_make_three_uneven_parts(three_parts, monkeypatch):
+    least = T._PART_CALL
+    assert T._cut(10, least, least) == [slice(0, 3), slice(3, 6), slice(6, 10)]
+    assert T._cut(10, least / 5, least) == [slice(0, 5), slice(5, 10)]  # work for two parts
+    assert T._cut(10, least / 10, least) == [slice(0, 10)]
+    assert T._cut(2, least, least) == [slice(0, 1), slice(1, 2)]  # no more parts than units
+    assert T._slabs((7, 5), least, least) == [(slice(0, 2),), (slice(2, 4),), (slice(4, 7),)]
+    # the first axis with room for a part per thread
+    assert T._slabs((2, 4), least, least) == [(slice(None), slice(0, 1)), (slice(None), slice(1, 2)),
+                                              (slice(None), slice(2, 4))]
+    assert T._slabs((7, 5), least / 35, least) == [()]
+    monkeypatch.setattr(T, "_POOL", None)
+    assert T._cut(10, least, least) == [slice(0, 10)]
+    assert T._slabs((7, 5), least, least) == [()]
+
+
+# The dense conv at shapes whose items (10) and rows (160, 640) do not divide by 3
+@pytest.mark.parametrize("check, args", [
+    (test_pool_changes_no_bits_dense_conv, [(10, 96, 24, 24)]),
+    (test_pool_changes_no_bits_dense_conv, [(1, 160, 28, 28)]),
+    (test_pool_changes_no_bits_depthwise_conv, []),
+    (test_pool_changes_no_bits_gelu, []),
+    (test_pool_changes_no_bits_layer_norm, [(9, 96, 56, 56)]),
+    (test_pool_changes_no_bits_layer_norm, [(1, 192, 112, 112)]),
+    (test_pool_changes_no_bits_pointwise_mlp, []),
+    (test_pool_changes_no_bits_adamw_and_clip_grad_norm, []),
+], ids=["dense_conv-items", "dense_conv-rows", "depthwise_conv", "gelu", "layer_norm-items",
+        "layer_norm-rows", "pointwise_mlp", "adamw"])
+def test_three_parts_change_no_bits(three_parts, monkeypatch, check, args):
+    check(T._POOL, monkeypatch, *args)
+    assert 3 in three_parts, sorted(set(three_parts))
 
 
 # ---------------------------------------------------------------------------
@@ -210,3 +280,41 @@ def test_gelu_on_minus_inf_in_a_pool_part_raises_numerics_error_not_a_warning(po
                 T.gelu(T.Tensor(x, requires_grad=requires_grad))
         assert len(parts) >= 2 and all(state == "done" for state, _ in parts)
         assert any(name != threading.current_thread().name for _, name in parts)
+
+
+# ---------------------------------------------------------------------------
+# what the pool costs where it is not used
+
+
+def test_toy_train_step_and_eval_forward_never_split(pool, monkeypatch):
+    # toy-train's shapes: batches of 4 clips at 64x64, in training and in validation
+    fresh = T._Pool(T._THREADS - 1)
+    monkeypatch.setattr(T, "_POOL", fresh)
+    seen = splits_seen(monkeypatch)
+    m = M.build_model(M.make_config("toy", num_classes=data.num_classes("motion-direction"),
+                                    input_size=(64, 64)), 0)
+    r = rng(0)
+    clips = r.standard_normal((4 * m.config.frames, 3, 64, 64)).astype(np.float32)
+    logits = m.forward(T.Tensor(clips), training=True, rng=r)
+    loss, _ = T.softmax_cross_entropy(logits, np.arange(4) % m.config.num_classes)
+    T.backward(loss)
+    params = m.parameters()
+    training.clip_grad_norm(params, 5.0)
+    training.adamw_step(params, training.OptimState(base_lr=1e-3), 1e-3, group_of=m.param_group)
+    m.forward(T.Tensor(clips), training=False)
+    assert seen == [], seen
+    assert not fresh._started
+
+
+def test_importing_vidconv_loads_neither_logging_nor_concurrent_futures():
+    # tensor._Pool stands in for concurrent.futures, whose import, with the
+    # logging it loads, adds 0.6 MB to a process
+    code = ("import pkgutil, sys, vidconv\n"
+            "names = [m.name for m in pkgutil.iter_modules(vidconv.__path__)]\n"
+            "for name in names: __import__('vidconv.' + name)\n"
+            "print(len(names), sorted(m for m in ('logging', 'concurrent.futures') if m in sys.modules))")
+    src = str(Path(T.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=60, check=True)
+    count, loaded = out.stdout.split(" ", 1)
+    assert int(count) >= 6 and loaded.strip() == "[]", out.stdout
