@@ -363,14 +363,12 @@ class Block:
     temporal feature T added to every grid cell of S by broadcast.
 
     The pointwise half (layer norm, pw1, GELU, pw2, layer scale) takes one of
-    two paths. A training forward of a block before the collage point runs it
-    as one tiled op, ``tensor.pointwise_mlp``, whose tape keeps only the fused
-    map and the norm's statistics and whose backward recomputes the rest.
-    Backward walks these blocks last, so their tape is what is alive at its
-    peak, and their maps are the largest. Every other forward, and every
-    collaged block, runs the five ops in turn: behind the collage point a
-    recompute costs more time than the tape it saves is worth, and an eval
-    forward records no tape. Both paths give the same output, bit for bit.
+    two paths. A training forward runs it as one tiled op,
+    ``tensor.pointwise_mlp``, whose tape keeps only the fused map and the
+    norm's statistics and whose backward recomputes the rest: every block
+    keeps one C map on the tape, not eleven. An eval forward records no tape
+    and runs the five ops in turn, which perfbench's tracer counts as two
+    1x1 convs per block. Both paths give the same output, bit for bit.
     """
 
     def __init__(self, prefix, channels, grid, temporal, drop_prob):
@@ -412,9 +410,7 @@ class Block:
         return tile_grid(s, T.scale_channels(t, self.alpha), self.grid, collaged)
 
     def __call__(self, x, collaged, training, rng):
-        if training and not collaged:
-            # Runs early in the forward, so late in backward, near its peak:
-            # keep one C map on the tape, not eleven (see the class docstring).
+        if training:
             y = T.pointwise_mlp(self.fuse(x, collaged), self.norm.gamma, self.norm.beta,
                                 self.pw1.weight, self.pw1.bias, self.pw2.weight, self.pw2.bias,
                                 self.layer_scale, eps=LN_EPS)

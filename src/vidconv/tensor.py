@@ -80,12 +80,14 @@ class Tensor:
 
     Data is immutable by convention after construction, except where a caller
     lets ``gelu`` or ``layer_norm_channels`` write over an input that nothing
-    reads afterwards (``overwrite_x``). Gradients are never written in place;
-    two tensors may share one. A recorded op output (see ``recording``) gets
-    a ``_Node`` on the tape, which links to its parents' nodes, not to the
-    parent tensors: an op output that no ``grad_fn`` reads is freed once the
-    caller lets go of it. An unrecorded
-    output has no node and does not require grad. Tensors, nodes and the
+    reads afterwards (``overwrite_x``). Two tensors may share one gradient
+    array. Gradients are written in place only by ``training.clip_grad_norm``,
+    which scales each distinct array once, so every tensor that shares one
+    sees it scaled. A recorded op output (see ``recording``) gets a ``_Node``
+    on the tape, which links to its parents' nodes, not to the parent
+    tensors: an op output that no ``grad_fn`` reads is freed once the caller
+    lets go of it. An unrecorded output has no node and does not require
+    grad. Tensors, nodes and the
     tape are made and walked on the calling thread only: the pool's threads
     (see the module docstring) see plain arrays.
     """
@@ -956,13 +958,13 @@ def _gelu_run(xf, yf, df=None):
             np.multiply(tb, 0.5, out=yb)             # x's last read is above: yb may be xb
 
 
-def _position_tiles(n, c, h, w):
-    """Index tuples of the tiles ``pointwise_mlp`` walks on an (N, C, H, W) map,
-    each a 4-D view of about ``_BLOCK // C`` positions, so that the tile's C
-    channels span about ``_BLOCK`` floats: runs of whole items where an item
-    is smaller, otherwise bands of whole rows of one item. The last run or
-    band may be short."""
-    p = max(1, _BLOCK // c)
+def _position_tiles(n, c, h, w, blocks=1):
+    """Index tuples of the tiles ``pointwise_mlp`` walks on an (N, ., H, W) map,
+    each a 4-D view of about ``blocks * _BLOCK // c`` positions, so that c
+    channels of the tile span about ``blocks`` blocks: runs of whole items
+    where an item is smaller, otherwise bands of whole rows of one item. The
+    last run or band may be short."""
+    p = max(1, blocks * _BLOCK // c)
     if h * w <= p:
         run = p // (h * w)
         return [(slice(i, i + run),) for i in range(0, n, run)]
@@ -971,29 +973,45 @@ def _position_tiles(n, c, h, w):
             for i in range(n) for r in range(0, h, rows)]
 
 
+# Blocks of hidden map that a ``pointwise_mlp`` forward tile spans: 16 MB of
+# float32, about a last-level cache. With block-sized tiles, the forward at
+# (18, 96, 24, 24) took 32.9 ms and at (18, 192, 12, 12) 19.4 ms; with these,
+# one tile each, 20.2 and 13.8 ms (2-vCPU Xeon VM), the same bits.
+_LLC_BLOCKS = 64
+
+
 def pointwise_mlp(f: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor,
                   w2: Tensor, b2: Tensor, scale: Tensor, eps: float = 1e-6) -> Tensor:
     """A block's pointwise half on a (N, C, H, W) map, one tile at a time:
     ``scale * (pw2(gelu(pw1(layer_norm_channels(f, gamma, beta)))))``, where
     pw1 and pw2 are 1x1 convs with (K, C, 1, 1) and (C, K, 1, 1) weights.
 
-    Each tile (see ``_position_tiles``) calls the public ``conv2d`` and
-    ``gelu(overwrite_x=True)`` with recording off, so the output is bit for
-    bit that of the five ops in turn, each of those calls runs its finite
-    check and splits its own work over the parts, and its (K, P) hidden maps
-    stay in cache. The tiles run one after another: the tracer times the
-    public ops on one span stack, so they are called from this thread alone.
-    The tape keeps ``f`` and
-    the per-position mean and inverse std of the norm: one C map, where the
-    five ops keep eleven (gradient checkpointing, Chen et al., arXiv
-    1604.06174). Backward rebuilds each tile's norm, pw1 and GELU (the GEMM
-    ``conv2d`` runs and ``_gelu_run``, so no finite check runs twice and no
-    MAC is counted twice), and sums the parameter gradients tile by tile. It
-    runs the tiles in groups, a tile per part, and adds each tile's
-    parameter-gradient partials in tile order, so the sums are those of one
-    thread. It does not rebuild pw2's output: the scale's gradient, the sum
-    over positions of g * (W2 a + b2), is read off the (C, K) sum of g a^T
-    that pw2's weight gradient needs anyway.
+    The forward's tiles (see ``_position_tiles``) are runs of whole items,
+    or bands of rows of one, whose (K, P) hidden maps span about
+    ``_LLC_BLOCKS`` blocks, so that they stay in the last-level cache: every
+    block map of a ``tiny`` train step at 96x96 is one tile. Each tile calls
+    the public ``conv2d`` and ``gelu(overwrite_x=True)`` with recording off,
+    so the output is bit for bit that of the five ops in turn, each of those
+    calls runs its finite check and splits its own work over the parts. The
+    tiles run one after another: the tracer times the public ops on one span
+    stack, so they are called from this thread alone. The tape keeps ``f``
+    and the per-position mean and inverse std of the norm: one C map, where
+    the five ops keep eleven (gradient checkpointing, Chen et al., arXiv
+    1604.06174). Backward rebuilds the norm, pw1 and GELU (the GEMM
+    ``conv2d`` runs and the GELU kernel, so no finite check runs twice and
+    no MAC is counted twice). It does not rebuild pw2's output: the scale's
+    gradient, the sum over positions of g * (W2 a + b2), is read off the
+    (C, K) sum of g a^T that pw2's weight gradient needs anyway.
+
+    Backward takes one of two paths, by the shape of the weights:
+
+    - Many positions per channel (``_BLOCK // C >= C``, stages 1-2): tiles
+      of about a block of C map each, run in groups, a tile per part, each
+      tile's parameter-gradient partials added in tile order, so the sums
+      are those of one thread.
+    - Few (stages 3-4, where a (C, K) partial outweighs a tile's K-wide
+      maps): the forward's tiles, each whole, on the calling thread (see
+      ``_pointwise_grads_lean``), with no partials and no per-part buffers.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -1010,13 +1028,13 @@ def pointwise_mlp(f: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor
     params = (gamma, beta, w1, b1, w2, b2, scale)
     _check_same_dtype(f, *params)
 
-    tiles = _position_tiles(n, c, h, w)
+    forward_tiles = _position_tiles(n, k, h, w, _LLC_BLOCKS)
     one = ConvSpec(kernel=(1, 1))
     g4, beta4, s4 = (t.data[None, :, None, None] for t in (gamma, beta, scale))
     out = np.empty(f.shape, dtype=f.dtype)
     mu, inv = np.empty((n, 1, h, w), dtype=f.dtype), np.empty((n, 1, h, w), dtype=f.dtype)
     with recording(False):
-        for t in tiles:
+        for t in forward_tiles:
             ft = f.data[t]
             y = np.empty(ft.shape, dtype=f.dtype)
             _ln_normalize(ft, y, mu[t], inv[t], eps)
@@ -1025,11 +1043,13 @@ def pointwise_mlp(f: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor
             a = gelu(conv2d(Tensor(y), w1, b1, one), overwrite_x=True)
             np.multiply(conv2d(a, w2, b2, one).data, s4, out=out[t])
 
-    fd, w1m, b1d = f.data, w1.data.reshape(k, c), b1.data[:, None]
-    w2m, b2d, sd = w2.data.reshape(c, k), b2.data, scale.data
+    fd, gd, betad = f.data, gamma.data, beta.data
+    w1m, b1v, w2m, b2d, sd = w1.data.reshape(k, c), b1.data, w2.data.reshape(c, k), b2.data, scale.data
+    b1d = b1v[:, None]
+    lean = _BLOCK // c < c
 
-    def grad_fn(g):
-        gf = np.empty_like(fd)
+    def tile_group_grads(g, gf):
+        tiles = _position_tiles(n, c, h, w)
         gw1, gb1 = np.zeros((k, c), dtype=fd.dtype), np.zeros(k, dtype=fd.dtype)
         ggamma, gbeta = np.zeros(c, dtype=fd.dtype), np.zeros(c, dtype=fd.dtype)
         gza = np.zeros((c, k), dtype=fd.dtype)  # sum over positions of g * GELU output^T
@@ -1092,13 +1112,87 @@ def pointwise_mlp(f: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor
                     for total, part in zip(sums, partials[j]):
                         total += part
                     partials[j] = None
+        return sums
+
+    def grad_fn(g):
+        gf = np.empty_like(fd)
+        if lean:
+            sums = _pointwise_grads_lean(g, gf, fd, mu, inv, forward_tiles, gd, betad,
+                                         w1m, b1v, w2m, sd)
+        else:
+            sums = tile_group_grads(g, gf)
+        gza, gsum, gw1, gb1, ggamma, gbeta = sums
         # pw2's output is W2 a + b2, so sum(g * it) over positions is the
         # diagonal of W2 gza^T plus b2 * sum(g)
         gscale = np.einsum("ck,ck->c", w2m, gza) + b2d * gsum
-        gw2 = (gza * sd[:, None]).reshape(c, k, 1, 1)
-        return gf, ggamma, gbeta, gw1.reshape(k, c, 1, 1), gb1, gw2, gsum * sd, gscale
+        gza *= sd[:, None]  # now pw2's weight gradient
+        return (gf, ggamma, gbeta, gw1.reshape(k, c, 1, 1), gb1, gza.reshape(c, k, 1, 1),
+                gsum * sd, gscale)
 
     return _from_op(out, (f, *params), grad_fn, "pointwise_mlp")
+
+
+def _channel_major(a):
+    """An (m, C, ...) array as a C-contiguous (C, m * positions) copy."""
+    m, c = a.shape[:2]
+    return np.ascontiguousarray(a.reshape(m, c, -1).swapaxes(0, 1)).reshape(c, -1)
+
+
+def _pointwise_grads_lean(g, gf, fd, mu, inv, tiles, gamma, beta, w1m, b1, w2m, sd):
+    """``pointwise_mlp``'s backward on ``tiles`` of the fused map ``fd``,
+    each whole, on the calling thread; its gradient for ``fd`` goes to
+    ``gf``. Returns the sums over positions of g a^T (a the GELU output),
+    g, and the gradients of W1, b1, gamma and beta.
+
+    Each tile is copied channel-major, (C, M) for its M positions, so that
+    every GEMM is one 2-D GEMM through ``_gemm_parts``, split by rows, and
+    a weight gradient is one GEMM over all M positions (as in
+    ``_conv_dense``'s backward), written straight into its sum: no
+    per-tile or per-part (C, K) partial exists unless there is more than
+    one tile. The layer scale multiplies g, a C map, rather than W2, a
+    (C, K) one. Two K-wide arrays are live: pw1's output, which GELU
+    overwrites and pw2's input gradient then takes, and GELU's dy/dx.
+    """
+    c, k = w2m.shape
+    dt = fd.dtype
+    gza, gw1 = np.empty((c, k), dtype=dt), np.empty((k, c), dtype=dt)
+    gsum, gb1, ggamma, gbeta = (np.zeros(size, dtype=dt) for size in (c, k, c, c))
+    g4 = gamma[None, :, None, None]
+    for j, t in enumerate(tiles):
+        # the first tile writes the (C, K) sums, a later one partials added to them
+        za, zw1 = (gza, gw1) if j == 0 else (np.empty_like(gza), np.empty_like(gw1))
+        xhat = _channel_major(fd[t])
+        inv_t = _channel_major(inv[t])
+        xhat -= _channel_major(mu[t])
+        xhat *= inv_t
+        y = xhat * gamma[:, None]
+        y += beta[:, None]
+        a = np.empty((k, xhat.shape[1]), dtype=dt)
+        d = np.empty_like(a)
+        _gemm_parts(w1m, y[None], a[None], b1)  # pw1 and its bias, as conv2d runs them
+        _gelu_blocks(a.reshape(-1), a.reshape(-1), d.reshape(-1))
+        gt = _channel_major(g[t])
+        gsum += gt.sum(axis=1)
+        _gemm_parts(gt, a.T[None], za[None])
+        gt *= sd[:, None]
+        ga = a  # a is dead once g a^T is summed
+        _gemm_parts(w2m.T, gt[None], ga[None])
+        _map_parts(np.multiply, ga, ga, d)
+        del a, d
+        gb1 += ga.sum(axis=1)
+        _gemm_parts(ga, y.T[None], zw1[None])
+        gy = np.empty_like(xhat)
+        _gemm_parts(w1m.T, ga[None], gy[None])
+        del ga
+        gx, gg, gbt = _ln_grad(gy[None, :, None], xhat[None, :, None], inv_t[None, :, None], g4)
+        ft = fd[t]
+        gf[t] = gx.reshape(c, ft.shape[0], *ft.shape[2:]).swapaxes(0, 1)
+        ggamma += gg
+        gbeta += gbt
+        if j:
+            gza += za
+            gw1 += zw1
+    return gza, gsum, gw1, gb1, ggamma, gbeta
 
 
 def global_avg_pool(x: Tensor) -> Tensor:

@@ -124,13 +124,21 @@ def _adamw_blocks(pf, mf, vf, gf, starts, c1, c2, lr_eff, decay):
 
 
 def clip_grad_norm(params: dict, max_norm: float) -> float:
-    """Scale all gradients, rebinding each, so their global L2 norm is at most ``max_norm``.
+    """Scale all gradients in place so their global L2 norm is at most ``max_norm``.
 
     Returns the norm before clipping. Each gradient is read in blocks of
     ``tensor._BLOCK`` floats, each converted into a reused float64 block and
     dotted with itself, so the squares are summed in float64 without a
     gradient-sized temporary. The blocks run in order on the calling thread
     (the ``tensor`` docstring says why they are not split).
+
+    Each distinct gradient array is then multiplied by the scale once, in
+    place: ``np.multiply(g, scale, out=g)`` is the same float32 product as
+    ``g * scale``, with no copy. An array that two parameters share (``add``
+    hands one to both parents) is scaled once, and any tensor that holds it
+    sees the scaled values. A gradient that is read-only, or that overlaps
+    another parameter's gradient without being the same array, is rebound to
+    a scaled copy instead.
     """
     total = 0.0
     for p in params.values():
@@ -145,10 +153,32 @@ def clip_grad_norm(params: dict, max_norm: float) -> float:
     norm = math.sqrt(total)
     if max_norm > 0 and norm > max_norm:
         scale = max_norm / (norm + 1e-12)
+        grads = {id(p.grad): p.grad for p in params.values() if p.grad is not None}
+        in_place = _scalable_in_place(grads.values())
         for p in params.values():
-            if p.grad is not None:
-                p.grad = p.grad * scale  # not in place: two tensors may share one array
+            if p.grad is not None and id(p.grad) not in in_place:
+                p.grad = p.grad * scale
+        for g in grads.values():
+            if id(g) in in_place:
+                np.multiply(g, scale, out=g)
     return norm
+
+
+# The first byte an array can reach, and one past its last (numpy 2 moved it).
+_byte_bounds = getattr(np, "byte_bounds", None) or np.lib.array_utils.byte_bounds
+
+
+def _scalable_in_place(grads):
+    """The ids of the distinct arrays among ``grads`` that are writeable and
+    whose bytes overlap no other's."""
+    spans = sorted((*_byte_bounds(g), id(g), g.flags.writeable) for g in grads)
+    ok, reach = set(), 0  # reach: the byte the spans so far extend to
+    for i, (lo, hi, key, writeable) in enumerate(spans):
+        clear_after = i + 1 == len(spans) or spans[i + 1][0] >= hi
+        if writeable and lo >= reach and clear_after:
+            ok.add(key)
+        reach = max(reach, hi)
+    return ok
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,37 @@ def test_pointwise_mlp_gradients(monkeypatch, shape, tiles):
 
     check_gradients(build, arrays, rel_tol=REL_TOL)
 
+
+@pytest.mark.parametrize("shape,block,tiles", [
+    ((2, 6, 3, 3), 24, [(2, 6, 3, 3)]),  # a 2-item collage: the whole map is one tile
+    ((5, 6, 2, 2), 3, [(2, 6, 2, 2), (2, 6, 2, 2), (1, 6, 2, 2)]),  # runs of whole items
+    ((2, 6, 3, 3), 3, [(1, 6, 2, 3), (1, 6, 1, 3)] * 2),  # bands of rows
+], ids=["one-tile", "item-runs", "row-bands"])
+def test_pointwise_mlp_lean_gradients(monkeypatch, shape, block, tiles):
+    # A _BLOCK of 24 or 3 floats holds fewer positions than the 6 channels,
+    # so backward takes the lean path (the collaged blocks' one) over the
+    # forward's tiles, 64 blocks of the 24-channel hidden map each; with
+    # more than one tile, the weight gradients are added tile by tile.
+    monkeypatch.setattr(T, "_BLOCK", block)
+    lean, calls = T._pointwise_grads_lean, []
+    monkeypatch.setattr(T, "_pointwise_grads_lean", lambda *args: calls.append(1) or lean(*args))
+    n, c, h, w = shape
+    k = 4 * c
+    assert [np.empty(shape)[t].shape for t in T._position_tiles(n, k, h, w, T._LLC_BLOCKS)] == tiles
+    r = rng(91)
+    arrays = {"x": randn(r, shape), "g": 1.0 + 0.2 * randn(r, (c,)), "b": 0.1 * randn(r, (c,)),
+              "w1": 0.5 * randn(r, (k, c, 1, 1)), "b1": 0.3 * randn(r, (k,)),
+              "w2": 0.5 * randn(r, (c, k, 1, 1)), "b2": 0.3 * randn(r, (c,)),
+              "s": 1.0 + 0.3 * randn(r, (c,))}
+
+    def build(t):
+        y = T.pointwise_mlp(t["x"], t["g"], t["b"], t["w1"], t["b1"], t["w2"], t["b2"], t["s"])
+        return T.sum_all(T.mul(y, y))
+
+    check_gradients(build, arrays, rel_tol=REL_TOL)
+    assert calls
+
+
 # Wirings of the whole network: the collage point, the per-frame path that
 # ends in frame_mean (no stacking, no neck), and the neck.
 WHOLE_MODEL_WIRINGS = {

@@ -370,9 +370,10 @@ def test_only_training_or_capture_forwards_record_a_tape():
 
 
 def test_block_tape_keeps_no_output_that_no_backward_reads(monkeypatch):
-    # The dw output feeds tile_grid, tile_grid's feeds the layer norm and the
-    # drop-path output feeds the residual add: none of their backwards reads
-    # them, so a taped block must not keep them once it returns.
+    # The dw output feeds tile_grid and the drop-path output feeds the
+    # residual add: neither's backward reads it, so a taped block must not
+    # keep them once it returns. tile_grid's output is pointwise_mlp's fused
+    # map, the one C map its tape keeps: its data lives on, not its tensor.
     from vidconv import model as M
     block = build_model(toy_config(), 6).layers[2].blocks[0]  # with the temporal branch
     monkeypatch.setattr(block, "drop_prob", 0.5)
@@ -390,9 +391,9 @@ def test_block_tape_keeps_no_output_that_no_backward_reads(monkeypatch):
     monkeypatch.setattr(M, "drop_path", keep("drop_path", M.drop_path))
     x = T.Tensor(rng(13).standard_normal((2, 32, 12, 12)).astype(np.float32), requires_grad=True)
     y = block(x, collaged=True, training=True, rng=np.random.default_rng(1))
-    assert sorted(refs) == ["drop_path", "dw", "tile_grid"]
-    alive = [name for name, pair in refs.items() if any(r() is not None for r in pair)]
-    assert not alive, f"the tape keeps {alive}"
+    alive = {name: [r() is not None for r in pair] for name, pair in refs.items()}
+    assert alive == {"drop_path": [False, False], "dw": [False, False],
+                     "tile_grid": [False, True]}, f"alive (tensor, data): {alive}"
     T.backward(T.sum_all(y))
     assert x.grad is not None and dw_weight.grad is not None
 
@@ -402,11 +403,13 @@ def test_block_frees_the_fused_map_before_pw1(monkeypatch, training):
     # Only the layer norm reads the fused map (tile_grid's output), and its
     # backward reads its own xhat, so nothing but the norm's output holds the
     # map once pw1 runs: there, in stage 1 of an eval forward, one C map less
-    # is live. Taped, the map is freed; untaped, the norm writes over it.
+    # is live, as the norm writes over it. A training block calls no pw1: it
+    # runs its pointwise half as pointwise_mlp, whose tape keeps the fused
+    # map, and nothing else of it.
     from vidconv import model as M
     block = build_model(toy_config(), 6).layers[2].blocks[0]  # with the temporal branch
-    tile, pw1 = M.tile_grid, block.pw1
-    fused, alive_at_pw1, pw1_reads_fused = [], [], []
+    tile, pw1, pointwise_mlp = M.tile_grid, block.pw1, T.pointwise_mlp
+    fused, alive_at_pw1, pw1_reads_fused, ops = [], [], [], []
 
     def spy_tile_grid(*args):
         out = tile(*args)
@@ -418,15 +421,30 @@ def test_block_frees_the_fused_map_before_pw1(monkeypatch, training):
         pw1_reads_fused.append([data() is y.data for _, data in fused])
         return pw1(y)
 
+    spy_pw1.weight, spy_pw1.bias = pw1.weight, pw1.bias  # what a training block reads of pw1
+
+    def spy_pointwise_mlp(f, *args, **kwargs):
+        out = pointwise_mlp(f, *args, **kwargs)
+        ops.append((f.data is fused[-1][1](), out._node))
+        return out
+
     monkeypatch.setattr(M, "tile_grid", spy_tile_grid)
     monkeypatch.setattr(block, "pw1", spy_pw1)
+    monkeypatch.setattr(T, "pointwise_mlp", spy_pointwise_mlp)
     x = T.Tensor(rng(13).standard_normal((2, 32, 12, 12)).astype(np.float32),
                  requires_grad=training)
     with T.recording(training):  # as model.forward runs its layers
         y = block(x, collaged=True, training=training, rng=np.random.default_rng(1))
-    assert alive_at_pw1 == [[False, not training]]
-    assert pw1_reads_fused == [[not training]]
     assert y.requires_grad == training
+    if not training:
+        assert alive_at_pw1 == [[False, True]] and pw1_reads_fused == [[True]]
+        assert ops == []
+        return
+    assert alive_at_pw1 == [] and len(ops) == 1
+    reads_fused, node = ops[0]
+    assert reads_fused and fused[0][0]() is None
+    kept = [c.cell_contents for c in node.grad_fn.__closure__]
+    assert sum(a is fused[0][1]() for a in kept) == 1
 
 
 def test_pre_collage_block_tape_keeps_only_the_fused_map_and_its_stats(monkeypatch):
@@ -436,14 +454,16 @@ def test_pre_collage_block_tape_keeps_only_the_fused_map_and_its_stats(monkeypat
     # pw2 output outlives the block.
     from vidconv import model as M
     block = build_model(toy_config(), 6).layers[0].blocks[0]  # stage 1
-    monkeypatch.setattr(T, "_BLOCK", 8 * 64)  # 64 positions: 16x16 items in 4-row bands
+    # forward tiles of 64 blocks of the 32-channel hidden map, 128 positions:
+    # 16x16 items in 8-row bands
+    monkeypatch.setattr(T, "_BLOCK", 64)
     conv2d, gelu, pointwise_mlp = T.conv2d, T.gelu, T.pointwise_mlp
     tile_outs, ops = [], []
 
     def keep(fn):
         def wrapper(*args, **kwargs):
             out = fn(*args, **kwargs)
-            if out.shape[2:] == (4, 16):  # a tile's, not the depth-wise conv's
+            if out.shape[2:] == (8, 16):  # a tile's, not the depth-wise conv's
                 tile_outs.append((weakref.ref(out), weakref.ref(out.data)))
             return out
         return wrapper
@@ -460,7 +480,7 @@ def test_pre_collage_block_tape_keeps_only_the_fused_map_and_its_stats(monkeypat
     x = T.Tensor(rng(13).standard_normal((4, 8, 16, 16)).astype(np.float32), requires_grad=True)
     with T.recording(True):  # as model.forward runs its layers
         y = block(x, collaged=False, training=True, rng=np.random.default_rng(1))
-    assert len(ops) == 1 and len(tile_outs) == 16 * 3  # 4 items x 4 bands; pw1, GELU, pw2
+    assert len(ops) == 1 and len(tile_outs) == 8 * 3  # 4 items x 2 bands; pw1, GELU, pw2
     alive = [i for i, pair in enumerate(tile_outs) if any(r() is not None for r in pair)]
     assert not alive, f"the tape keeps tile outputs {alive}"
     fused, node = ops[0]
@@ -471,6 +491,65 @@ def test_pre_collage_block_tape_keeps_only_the_fused_map_and_its_stats(monkeypat
     assert sorted(a.shape for a in maps if a is not fused) == [(4, 1, 16, 16)] * 2
     T.backward(T.sum_all(T.mul(y, y)))
     assert x.grad is not None and block.pw1.weight.grad is not None
+
+
+def _arrays_kept_by(grad_fn):
+    """The distinct arrays a grad_fn keeps, also through the closures of the
+    functions it keeps; no tensor may be among them."""
+    arrays, fns, seen = {}, [grad_fn], set()
+    while fns:
+        fn = fns.pop()
+        if id(fn) in seen:
+            continue
+        seen.add(id(fn))
+        for cell in fn.__closure__ or ():
+            v = cell.cell_contents
+            assert not isinstance(v, T.Tensor), f"{fn.__qualname__} keeps a tensor"
+            if isinstance(v, np.ndarray):
+                arrays[id(v)] = v
+            elif hasattr(v, "__closure__"):
+                fns.append(v)
+    return list(arrays.values())
+
+
+@pytest.mark.parametrize("block_floats", [None, 512], ids=["tile-groups", "lean"])
+def test_collaged_block_tape_keeps_only_the_fused_map_and_its_stats(monkeypatch, block_floats):
+    # A collaged training block runs its pointwise half as pointwise_mlp too.
+    # Its tape keeps the fused map and two (N, 1, H, W) stat maps; the rest
+    # is parameter-sized. With _BLOCK = 512, a block of the 32-channel map
+    # holds fewer positions than channels, so backward takes the lean path
+    # that tiny's stage-3 and stage-4 blocks take.
+    from vidconv import model as M
+    block = build_model(toy_config(), 6).layers[2].blocks[0]  # with the temporal branch
+    if block_floats is not None:
+        monkeypatch.setattr(T, "_BLOCK", block_floats)
+    pointwise_mlp, tile, ops, fused = T.pointwise_mlp, M.tile_grid, [], []
+
+    def spy_tile_grid(*args):
+        out = tile(*args)
+        fused.append(out.data)
+        return out
+
+    def spy_pointwise_mlp(f, *args, **kwargs):
+        out = pointwise_mlp(f, *args, **kwargs)
+        ops.append(out._node)
+        return out
+
+    monkeypatch.setattr(M, "tile_grid", spy_tile_grid)
+    monkeypatch.setattr(T, "pointwise_mlp", spy_pointwise_mlp)
+    monkeypatch.setattr(block, "drop_prob", 0.5)
+    x = T.Tensor(rng(13).standard_normal((2, 32, 12, 12)).astype(np.float32), requires_grad=True)
+    with T.recording(True):  # as model.forward runs its layers
+        y = block(x, collaged=True, training=True, rng=np.random.default_rng(1))
+    assert len(ops) == 1 and len(fused) == 1
+    kept = _arrays_kept_by(ops[0].grad_fn)
+    maps = [a for a in kept if a.shape[2:] == (12, 12)]
+    assert len(maps) == 3 and sum(a is fused[0] for a in maps) == 1
+    assert sorted(a.shape for a in maps if a is not fused[0]) == [(2, 1, 12, 12)] * 2
+    largest = max(p.size for p in (block.pw1.weight, block.pw2.weight))
+    assert all(a.size <= largest for a in kept if not any(a is m for m in maps))
+    T.backward(T.sum_all(T.mul(y, y)))
+    assert x.grad is not None and block.pw2.weight.grad is not None
 
 
 @pytest.mark.parametrize("training", [False, True], ids=["eval", "training"])

@@ -607,13 +607,18 @@ def _pointwise_five_ops(f, gamma, beta, w1, b1, w2, b2, scale):
 # tiny's stage-1 and stage-2 block maps: 2 clips at 96x96 (runs of whole
 # items) and 1 clip at 224x224 (bands of rows)
 TINY_PRE_COLLAGE_SHAPES = [(18, 96, 24, 24), (18, 192, 12, 12), (9, 96, 56, 56), (9, 192, 28, 28)]
+# tiny's stage-3 and stage-4 collages of 2 clips at 96x96: a block of C map
+# holds fewer positions than C, so backward takes the lean path
+TINY_COLLAGED_SHAPES = [(2, 384, 18, 18), (2, 768, 9, 9)]
 
 
 @pytest.mark.parametrize("taped", [False, True], ids=["eval", "training"])
-@pytest.mark.parametrize("shape", TINY_PRE_COLLAGE_SHAPES, ids=lambda s: "x".join(map(str, s)))
+@pytest.mark.parametrize("shape", TINY_PRE_COLLAGE_SHAPES + TINY_COLLAGED_SHAPES,
+                         ids=lambda s: "x".join(map(str, s)))
 def test_pointwise_mlp_equals_the_five_ops(shape, taped):
-    # Bit for bit in the forward. The gradients sum over tiles, and take the
-    # layer scale's through W2, so they agree to float32 rounding only.
+    # Bit for bit in the forward. The gradients sum over tiles or in one GEMM,
+    # and take the layer scale through W2 or on g, so they agree to float32
+    # rounding only.
     f = make(shape, seed=1, requires_grad=taped)
     params = _pointwise_params(shape[1], 2, taped)
     ref, got = _pointwise_five_ops(f, *params), T.pointwise_mlp(f, *params)

@@ -136,6 +136,30 @@ def test_pool_changes_no_bits_pointwise_mlp(pool, monkeypatch):
     assert_pool_changes_no_bits(monkeypatch, run, "tile_grads", "_gemm_parts")
 
 
+def test_pool_changes_no_bits_pointwise_mlp_collaged(pool, monkeypatch):
+    # tiny's stage-3 collage on 2 clips at 96x96: the lean backward, whose
+    # GEMMs split by rows, and whose GELU and dy/dx product split by blocks
+    c = 384
+    f = make((2, c, 18, 18), requires_grad=True)
+    r = rng(1)
+    params = [T.Tensor(a.astype(np.float32), requires_grad=True) for a in (
+        1.0 + 0.1 * r.standard_normal(c), 0.1 * r.standard_normal(c),
+        0.1 * r.standard_normal((4 * c, c, 1, 1)), 0.1 * r.standard_normal(4 * c),
+        0.05 * r.standard_normal((c, 4 * c, 1, 1)), 0.1 * r.standard_normal(c),
+        0.5 + 0.1 * r.standard_normal(c))]
+    seen, in_backward = splits_seen(monkeypatch), []
+
+    def run():
+        y = T.pointwise_mlp(f, *params)
+        seen.clear()
+        grads = grads_of(y, 3)
+        in_backward.extend(seen)
+        return [y.data, *grads]
+
+    assert_pool_changes_no_bits(monkeypatch, run, "_gemm_parts", "_gelu_blocks", "_map_parts")
+    assert "tile_grads" not in " ".join(in_backward), in_backward
+
+
 def test_pool_changes_no_bits_elementwise_and_collage(pool, monkeypatch):
     frames = make((18, 96, 24, 24))  # two clips of 3x3 frames
     other, alpha = make((18, 96, 24, 24), 1), make((96,), 2)
@@ -223,9 +247,10 @@ def test_cut_and_slabs_make_three_uneven_parts(three_parts, monkeypatch):
     (test_pool_changes_no_bits_layer_norm, [(9, 96, 56, 56)]),
     (test_pool_changes_no_bits_layer_norm, [(1, 192, 112, 112)]),
     (test_pool_changes_no_bits_pointwise_mlp, []),
+    (test_pool_changes_no_bits_pointwise_mlp_collaged, []),
     (test_pool_changes_no_bits_adamw_and_clip_grad_norm, []),
 ], ids=["dense_conv-items", "dense_conv-rows", "depthwise_conv", "gelu", "layer_norm-items",
-        "layer_norm-rows", "pointwise_mlp", "adamw"])
+        "layer_norm-rows", "pointwise_mlp", "pointwise_mlp-collaged", "adamw"])
 def test_three_parts_change_no_bits(three_parts, monkeypatch, check, args):
     check(T._POOL, monkeypatch, *args)
     assert 3 in three_parts, sorted(set(three_parts))

@@ -1,6 +1,7 @@
 """Optimizer semantics, schedule, stochastic depth, loops, and multi-view eval."""
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -185,6 +186,58 @@ def test_clip_grad_norm_scales_a_shared_gradient_once():
     assert norm == pytest.approx(math.sqrt(8.0))
     for p in (p1, p2):
         np.testing.assert_allclose(p.grad, np.full((2, 2), 1.0 / math.sqrt(8.0)), rtol=1e-6)
+
+
+def test_clip_grad_norm_scales_each_gradient_in_place_to_the_bits_of_a_copy():
+    r = rng(30)
+    params = {f"p{i}": param(np.zeros(shape)) for i, shape in enumerate([(3, 5), (7,), (2, 2, 4)])}
+    for p in params.values():
+        p.grad = (3.0 * r.standard_normal(p.shape)).astype(np.float32)
+    grads = {n: p.grad for n, p in params.items()}
+    before = {n: g.copy() for n, g in grads.items()}
+    norm = clip_grad_norm(params, max_norm=1.0)
+    assert norm > 1.0
+    for n, p in params.items():
+        assert p.grad is grads[n]
+        assert p.grad.tobytes() == (before[n] * (1.0 / (norm + 1e-12))).tobytes(), n
+
+
+def test_clip_grad_norm_rebinds_a_gradient_it_cannot_scale_in_place():
+    # a read-only gradient, and two distinct arrays over the same memory
+    base = np.arange(1.0, 9.0, dtype=np.float32)
+    frozen = base.copy()
+    frozen.flags.writeable = False
+    params = {n: param(np.zeros(4)) for n in ("frozen", "left", "right", "own")}
+    params["frozen"].grad = frozen[:4]
+    params["left"].grad, params["right"].grad = base[:4], base[2:6]
+    own = np.ones(4, dtype=np.float32)
+    params["own"].grad = own
+    norm = clip_grad_norm(params, max_norm=1.0)
+    scale = 1.0 / (norm + 1e-12)
+    assert np.array_equal(base, np.arange(1.0, 9.0, dtype=np.float32))  # neither view written
+    assert params["own"].grad is own and np.array_equal(own, np.float32(scale) * np.ones(4, np.float32))
+    for name, old in (("frozen", frozen[:4]), ("left", base[:4]), ("right", base[2:6])):
+        assert params[name].grad is not old
+        assert np.array_equal(params[name].grad, old * scale), name
+
+
+def test_clip_grad_norm_of_the_tiny_parameter_set_allocates_less_than_one_gradient():
+    # In place, clipping allocates only its float64 scratch: rebinding each
+    # gradient to a scaled copy would allocate the largest one (the neck
+    # weight's, 64 MB) at least once.
+    model = build_model(make_config("tiny", input_size=(32, 32)), 0)
+    params = model.parameters()
+    for p in params.values():
+        p.grad = p.data  # one distinct, writeable array per parameter
+    largest = max(p.grad.nbytes for p in params.values())
+    tracemalloc.start()
+    try:
+        norm = clip_grad_norm(params, max_norm=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert norm > 1e-3  # so every gradient was scaled
+    assert peak < largest, f"clipping peaked at {peak / 2**20:.1f} MiB"
 
 
 # ---------------------------------------------------------------------------
