@@ -29,11 +29,12 @@ input-gradient and weight-gradient GEMMs (``_gemm_parts``, with the bias
 added in each part); the depth-wise conv's channel blocks, forward and
 backward; GELU's blocks; layer norm's normalise and affine; the parts of
 ``all_finite``; the blocks of ``training.adamw_step``; ``pointwise_mlp``'s
-backward tiles; and ``add``, ``scale_channels`` and ``model``'s
-``tile_grid`` and collage copies. A cut has more than one part only where
-each part holds enough work (``_PART_CALL``, ``_PART_LOOP``), and
-``_parallel`` runs a cut of one part inline: small maps, such as all of
-the ``toy`` variant's, start no thread. GELU's backward product and
+backward tiles at stages 1-2, a tile per part; and ``add``,
+``scale_channels`` and ``model``'s ``tile_grid`` and collage copies. A
+cut has more than one part only where each part holds enough work
+(``_PART_CALL``, ``_PART_LOOP``), and ``_parallel`` runs a cut of one
+part inline: small maps, such as all of the ``toy`` variant's, start no
+thread. GELU's backward product and
 ``training.clip_grad_norm``'s float64 dots run on the calling thread. In
 a ``tiny`` train step at 96x96 the product split 9 times, each on a
 (2, 1536, 18, 18) map that took 0.47 ms split and 0.45 ms inline, and the
@@ -42,11 +43,13 @@ of a 2 s step (2-vCPU Xeon VM). No part reorders a reduction, so every
 output and gradient is bit for bit that of one part. Parts never touch
 the tape or ``recording``, call no public function of this module,
 ``model`` or ``training`` (a tracer may wrap those, and time them on one
-span stack), hand nothing to the pool themselves, and allocate nothing
-much larger than a block: the caller makes the outputs and any larger
-scratch, because glibc gives each thread its own heap, which keeps what
-it frees (a ``tiny`` train step peaked 24 MB higher when
-``pointwise_mlp``'s backward tiles made their K-wide arrays on the pool).
+span stack), and allocate nothing much larger than a block: the caller
+makes the outputs and any larger scratch, because glibc gives each thread
+its own heap, which keeps what it frees (a ``tiny`` train step peaked
+24 MB higher when ``pointwise_mlp``'s backward tiles made their K-wide
+arrays on the pool). A part may call the kernels that split: a split made
+inside a part runs its pieces inline, on that part's thread (see
+``_parallel``).
 """
 from __future__ import annotations
 
@@ -211,6 +214,10 @@ class _Job:
         self.done.acquire()
 
 
+# ``on``: this thread is running a part of a split (see ``_parallel``)
+_in_part = threading.local()
+
+
 class _Pool:
     """Daemon threads, started at the first hand-over, that run ``_Job``s in
     the caller's numpy error state (numpy keeps one per thread). This is the
@@ -235,6 +242,7 @@ class _Pool:
         return job
 
     def _work(self):
+        _in_part.on = True  # every job is a part of a split
         while True:
             job = self._jobs.get()
             try:
@@ -295,19 +303,23 @@ def _parallel(part, pieces):
     numbers): the first on the calling thread, the rest on the pool,
     each in the caller's numpy error state. Returns once every part has,
     then re-raises the first error a part raised, in the order of
-    ``pieces``. Parts must write disjoint outputs and must not themselves
-    call ``_parallel``."""
-    if _POOL is None or len(pieces) == 1:
+    ``pieces``. Parts must write disjoint outputs. A call made from inside
+    a part runs its pieces inline, in order: every pool thread may be
+    running a part of the call outside it, which waits on this one."""
+    if _POOL is None or len(pieces) == 1 or getattr(_in_part, "on", False):
         for piece in pieces:
             part(piece)
         return
     err = np.geterr()
     jobs = [_POOL.run(part, piece, err) for piece in pieces[1:]]
     errors = []
+    _in_part.on = True
     try:
         part(pieces[0])
     except BaseException as exc:  # re-raised below, once the pool's parts are done
         errors.append(exc)
+    finally:
+        _in_part.on = False
     for job in jobs:
         with job.done:
             if job.error is not None:
@@ -1003,15 +1015,22 @@ def pointwise_mlp(f: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor
     gradient, the sum over positions of g * (W2 a + b2), is read off the
     (C, K) sum of g a^T that pw2's weight gradient needs anyway.
 
-    Backward takes one of two paths, by the shape of the weights:
+    Backward is one function of a tile, run on one of two schedules. The
+    tile is copied channel-major, (C, M) for its M positions, so that every
+    GEMM is one 2-D GEMM through ``_gemm_parts`` and a weight gradient is
+    one GEMM over all M positions (as in ``_conv_dense``'s backward). The
+    first tile writes the (C, K) sums; a later one writes partials, added
+    in tile order, so the sums are those of one thread. The layer scale
+    multiplies g, a C map, rather than W2, a (C, K) one. Nothing is written
+    into g or ``f``'s data. The schedule follows the shape of the weights:
 
-    - Many positions per channel (``_BLOCK // C >= C``, stages 1-2): tiles
-      of about a block of C map each, run in groups, a tile per part, each
-      tile's parameter-gradient partials added in tile order, so the sums
-      are those of one thread.
-    - Few (stages 3-4, where a (C, K) partial outweighs a tile's K-wide
-      maps): the forward's tiles, each whole, on the calling thread (see
-      ``_pointwise_grads_lean``), with no partials and no per-part buffers.
+    - Few positions per channel (``_BLOCK // C < C``, stages 3-4, where a
+      (C, K) partial outweighs a tile's K-wide maps): the forward's tiles,
+      one at a time on the calling thread, each GEMM and GELU split over
+      the parts.
+    - Many (stages 1-2): tiles of about a block of C map, ``_THREADS`` at a
+      time, a tile per part, where each tile holds a part's work. The
+      splits inside a part run inline (see ``_parallel``).
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -1043,85 +1062,78 @@ def pointwise_mlp(f: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor
             a = gelu(conv2d(Tensor(y), w1, b1, one), overwrite_x=True)
             np.multiply(conv2d(a, w2, b2, one).data, s4, out=out[t])
 
-    fd, gd, betad = f.data, gamma.data, beta.data
+    fd, dt = f.data, f.dtype
+    gd, betad = gamma.data[:, None], beta.data[:, None]
     w1m, b1v, w2m, b2d, sd = w1.data.reshape(k, c), b1.data, w2.data.reshape(c, k), b2.data, scale.data
-    b1d = b1v[:, None]
     lean = _BLOCK // c < c
-
-    def tile_group_grads(g, gf):
-        tiles = _position_tiles(n, c, h, w)
-        gw1, gb1 = np.zeros((k, c), dtype=fd.dtype), np.zeros(k, dtype=fd.dtype)
-        ggamma, gbeta = np.zeros(c, dtype=fd.dtype), np.zeros(c, dtype=fd.dtype)
-        gza = np.zeros((c, k), dtype=fd.dtype)  # sum over positions of g * GELU output^T
-        gsum = np.zeros(c, dtype=fd.dtype)
-        w2s_t = (w2m * sd[:, None]).T  # pw2's input gradient with the scale folded in
-        # A group of tiles runs on the pool, a tile per part, when each of
-        # its tiles holds a part's work: per position, three GEMMs of C x K
-        # and GELU with dy/dx over K. Otherwise its tiles run in turn.
-        per_position = 3 * c * k / _MACS_PER_PASS + 24 * k
-        step = 1 if _POOL is None else _THREADS
-        groups = [range(lo, min(lo + step, len(tiles))) for lo in range(0, len(tiles), step)]
-        pooled = [min(fd[tiles[j]].size for j in grp) // c * per_position >= _PART_LOOP
-                  for grp in groups]
-
-        def buffers(ft):
-            # tile ft's three K-wide arrays and two (C, K) partials
-            return ([np.empty(ft.size // c * k, dtype=fd.dtype) for _ in range(3)],
-                    np.empty((2, ft.shape[0] * c * k), dtype=fd.dtype),
-                    np.empty((2, c, k), dtype=fd.dtype))
-
-        # A tile on the pool writes these into a set made here, one set per
-        # part of a group (no tile is larger than the first): a pool
-        # thread's heap would keep them (see the module docstring). Its
-        # C-wide arrays are about a block each. A tile run on the calling
-        # thread makes its own.
-        slots = [buffers(fd[tiles[0]]) for _ in range(step)] if any(pooled) else []
-        partials = [None] * len(tiles)
-
-        def tile_grads(piece):
-            j, slot = piece  # tile j, into buffer set slot, or new buffers
-            t = tiles[j]
-            kbuf, mbuf, (gza_t, gw1_t) = buffers(fd[t]) if slot is None else slots[slot]
-            xhat = np.subtract(fd[t], mu[t])
-            xhat *= inv[t]
-            y = xhat * g4
-            y += beta4
-            m = y.shape[0]
-            y3 = y.reshape(m, c, -1)
-            a, d, ga = (b[:m * k * y3.shape[2]].reshape(m, k, -1) for b in kbuf)
-            np.matmul(w1m, y3, out=a)  # pw1's GEMM in conv2d, so a is the forward's
-            a += b1d
-            _gelu_run(a.reshape(-1), a.reshape(-1), d.reshape(-1))
-            gt = g[t].reshape(m, c, -1)
-            gza_m, gw1_m = mbuf[0, :m * c * k].reshape(m, c, k), mbuf[1, :m * k * c].reshape(m, k, c)
-            np.sum(np.matmul(gt, a.swapaxes(1, 2), out=gza_m), axis=0, out=gza_t)
-            np.matmul(w2s_t, gt, out=ga)
-            ga *= d
-            np.sum(np.matmul(ga, y3.swapaxes(1, 2), out=gw1_m), axis=0, out=gw1_t.reshape(k, c))
-            gy = np.matmul(w1m.T, ga).reshape(xhat.shape)
-            gf[t], gg, gbt = _ln_grad(gy, xhat, inv[t], g4)
-            partials[j] = (gza_t, gt.sum(axis=(0, 2)), gw1_t.reshape(k, c), ga.sum(axis=(0, 2)),
-                           gg, gbt)
-
-        sums = (gza, gsum, gw1, gb1, ggamma, gbeta)
-        for grp, on_pool in zip(groups, pooled):
-            pieces = [(j, slot if on_pool else None) for slot, j in enumerate(grp)]
-            for run in [pieces] if on_pool else [[piece] for piece in pieces]:
-                _parallel(tile_grads, run)
-                for j, _ in run:  # in tile order, whichever thread ran the tile
-                    for total, part in zip(sums, partials[j]):
-                        total += part
-                    partials[j] = None
-        return sums
+    # a part's work per position: three GEMMs of C x K, and GELU with dy/dx over K
+    per_position = 3 * c * k / _MACS_PER_PASS + 24 * k
 
     def grad_fn(g):
+        tiles = forward_tiles if lean else _position_tiles(n, c, h, w)
+        step = 1 if lean or _POOL is None else _THREADS
+        rounds = []  # tiles run together, a tile per part
+        for lo in range(0, len(tiles), step):
+            group = range(lo, min(lo + step, len(tiles)))
+            pooled = min(fd[tiles[j]].size for j in group) // c * per_position >= _PART_LOOP
+            rounds += [group] if pooled else [[j] for j in group]
+        # The buffers of each part of a pooled round, made here (see the
+        # module docstring): pw1's output and GELU's dy/dx, flat, sized by
+        # the largest tile, of which a tile takes a prefix, and the (C, K)
+        # and (K, C) partials. A tile run alone makes its own.
+        parts, kmax = max(map(len, rounds)), max(fd[t].size for t in tiles) // c * k
+        sets = [(np.empty(kmax, dtype=dt), np.empty(kmax, dtype=dt),
+                 np.empty((c, k), dtype=dt), np.empty((k, c), dtype=dt))
+                for _ in range(parts if parts > 1 else 0)]
         gf = np.empty_like(fd)
-        if lean:
-            sums = _pointwise_grads_lean(g, gf, fd, mu, inv, forward_tiles, gd, betad,
-                                         w1m, b1v, w2m, sd)
-        else:
-            sums = tile_group_grads(g, gf)
-        gza, gsum, gw1, gb1, ggamma, gbeta = sums
+        gza, gw1 = np.empty((c, k), dtype=dt), np.empty((k, c), dtype=dt)
+        results = [None] * len(tiles)
+
+        def tile_grads(piece):
+            j, bufs = piece  # tile j, and its part's buffers, or None
+            t = tiles[j]
+            ft = fd[t]
+            # Written into a new array: for a tile of one item the views of
+            # fd and g below are the arrays themselves, not copies.
+            xhat = np.subtract(_channel_major(ft), _channel_major(mu[t]), order="C").reshape(c, -1)
+            inv_t = _channel_major(inv[t]).reshape(1, -1)
+            xhat *= inv_t
+            y = xhat * gd
+            y += betad
+            size = k * y.shape[1]
+            if bufs is None:  # made here, so that dy/dx is freed once read
+                bufs = (np.empty(size, dtype=dt), np.empty(size, dtype=dt),
+                        *((np.empty_like(gza), np.empty_like(gw1)) if j else ()))
+            a, d = (buf[:size].reshape(k, -1) for buf in bufs[:2])
+            za, zw1 = bufs[2:] if j else (gza, gw1)  # the first tile writes the sums
+            del bufs
+            _gemm_parts(w1m, y[None], a[None], b1v)  # pw1 and its bias, as conv2d runs them
+            _gelu_blocks(a.reshape(-1), a.reshape(-1), d.reshape(-1))
+            gt = np.ascontiguousarray(_channel_major(g[t])).reshape(c, -1)
+            _gemm_parts(gt, a.T[None], za[None])
+            ga = a  # a is dead once g a^T is summed
+            _gemm_parts(w2m.T, (gt * sd[:, None])[None], ga[None])
+            _map_parts(np.multiply, ga, ga, d)
+            del a, d
+            _gemm_parts(ga, y.T[None], zw1[None])
+            gy = np.empty_like(xhat)
+            _gemm_parts(w1m.T, ga[None], gy[None])
+            gx, gg, gbt = _ln_grad(gy[None, :, None], xhat[None, :, None], inv_t[None, :, None], g4)
+            gf[t] = gx.reshape(c, ft.shape[0], *ft.shape[2:]).swapaxes(0, 1)
+            results[j] = gt.sum(axis=1), ga.sum(axis=1), gg, gbt, za, zw1
+
+        sums = [np.zeros(size, dtype=dt) for size in (c, k, c, c)]
+        for r in rounds:
+            _parallel(tile_grads, [(j, sets[i] if len(r) > 1 else None) for i, j in enumerate(r)])
+            for j in r:  # in tile order, whichever thread ran the tile
+                *vectors, za, zw1 = results[j]
+                for total, v in zip(sums, vectors):
+                    total += v
+                if j:
+                    gza += za
+                    gw1 += zw1
+                results[j] = None
+        gsum, gb1, ggamma, gbeta = sums
         # pw2's output is W2 a + b2, so sum(g * it) over positions is the
         # diagonal of W2 gza^T plus b2 * sum(g)
         gscale = np.einsum("ck,ck->c", w2m, gza) + b2d * gsum
@@ -1133,66 +1145,9 @@ def pointwise_mlp(f: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor
 
 
 def _channel_major(a):
-    """An (m, C, ...) array as a C-contiguous (C, m * positions) copy."""
+    """An (m, C, ...) array as a (C, m, positions) view."""
     m, c = a.shape[:2]
-    return np.ascontiguousarray(a.reshape(m, c, -1).swapaxes(0, 1)).reshape(c, -1)
-
-
-def _pointwise_grads_lean(g, gf, fd, mu, inv, tiles, gamma, beta, w1m, b1, w2m, sd):
-    """``pointwise_mlp``'s backward on ``tiles`` of the fused map ``fd``,
-    each whole, on the calling thread; its gradient for ``fd`` goes to
-    ``gf``. Returns the sums over positions of g a^T (a the GELU output),
-    g, and the gradients of W1, b1, gamma and beta.
-
-    Each tile is copied channel-major, (C, M) for its M positions, so that
-    every GEMM is one 2-D GEMM through ``_gemm_parts``, split by rows, and
-    a weight gradient is one GEMM over all M positions (as in
-    ``_conv_dense``'s backward), written straight into its sum: no
-    per-tile or per-part (C, K) partial exists unless there is more than
-    one tile. The layer scale multiplies g, a C map, rather than W2, a
-    (C, K) one. Two K-wide arrays are live: pw1's output, which GELU
-    overwrites and pw2's input gradient then takes, and GELU's dy/dx.
-    """
-    c, k = w2m.shape
-    dt = fd.dtype
-    gza, gw1 = np.empty((c, k), dtype=dt), np.empty((k, c), dtype=dt)
-    gsum, gb1, ggamma, gbeta = (np.zeros(size, dtype=dt) for size in (c, k, c, c))
-    g4 = gamma[None, :, None, None]
-    for j, t in enumerate(tiles):
-        # the first tile writes the (C, K) sums, a later one partials added to them
-        za, zw1 = (gza, gw1) if j == 0 else (np.empty_like(gza), np.empty_like(gw1))
-        xhat = _channel_major(fd[t])
-        inv_t = _channel_major(inv[t])
-        xhat -= _channel_major(mu[t])
-        xhat *= inv_t
-        y = xhat * gamma[:, None]
-        y += beta[:, None]
-        a = np.empty((k, xhat.shape[1]), dtype=dt)
-        d = np.empty_like(a)
-        _gemm_parts(w1m, y[None], a[None], b1)  # pw1 and its bias, as conv2d runs them
-        _gelu_blocks(a.reshape(-1), a.reshape(-1), d.reshape(-1))
-        gt = _channel_major(g[t])
-        gsum += gt.sum(axis=1)
-        _gemm_parts(gt, a.T[None], za[None])
-        gt *= sd[:, None]
-        ga = a  # a is dead once g a^T is summed
-        _gemm_parts(w2m.T, gt[None], ga[None])
-        _map_parts(np.multiply, ga, ga, d)
-        del a, d
-        gb1 += ga.sum(axis=1)
-        _gemm_parts(ga, y.T[None], zw1[None])
-        gy = np.empty_like(xhat)
-        _gemm_parts(w1m.T, ga[None], gy[None])
-        del ga
-        gx, gg, gbt = _ln_grad(gy[None, :, None], xhat[None, :, None], inv_t[None, :, None], g4)
-        ft = fd[t]
-        gf[t] = gx.reshape(c, ft.shape[0], *ft.shape[2:]).swapaxes(0, 1)
-        ggamma += gg
-        gbeta += gbt
-        if j:
-            gza += za
-            gw1 += zw1
-    return gza, gsum, gw1, gb1, ggamma, gbeta
+    return a.reshape(m, c, -1).swapaxes(0, 1)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:

@@ -1,4 +1,6 @@
 """Central finite-difference checks for every differentiable op (64-bit mode)."""
+import math
+
 import numpy as np
 import pytest
 
@@ -231,12 +233,10 @@ def test_pointwise_mlp_gradients(monkeypatch, shape, tiles):
 ], ids=["one-tile", "item-runs", "row-bands"])
 def test_pointwise_mlp_lean_gradients(monkeypatch, shape, block, tiles):
     # A _BLOCK of 24 or 3 floats holds fewer positions than the 6 channels,
-    # so backward takes the lean path (the collaged blocks' one) over the
+    # so backward takes the lean schedule (the collaged blocks' one) over the
     # forward's tiles, 64 blocks of the 24-channel hidden map each; with
     # more than one tile, the weight gradients are added tile by tile.
     monkeypatch.setattr(T, "_BLOCK", block)
-    lean, calls = T._pointwise_grads_lean, []
-    monkeypatch.setattr(T, "_pointwise_grads_lean", lambda *args: calls.append(1) or lean(*args))
     n, c, h, w = shape
     k = 4 * c
     assert [np.empty(shape)[t].shape for t in T._position_tiles(n, k, h, w, T._LLC_BLOCKS)] == tiles
@@ -251,7 +251,18 @@ def test_pointwise_mlp_lean_gradients(monkeypatch, shape, block, tiles):
         return T.sum_all(T.mul(y, y))
 
     check_gradients(build, arrays, rel_tol=REL_TOL)
-    assert calls
+    # backward rebuilds pw1 (the one GEMM with a bias) once per forward tile
+    y = build({name: T.Tensor(a, requires_grad=True) for name, a in arrays.items()})
+    pw1, gemm_parts = [], T._gemm_parts
+
+    def spy(a, b, out, bias=None):
+        if bias is not None:
+            pw1.append(b.shape)
+        gemm_parts(a, b, out, bias)
+
+    monkeypatch.setattr(T, "_gemm_parts", spy)
+    T.backward(y)
+    assert pw1 == [(1, c, math.prod(tile) // c) for tile in tiles]
 
 
 # Wirings of the whole network: the collage point, the per-frame path that
@@ -305,3 +316,13 @@ def test_whole_model_gradients(wiring):
             worst[name] = max(worst.get(name, 0.0), err)
     bad = {name: err for name, err in worst.items() if err > REL_TOL}
     assert not bad, f"{wiring}: finite differences disagree with backward: {bad}"
+
+
+def test_whole_model_gradients_through_one_item_lean_tiles(monkeypatch):
+    # A _BLOCK of 4 floats holds fewer positions than the 3 to 5 channels of
+    # stages 2-4, so their blocks' backward takes the lean schedule over the
+    # forward's tiles, of 256 floats of hidden map each: one item apiece.
+    # With drop path off, each block's add hands its one gradient to both
+    # the residual and pointwise_mlp.
+    monkeypatch.setattr(T, "_BLOCK", 4)
+    test_whole_model_gradients("default")

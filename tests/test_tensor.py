@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
+from vidconv import model as M
 from vidconv import tensor as T
 from vidconv.errors import NumericsError, ShapeError
 from conftest import conv2d_loops, conv2d_loops_grads, rng
@@ -645,6 +646,62 @@ def test_pointwise_mlp_checks_shapes():
         T.pointwise_mlp(f, *params[:4], T.Tensor(np.zeros((3, 6, 1, 1), np.float32)), *params[5:])
     with pytest.raises(ShapeError, match="4D"):
         T.pointwise_mlp(make((3, 4)), *params)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_pointwise_mlp_backward_leaves_the_residual_gradient_and_its_input_alone(n):
+    # A block whose drop path is off adds its input to pointwise_mlp's output,
+    # and add's backward hands one gradient array to both. On 288 channels
+    # backward takes the lean schedule, here over one tile: the whole map. At
+    # n = 1 the tile's channel-major views of g and f are those arrays.
+    c = 288
+    x, f = (make((n, c, 6, 6), seed=s, requires_grad=True) for s in (1, 2))
+    before = f.data.copy()
+    T.backward(T.sum_all(T.add(x, T.pointwise_mlp(f, *_pointwise_params(c, 3, True)))))
+    assert np.array_equal(x.grad, np.ones(x.shape, np.float32))
+    assert np.array_equal(f.data, before)
+
+
+def leaf(shape, seed=0):
+    return make(shape, seed, requires_grad=True)
+
+
+def pointwise_case(shape):
+    return lambda: T.pointwise_mlp(leaf(shape), *_pointwise_params(shape[1], 1, True))
+
+
+GRAD_FN_CASES = {
+    "conv2d-depthwise": lambda: T.conv2d(leaf((2, 4, 6, 6)), leaf((4, 1, 3, 3), 1), leaf((4,), 2),
+                                         T.ConvSpec(kernel=(3, 3), padding=(1, 1), groups=4)),
+    "conv2d-dense": lambda: T.conv2d(leaf((2, 3, 8, 8)), leaf((5, 3, 2, 2), 1), leaf((5,), 2),
+                                     T.ConvSpec(kernel=(2, 2), stride=(2, 2))),
+    "layer_norm": lambda: T.layer_norm_channels(leaf((2, 3, 4, 4)), leaf((3,), 1), leaf((3,), 2)),
+    "gelu": lambda: T.gelu(leaf((2, 3, 4, 4))),
+    "scale_channels": lambda: T.scale_channels(leaf((2, 3, 4, 4)), leaf((3,), 1)),
+    "add": lambda: T.add(leaf((2, 3, 4, 4)), leaf((2, 3, 4, 4), 1)),
+    "tile_grid": lambda: M.tile_grid(leaf((2, 3, 4, 4)), leaf((2, 3, 2, 2), 1), (2, 2), True),
+    "collage": lambda: M.collage(leaf((8, 3, 2, 2)), (2, 2)),
+    "global_avg_pool": lambda: T.global_avg_pool(leaf((2, 3, 4, 4))),
+    "linear": lambda: T.linear(leaf((2, 3)), leaf((4, 3), 1), leaf((4,), 2)),
+    # stages 1-2's schedule over single items and over bands of rows, both a
+    # tile per part on the pool; the lean schedule over two items and one
+    "pointwise_mlp-items": pointwise_case((2, 96, 24, 24)),
+    "pointwise_mlp-row-bands": pointwise_case((1, 96, 48, 48)),
+    "pointwise_mlp-lean": pointwise_case((2, 288, 6, 6)),
+    "pointwise_mlp-lean-one-item": pointwise_case((1, 288, 6, 6)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRAD_FN_CASES))
+def test_grad_fn_writes_nothing_into_its_gradient(pool, case):
+    # backward may hand the array a grad_fn gets to other nodes too (add
+    # returns it twice), so only training.clip_grad_norm writes gradients in
+    # place (see Tensor); numpy raises on a write into a read-only array.
+    y = GRAD_FN_CASES[case]()
+    g = rng(5).standard_normal(y.shape).astype(np.float32)
+    g.flags.writeable = False
+    for grad, p in zip(y._grad_fn(g), y._node.parents):
+        assert grad.shape == p.shape
 
 
 def test_global_avg_pool_values():

@@ -119,15 +119,19 @@ def test_pool_changes_no_bits_layer_norm(pool, monkeypatch, shape):
     assert_pool_changes_no_bits(monkeypatch, run, "layer_norm_channels")
 
 
-def test_pool_changes_no_bits_pointwise_mlp(pool, monkeypatch):
-    c = 96
-    f = make((18, c, 24, 24), requires_grad=True)
+def pointwise_params(c):
     r = rng(1)
-    params = [T.Tensor(a.astype(np.float32), requires_grad=True) for a in (
+    return [T.Tensor(a.astype(np.float32), requires_grad=True) for a in (
         1.0 + 0.1 * r.standard_normal(c), 0.1 * r.standard_normal(c),
         0.1 * r.standard_normal((4 * c, c, 1, 1)), 0.1 * r.standard_normal(4 * c),
         0.05 * r.standard_normal((c, 4 * c, 1, 1)), 0.1 * r.standard_normal(c),
         0.5 + 0.1 * r.standard_normal(c))]
+
+
+def test_pool_changes_no_bits_pointwise_mlp(pool, monkeypatch):
+    c = 96
+    f = make((18, c, 24, 24), requires_grad=True)
+    params = pointwise_params(c)
 
     def run():
         y = T.pointwise_mlp(f, *params)
@@ -136,17 +140,36 @@ def test_pool_changes_no_bits_pointwise_mlp(pool, monkeypatch):
     assert_pool_changes_no_bits(monkeypatch, run, "tile_grads", "_gemm_parts")
 
 
+def test_pool_changes_no_bits_pointwise_mlp_row_bands(pool, monkeypatch):
+    # tiny's stage-2 map of one 224x224 frame: backward's tiles are three
+    # bands of rows, the last short, run a tile per part, _THREADS at a time
+    c = 192
+    f = make((1, c, 28, 28), requires_grad=True)
+    params = pointwise_params(c)
+    rounds, parallel = [], T._parallel
+
+    def spy(part, pieces):
+        if part.__name__ == "tile_grads":
+            rounds.append(len(pieces))
+        return parallel(part, pieces)
+
+    monkeypatch.setattr(T, "_parallel", spy)
+
+    def run():
+        y = T.pointwise_mlp(f, *params)
+        return [y.data, *grads_of(y, 3)]
+
+    assert_pool_changes_no_bits(monkeypatch, run, "tile_grads", "_gemm_parts")
+    on_pool = [min(T._THREADS, 3 - lo) for lo in range(0, 3, T._THREADS)]
+    assert rounds == on_pool + [1, 1, 1], rounds  # then with no pool, one tile at a time
+
+
 def test_pool_changes_no_bits_pointwise_mlp_collaged(pool, monkeypatch):
     # tiny's stage-3 collage on 2 clips at 96x96: the lean backward, whose
     # GEMMs split by rows, and whose GELU and dy/dx product split by blocks
     c = 384
     f = make((2, c, 18, 18), requires_grad=True)
-    r = rng(1)
-    params = [T.Tensor(a.astype(np.float32), requires_grad=True) for a in (
-        1.0 + 0.1 * r.standard_normal(c), 0.1 * r.standard_normal(c),
-        0.1 * r.standard_normal((4 * c, c, 1, 1)), 0.1 * r.standard_normal(4 * c),
-        0.05 * r.standard_normal((c, 4 * c, 1, 1)), 0.1 * r.standard_normal(c),
-        0.5 + 0.1 * r.standard_normal(c))]
+    params = pointwise_params(c)
     seen, in_backward = splits_seen(monkeypatch), []
 
     def run():
@@ -248,9 +271,11 @@ def test_cut_and_slabs_make_three_uneven_parts(three_parts, monkeypatch):
     (test_pool_changes_no_bits_layer_norm, [(1, 192, 112, 112)]),
     (test_pool_changes_no_bits_pointwise_mlp, []),
     (test_pool_changes_no_bits_pointwise_mlp_collaged, []),
+    (test_pool_changes_no_bits_pointwise_mlp_row_bands, []),
     (test_pool_changes_no_bits_adamw_and_clip_grad_norm, []),
 ], ids=["dense_conv-items", "dense_conv-rows", "depthwise_conv", "gelu", "layer_norm-items",
-        "layer_norm-rows", "pointwise_mlp", "pointwise_mlp-collaged", "adamw"])
+        "layer_norm-rows", "pointwise_mlp", "pointwise_mlp-collaged", "pointwise_mlp-row-bands",
+        "adamw"])
 def test_three_parts_change_no_bits(three_parts, monkeypatch, check, args):
     check(T._POOL, monkeypatch, *args)
     assert 3 in three_parts, sorted(set(three_parts))
@@ -279,6 +304,36 @@ def test_parallel_raises_the_first_error_once_every_part_is_done(pool):
 
     with pytest.raises(NumericsError, match="in the pool"):
         T._parallel(second_fails, [slice(0, 1), slice(1, 2)])
+
+
+def test_parallel_inside_a_part_runs_inline(monkeypatch):
+    # A part waits on any split it makes, and every pool thread may be
+    # running a part of the split outside it: on a pool of one thread, the
+    # two inner splits handed to it would wait on each other for ever.
+    monkeypatch.setattr(T, "_POOL", T._Pool(1))  # its own: a deadlock strands no other test
+    monkeypatch.setattr(T, "_THREADS", 2)
+    x = rng(0).standard_normal((2, 3, 64, 64)).astype(np.float32)
+    out, threads, after = np.empty_like(x), [[], []], []
+
+    def outer(i):
+        def inner(j):
+            threads[i].append(threading.current_thread().name)
+            np.multiply(x[i, j], x[i, j], out=out[i, j])
+
+        T._parallel(inner, range(3))
+
+    def caller():
+        T._parallel(outer, [0, 1])
+        # the caller's next split, made outside any part, goes to the pool again
+        T._parallel(lambda i: after.append(threading.current_thread().name), [0, 1])
+
+    thread = threading.Thread(target=caller, daemon=True)
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive(), "a split inside a part did not return"
+    assert threads == [[thread.name] * 3, ["vidconv-0"] * 3]
+    assert np.array_equal(out, x * x)
+    assert sorted(after) == sorted([thread.name, "vidconv-0"])
 
 
 def test_gelu_on_minus_inf_in_a_pool_part_raises_numerics_error_not_a_warning(pool, monkeypatch):
