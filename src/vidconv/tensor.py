@@ -50,6 +50,22 @@ its own heap, which keeps what it frees (a ``tiny`` train step peaked
 arrays on the pool). A part may call the kernels that split: a split made
 inside a part runs its pieces inline, on that part's thread (see
 ``_parallel``).
+
+Weight gradients made last. ``backward`` walks the tape from the loss to the
+stem, freeing each op's saved arrays as it passes. A weight gradient larger
+than the two arrays it is computed from (the dense conv's input columns or
+the linear layer's input, and the output gradient) is not made during the
+walk: the op's ``grad_fn`` returns a function that makes it, and
+``backward`` calls it once the walk is done, when the tape it would have sat
+beside is freed (the weight-gradient half of the backward, which Zero Bubble
+Pipeline Parallelism, Qi et al., arXiv 2401.10241, also schedules after the
+input-gradient half). In ``tiny`` that is the neck's 61 MiB weight, the
+head's and stage 4's downsample's. glibc keeps freed tape in its heap but
+maps every request of 32 MiB or more (``_TRIM_BYTES``) to fresh pages, so
+before such a gradient is made ``backward`` hands the heap's free pages back
+with ``malloc_trim``, where the C library has it. A ``tiny`` train step at
+96x96 then peaks at 745-755 MB rather than 805-810 MB; deferral without the
+trim read 803-807 MB (2-vCPU Xeon VM).
 """
 from __future__ import annotations
 
@@ -90,7 +106,9 @@ class Tensor:
     on the tape, which links to its parents' nodes, not to the parent
     tensors: an op output that no ``grad_fn`` reads is freed once the caller
     lets go of it. An unrecorded output has no node and does not require
-    grad. Tensors, nodes and the
+    grad. A leaf's gradient is complete when ``backward`` returns, not
+    before: a weight gradient larger than the arrays it is made from reaches
+    its leaf only after the walk (see ``backward``). Tensors, nodes and the
     tape are made and walked on the calling thread only: the pool's threads
     (see the module docstring) see plain arrays.
     """
@@ -168,6 +186,12 @@ def _records(*parents) -> bool:
 
 
 _BLOCK = 1 << 16  # elements per block of a cache-blocked pass: a few float32 blocks fit in L2
+# Blocks in about a last-level cache: 16 MB of float32. A ``pointwise_mlp``
+# forward tile's hidden map spans this many. With block-sized tiles, the
+# forward at (18, 96, 24, 24) took 32.9 ms and at (18, 192, 12, 12) 19.4 ms;
+# with these, one tile each, 20.2 and 13.8 ms (2-vCPU Xeon VM), the same
+# bits. ``_gemm_parts`` reads a matrix larger than this once for all items.
+_LLC_BLOCKS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +435,23 @@ def parameter(data, dtype=np.float32) -> Tensor:
     return Tensor(data, requires_grad=True, dtype=dtype)
 
 
+def _find_malloc_trim():
+    """glibc's ``malloc_trim``, or None where the C library has none (musl,
+    macOS, Windows)."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, TypeError, AttributeError):  # TypeError: Windows loads no library by None
+        return None
+    trim.restype, trim.argtypes = ctypes.c_int, [ctypes.c_size_t]
+    return trim
+
+
+# A request this large always gets fresh pages from glibc's malloc
+# (DEFAULT_MMAP_THRESHOLD_MAX on 64-bit), never memory its heap holds.
+_TRIM_BYTES = 32 << 20
+_malloc_trim = _find_malloc_trim()
+
+
 def backward(root: Tensor):
     """Reverse-mode accumulation from a scalar root through its single-use tape.
 
@@ -420,6 +461,20 @@ def backward(root: Tensor):
     still alive (the root, captured stage outputs, logits the caller holds),
     runs its ``grad_fn`` and lets go of it, so every activation only that
     ``grad_fn`` read is freed as the walk passes.
+
+    A ``grad_fn`` may return a zero-argument function in place of a
+    gradient: ``_conv_dense`` and ``linear`` do so for a weight gradient
+    larger than its input columns and output gradient together (the neck's,
+    the head's and stage 4's downsample's at ``tiny``; see the module
+    docstring). For an op output the function is called at once. For a leaf
+    it is called after the walk, in walk order; from the first such function
+    on, every later gradient for that leaf waits with it, so each leaf's
+    gradients are still summed in walk order, bit for bit as they would have
+    been as they arrived. A deferred gradient reaches its leaf's ``grad``
+    only then, before ``backward`` returns. Before the first is called, if
+    any of them will be ``_TRIM_BYTES`` (32 MiB) or more, glibc's
+    ``malloc_trim(0)`` hands the heap pages the walk freed back to the
+    system, once per call; it is skipped where the C library lacks it.
     """
     if root.ndim != 0:
         raise ShapeError(f"backward root must be a scalar, got shape {root.shape}")
@@ -444,6 +499,9 @@ def backward(root: Tensor):
             if p is not None and p.grad_fn is not None and p not in visited:
                 stack.append((p, False))
 
+    # (node, leaf, gradient or function), from a leaf's first function on, in
+    # walk order; and the ids of those leaves
+    late, waiting = [], set()
     root._node.grad = np.ones((), dtype=root.dtype)
     while topo:
         node = topo.pop()
@@ -454,14 +512,31 @@ def backward(root: Tensor):
         for p, g in zip(node.parents, grads):
             if p is None:
                 continue
-            if g.shape != p.shape or g.dtype != p.dtype:
-                raise ShapeError(f"grad {g.dtype} {g.shape} for tensor {p.dtype} {p.shape}")
             if p.grad_fn is not None:
-                p.grad = g if p.grad is None else p.grad + g
+                _accumulate(p, p, g() if callable(g) else g)
             elif (pt := p.ref()) is not None:
-                pt.grad = g if pt.grad is None else pt.grad + g
+                if callable(g) or id(pt) in waiting:
+                    late.append((p, pt, g))
+                    waiting.add(id(pt))
+                else:
+                    _accumulate(p, pt, g)
         # Release the gradient and the closure so saved activations can be freed.
         node.grad, node.parents, node.grad_fn = None, (), None
+
+    big = [callable(g) and math.prod(p.shape) * p.dtype.itemsize >= _TRIM_BYTES for p, _, g in late]
+    if _malloc_trim is not None and any(big):
+        _malloc_trim(0)
+    for i, (p, pt, g) in enumerate(late):
+        late[i] = None  # the function, and what it closes over, go once called
+        _accumulate(p, pt, g() if callable(g) else g)
+
+
+def _accumulate(p, holder, g):
+    """Add ``g``, a gradient for node ``p``, onto ``holder``: ``p`` itself for
+    an op output, the tensor for a leaf."""
+    if g.shape != p.shape or g.dtype != p.dtype:
+        raise ShapeError(f"grad {g.dtype} {g.shape} for tensor {p.dtype} {p.shape}")
+    holder.grad = g if holder.grad is None else holder.grad + g
 
 
 # ---------------------------------------------------------------------------
@@ -763,14 +838,20 @@ def _conv_dense(x, weight, bias, spec, ho, wo, need_gx):
 
     def grad_fn(g):
         gm = g.reshape(n, cout, ho * wo)
-        # gw = sum over items and pixels of gm cols^T, one GEMM with K = n*ho*wo
-        # as np.tensordot lays it out, its rows of gw split over the parts.
-        # (cout, k) is the GEMM's own output order, so gw is C-contiguous.
-        gmk = gm.transpose(1, 0, 2).reshape(cout, n * ho * wo)
-        colsk = cols.transpose(0, 2, 1).reshape(n * ho * wo, k)
-        gw = np.empty((1, cout, k), dtype=x.dtype)
-        _gemm_parts(gmk, colsk[None], gw)
-        gw = gw.reshape(weight.shape)
+
+        def weight_grad():
+            # gw = sum over items and pixels of gm cols^T, one GEMM with K =
+            # n*ho*wo as np.tensordot lays it out, its rows of gw split over
+            # the parts. (cout, k) is the GEMM's own output order, so gw is
+            # C-contiguous.
+            gmk = gm.transpose(1, 0, 2).reshape(cout, n * ho * wo)
+            colsk = cols.transpose(0, 2, 1).reshape(n * ho * wo, k)
+            gw = np.empty((1, cout, k), dtype=x.dtype)
+            _gemm_parts(gmk, colsk[None], gw)
+            return gw.reshape(weight.shape)
+
+        # made after the walk when it outweighs what it is made from (see backward)
+        gw = weight_grad if weight.size > cols.size + gm.size else weight_grad()
         if not need_gx:
             return None, gw, _bias_grad(g)
         gcols = np.empty((n, k, ho * wo), dtype=x.dtype)
@@ -783,27 +864,47 @@ def _conv_dense(x, weight, bias, spec, ho, wo, need_gx):
 
 def _gemm_parts(a, b, out, bias=None):
     """``out[i] = a @ b[i]``, plus ``bias`` (M,) on each row if given, for the
-    (M, K) matrix ``a`` and each of the items of ``b``, (N, K, P): split by
-    items, or by rows of ``a`` and ``out`` for one item. Each part runs the
-    GEMMs numpy's batched ``matmul`` would, then adds the bias to its part
-    while that is in cache."""
-    n, m = b.shape[0], a.shape[0]
-    work = m * a.shape[1] * b.shape[2] / _MACS_PER_PASS
+    (M, K) matrix ``a`` and each of the items of ``b``, (N, K, P). Split by
+    items, with two exceptions, which run one GEMM over all items' columns,
+    (K, N*P), split by rows of ``a``:
 
-    if n > 1:
+    - one item;
+    - an ``a`` larger than the last-level cache (``_LLC_BLOCKS`` blocks) that
+      outweighs ``b`` and ``out`` together (M*K > N*P*(M+K)): each part then
+      reads its rows of ``a`` from memory once, not once per item, for a
+      copy of ``b`` and of ``out``. That is the neck's forward and input
+      gradient in training: with ``tiny``'s 61 MiB weight on 2 clips at
+      96x96, 9.4-11.4 -> 5.9-7.9 ms and 10.1-10.2 -> 6.2-6.3 ms (2-vCPU Xeon
+      VM). An ``a`` the cache holds gains nothing, and there BLAS may sum a
+      wider GEMM in another order (``toy``'s neck on 4 clips did).
+
+    Each part adds the bias to its part while that is in cache. Either path
+    gives the same bits for every GEMM the model runs."""
+    n, (m, k), p = b.shape[0], a.shape, b.shape[2]
+    work = m * k * p / _MACS_PER_PASS  # per item
+
+    if n > 1 and (m * k <= _LLC_BLOCKS * _BLOCK or m * k <= n * p * (m + k)):
         def part(s):
             np.matmul(a, b[s], out=out[s])
             if bias is not None:
                 out[s] += bias[:, None]
 
         _parallel(part, _cut(n, work, _PART_CALL))
-    else:
-        def part(s):
-            np.matmul(a[s], b, out=out[:, s])
-            if bias is not None:
-                out[:, s] += bias[s, None]
+        return
+    if n == 1:
+        cols, wide = b, out
+    else:  # the caller makes the (M, N*P) product, which the parts copy into out
+        cols = np.ascontiguousarray(b.transpose(1, 0, 2)).reshape(1, k, n * p)
+        wide = np.empty((1, m, n * p), dtype=out.dtype)
 
-        _parallel(part, _cut(m, work / m, _PART_CALL))
+    def part(s):
+        np.matmul(a[s], cols, out=wide[:, s])
+        if wide is not out:
+            out[:, s] = wide[0, s].reshape(-1, n, p).swapaxes(0, 1)
+        if bias is not None:
+            out[:, s] += bias[s, None]
+
+    _parallel(part, _cut(m, n * work / m, _PART_CALL))
 
 
 # ---------------------------------------------------------------------------
@@ -983,13 +1084,6 @@ def _position_tiles(n, c, h, w, blocks=1):
     rows = max(1, p // w)
     return [(slice(i, i + 1), slice(None), slice(r, r + rows))
             for i in range(n) for r in range(0, h, rows)]
-
-
-# Blocks of hidden map that a ``pointwise_mlp`` forward tile spans: 16 MB of
-# float32, about a last-level cache. With block-sized tiles, the forward at
-# (18, 96, 24, 24) took 32.9 ms and at (18, 192, 12, 12) 19.4 ms; with these,
-# one tile each, 20.2 and 13.8 ms (2-vCPU Xeon VM), the same bits.
-_LLC_BLOCKS = 64
 
 
 def pointwise_mlp(f: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor,
@@ -1174,9 +1268,12 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     y = xd @ wd.T + bias.data
 
     def grad_fn(g):
-        gx = g @ wd
-        gw = g.T @ xd
-        return gx, gw, g.sum(axis=0)
+        def weight_grad():
+            return g.T @ xd
+
+        # made after the walk when it outweighs what it is made from (see backward)
+        gw = weight_grad if wd.size > g.size + xd.size else weight_grad()
+        return g @ wd, gw, g.sum(axis=0)
 
     return _from_op(y, (x, weight, bias), grad_fn, "linear")
 

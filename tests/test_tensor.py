@@ -683,6 +683,12 @@ GRAD_FN_CASES = {
     "collage": lambda: M.collage(leaf((8, 3, 2, 2)), (2, 2)),
     "global_avg_pool": lambda: T.global_avg_pool(leaf((2, 3, 4, 4))),
     "linear": lambda: T.linear(leaf((2, 3)), leaf((4, 3), 1), leaf((4,), 2)),
+    # weights that outweigh their input and output gradient, as the neck's and
+    # the head's do: their gradients are made after the walk (see backward)
+    "conv2d-dense-deferred": lambda: T.conv2d(
+        leaf((2, 8, 6, 6)), leaf((16, 8, 3, 3), 1), leaf((16,), 2),
+        T.ConvSpec(kernel=(3, 3), dilation=(2, 2))),
+    "linear-deferred": lambda: T.linear(leaf((2, 3)), leaf((16, 3), 1), leaf((16,), 2)),
     # stages 1-2's schedule over single items and over bands of rows, both a
     # tile per part on the pool; the lean schedule over two items and one
     "pointwise_mlp-items": pointwise_case((2, 96, 24, 24)),
@@ -700,7 +706,11 @@ def test_grad_fn_writes_nothing_into_its_gradient(pool, case):
     y = GRAD_FN_CASES[case]()
     g = rng(5).standard_normal(y.shape).astype(np.float32)
     g.flags.writeable = False
-    for grad, p in zip(y._grad_fn(g), y._node.parents):
+    grads = y._grad_fn(g)
+    assert [callable(grad) for grad in grads] == [case.endswith("-deferred") and i == 1
+                                                  for i in range(len(grads))]
+    for grad, p in zip(grads, y._node.parents):
+        grad = grad() if callable(grad) else grad
         assert grad.shape == p.shape
 
 
@@ -807,3 +817,114 @@ def test_backward_accumulates_through_shared_nodes():
     y = T.add(x, x)  # dy/dx = 2
     T.backward(T.sum_all(y))
     np.testing.assert_allclose(x.grad, np.full(4, 2.0, np.float32))
+
+
+def test_backward_makes_the_neck_weight_gradient_once_the_tape_is_freed(monkeypatch):
+    # The neck's weight gradient outweighs the arrays it is made from, so it
+    # is made after the walk, when the fused maps that stage 1's blocks keep
+    # on the tape (see pointwise_mlp) have been freed.
+    m = M.build_model(M.make_config("toy", input_size=(64, 64)), 0)
+    neck = next(layer for layer in m.layers if isinstance(layer, M.Neck))
+    cout, k = neck.weight.shape[0], neck.weight.size // neck.weight.shape[0]
+    refs, dead = [], []
+    fuse, gemm = M.Block.fuse, T._gemm_parts
+
+    def block_fuse(self, *args):
+        f = fuse(self, *args)
+        if self.prefix.startswith("stage1."):
+            refs.append(weakref.ref(f.data))
+        return f
+
+    def gemm_parts(a, b, out, bias=None):
+        if out.shape == (1, cout, k):  # the neck's weight gradient
+            dead.append([r() is None for r in refs])
+        return gemm(a, b, out, bias)
+
+    monkeypatch.setattr(M.Block, "fuse", block_fuse)
+    monkeypatch.setattr(T, "_gemm_parts", gemm_parts)
+    clips = rng(1).standard_normal((2 * m.config.frames, 3, 64, 64)).astype(np.float32)
+    loss, _ = T.softmax_cross_entropy(m.forward(T.Tensor(clips), training=True, rng=rng(2)),
+                                      np.array([0, 1]))
+    assert all(r() is not None for r in refs)  # the tape holds them
+    T.backward(loss)
+    assert refs and dead == [[True] * len(refs)]
+    assert neck.weight.grad.shape == neck.weight.shape
+
+
+def test_backward_sums_a_deferred_gradient_onto_its_leaf_in_walk_order():
+    # w is used by three linear ops; the one on a single row defers its
+    # weight gradient (w outweighs x and g). w.grad must be the left-to-right
+    # sum of the three gradients in the order their grad_fns ran, bit for bit.
+    w, b = make((8, 64), seed=1, requires_grad=True), make((8,), seed=2)
+    walked, deferred = [], []
+
+    def linear(x, scale):
+        y = T.linear(T.Tensor(scale * x.data), w, b)
+        fn = y._grad_fn
+
+        def grad_fn(g):
+            grads = fn(g)
+            deferred.append(callable(grads[1]))
+            walked.append(grads[1]() if callable(grads[1]) else grads[1])
+            return grads
+
+        y._grad_fn = grad_fn
+        return T.reshape(T.sum_all(y), (1,))
+
+    one, many, few = linear(make((1, 64), seed=3), 1e4), linear(make((16, 64), seed=4), 1.0), \
+        linear(make((16, 64), seed=5), 1e-3)
+    T.backward(T.sum_all(T.add(T.add(few, one), many)))
+    assert sorted(deferred) == [False, False, True] and not deferred[-1]
+    want = walked[0] + walked[1] + walked[2]
+    assert np.array_equal(w.grad, want)
+    # the order matters for these values: the deferred gradient added last differs
+    late = [g for g, d in zip(walked, deferred) if not d]
+    late += [g for g, d in zip(walked, deferred) if d]
+    assert not np.array_equal(late[0] + late[1] + late[2], want)
+
+
+def test_malloc_trim_runs_once_per_backward_with_a_deferred_gradient_of_32_mib(monkeypatch):
+    # glibc maps a request of 32 MiB or more to fresh pages, so backward first
+    # hands back the heap pages the walk freed; a smaller deferred gradient
+    # leaves the heap alone.
+    calls = []
+    monkeypatch.setattr(T, "_malloc_trim", lambda pad: calls.append(pad) or 1)
+    x = make((1, 2048), seed=1)
+    for rows, trims in ((4096, 1), (4095, 0)):  # a 32 MiB weight, and one row less
+        w = T.Tensor(np.full((rows, 2048), 1e-3, np.float32), requires_grad=True)
+        b = T.Tensor(np.zeros(rows, np.float32))
+        for step in (1, 2):
+            calls.clear()
+            # two uses of w, both deferred: still one trim
+            T.backward(T.sum_all(T.add(T.linear(x, w, b), T.linear(x, w, b))))
+            assert calls == [0] * trims, (rows, step)
+            w.grad = None
+
+
+def test_toy_train_step_never_trims_and_gradients_do_not_depend_on_the_trim(monkeypatch):
+    def step():
+        m = M.build_model(M.make_config("toy", input_size=(64, 64)), 0)
+        clips = rng(1).standard_normal((4 * m.config.frames, 3, 64, 64)).astype(np.float32)
+        logits = m.forward(T.Tensor(clips), training=True, rng=rng(2))
+        T.backward(T.softmax_cross_entropy(logits, np.arange(4) % m.config.num_classes)[0])
+        return {name: p.grad for name, p in m.parameters().items()}
+
+    calls = []
+    monkeypatch.setattr(T, "_malloc_trim", lambda pad: calls.append(pad) or 1)
+    with_trim = step()
+    assert calls == []
+    monkeypatch.setattr(T, "_malloc_trim", None)
+    without = step()
+    assert all(np.array_equal(with_trim[name], without[name]) for name in with_trim)
+
+    # a deferred gradient of 32 MiB, with glibc's trim and without it
+    x = make((1, 2048), seed=1)
+    w = T.Tensor(np.full((4096, 2048), 1e-3, np.float32), requires_grad=True)
+    b = T.Tensor(np.zeros(4096, np.float32))
+    grads = []
+    for trim in (T._find_malloc_trim(), None):
+        monkeypatch.setattr(T, "_malloc_trim", trim)
+        T.backward(T.sum_all(T.linear(x, w, b)))
+        grads.append(w.grad)
+        w.grad = None
+    assert np.array_equal(*grads)

@@ -81,6 +81,40 @@ def test_pool_changes_no_bits_dense_conv(pool, monkeypatch, shape):
     assert in_backward == ["_gemm_parts.<locals>.part"] * 2, in_backward
 
 
+# The GEMMs of tiny's neck in training, on 2 clips at 96x96 and at 224x224
+# (3x3 and 7x7 output pixels): the (2304, 6912) weight overflows the
+# last-level cache and outweighs the columns and the output, so _gemm_parts
+# runs one GEMM over both items' columns, split by rows of the weight.
+@pytest.mark.parametrize("pixels", [9, 49])
+def test_gemm_parts_over_all_items_gives_the_bits_of_a_gemm_per_item(pool, monkeypatch, pixels):
+    r = rng(0)
+    w = (0.01 * r.standard_normal((2304, 6912))).astype(np.float32)  # 61 MiB
+    bias = r.standard_normal(2304).astype(np.float32)
+    cols = r.standard_normal((2, 6912, pixels)).astype(np.float32)
+    g = r.standard_normal((2, 2304, pixels)).astype(np.float32)
+    parallel, rows = T._parallel, []
+
+    def spy(part, pieces):
+        rows.append(pieces[-1].stop)
+        return parallel(part, pieces)
+
+    monkeypatch.setattr(T, "_parallel", spy)
+
+    def run():
+        y, gcols = np.empty((2, 2304, pixels), np.float32), np.empty((2, 6912, pixels), np.float32)
+        T._gemm_parts(w, cols, y, bias)  # the forward
+        T._gemm_parts(w.T, g, gcols)  # the input gradient
+        return [y, gcols]
+
+    on = run()
+    assert rows == [2304, 6912]  # split by rows of the weight, not by items
+    for item in range(2):
+        assert np.array_equal(on[0][item], np.matmul(w, cols[item]) + bias[:, None])
+        assert np.array_equal(on[1][item], np.matmul(w.T, g[item]))
+    monkeypatch.setattr(T, "_POOL", None)
+    assert all(np.array_equal(a, b) for a, b in zip(on, run()))
+
+
 def test_pool_changes_no_bits_depthwise_conv(pool, monkeypatch):
     x = make((18, 96, 24, 24), requires_grad=True)  # tiny's stage-1 map on 2 clips at 96x96
     w, b = make((96, 1, 7, 7), 1, 0.1, True), make((96,), 2, 0.1, True)
