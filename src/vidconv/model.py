@@ -345,8 +345,8 @@ class NormLayer:
         self.beta = _zeros((self.channels,))
         reg.register(self.name, gamma=self.gamma, beta=self.beta)
 
-    def __call__(self, x, overwrite_x=False):
-        return T.layer_norm_channels(x, self.gamma, self.beta, eps=LN_EPS, overwrite_x=overwrite_x)
+    def __call__(self, x):
+        return T.layer_norm_channels(x, self.gamma, self.beta, eps=LN_EPS)
 
     def vec(self, x):
         # (N, C) layer norm via a transient spatial axis pair
@@ -362,13 +362,12 @@ class Block:
     """One residual block; with a temporal branch it fuses S + alpha * T, the
     temporal feature T added to every grid cell of S by broadcast.
 
-    The pointwise half (layer norm, pw1, GELU, pw2, layer scale) takes one of
-    two paths. A training forward runs it as one tiled op,
-    ``tensor.pointwise_mlp``, whose tape keeps only the fused map and the
-    norm's statistics and whose backward recomputes the rest: every block
-    keeps one C map on the tape, not eleven. An eval forward records no tape
-    and runs the five ops in turn, which perfbench's tracer counts as two
-    1x1 convs per block. Both paths give the same output, bit for bit.
+    The pointwise half (layer norm, pw1, GELU, pw2, layer scale) has one
+    path, in training and eval: ``tensor.pointwise_mlp``, bit for bit the
+    five ops in turn. Its forward calls the public 1x1 ``conv2d`` twice, and
+    its tape keeps only the fused map and the norm's statistics, from which
+    its backward recomputes the rest: every training block keeps one C map
+    on the tape, not eleven.
     """
 
     def __init__(self, prefix, channels, grid, temporal, drop_prob):
@@ -410,20 +409,9 @@ class Block:
         return tile_grid(s, T.scale_channels(t, self.alpha), self.grid, collaged)
 
     def __call__(self, x, collaged, training, rng):
-        if training:
-            y = T.pointwise_mlp(self.fuse(x, collaged), self.norm.gamma, self.norm.beta,
-                                self.pw1.weight, self.pw1.bias, self.pw2.weight, self.pw2.bias,
-                                self.layer_scale, eps=LN_EPS)
-        else:
-            # Only the layer norm reads the fused map, and its backward reads
-            # its own xhat: an untaped norm writes over the map, and a taped
-            # one lets it be freed here rather than live through the MLP.
-            y = self.norm(self.fuse(x, collaged), overwrite_x=True)
-            # pw1's output is dead once GELU has read it: the dense conv's
-            # backward reads its input, not its output. So GELU may write y
-            # over it.
-            y = T.gelu(self.pw1(y), overwrite_x=True)
-            y = T.scale_channels(self.pw2(y), self.layer_scale)
+        y = T.pointwise_mlp(self.fuse(x, collaged), self.norm.gamma, self.norm.beta,
+                            self.pw1.weight, self.pw1.bias, self.pw2.weight, self.pw2.bias,
+                            self.layer_scale, eps=LN_EPS)
         y = drop_path(y, self.drop_prob, rng, training)
         return T.add(x, y)
 

@@ -27,14 +27,14 @@ The private kernels cut their work into disjoint parts with ``_cut`` or
 ``_slabs`` and run them through ``_parallel``: the dense conv's forward,
 input-gradient and weight-gradient GEMMs (``_gemm_parts``, with the bias
 added in each part); the depth-wise conv's channel blocks, forward and
-backward; GELU's blocks; layer norm's normalise and affine; the parts of
-``all_finite``; the blocks of ``training.adamw_step``; ``pointwise_mlp``'s
-backward tiles at stages 1-2, a tile per part; and ``add``,
-``scale_channels`` and ``model``'s ``tile_grid`` and collage copies. A
-cut has more than one part only where each part holds enough work
-(``_PART_CALL``, ``_PART_LOOP``), and ``_parallel`` runs a cut of one
-part inline: small maps, such as all of the ``toy`` variant's, start no
-thread. GELU's backward product and
+backward; GELU's blocks; layer norm's normalise and affine, also in
+``pointwise_mlp``'s forward; the parts of ``all_finite``; the blocks of
+``training.adamw_step``; ``pointwise_mlp``'s backward tiles at stages 1-2,
+a tile per part; and ``add``, ``scale_channels`` and ``model``'s
+``tile_grid`` and collage copies. A cut has more than one part only where
+each part holds enough work (``_PART_CALL``, ``_PART_LOOP``), and
+``_parallel`` runs a cut of one part inline: small maps, such as all of the
+``toy`` variant's, start no thread. GELU's backward product and
 ``training.clip_grad_norm``'s float64 dots run on the calling thread. In
 a ``tiny`` train step at 96x96 the product split 9 times, each on a
 (2, 1536, 18, 18) map that took 0.47 ms split and 0.45 ms inline, and the
@@ -97,20 +97,20 @@ def _as_float_array(data, dtype):
 class Tensor:
     """Row-major dense array of reals (0 to 4 axes) with optional grad tracking.
 
-    Data is immutable by convention after construction, except where a caller
-    lets ``gelu`` or ``layer_norm_channels`` write over an input that nothing
-    reads afterwards (``overwrite_x``). Two tensors may share one gradient
-    array. Gradients are written in place only by ``training.clip_grad_norm``,
-    which scales each distinct array once, so every tensor that shares one
-    sees it scaled. A recorded op output (see ``recording``) gets a ``_Node``
-    on the tape, which links to its parents' nodes, not to the parent
-    tensors: an op output that no ``grad_fn`` reads is freed once the caller
-    lets go of it. An unrecorded output has no node and does not require
-    grad. A leaf's gradient is complete when ``backward`` returns, not
-    before: a weight gradient larger than the arrays it is made from reaches
-    its leaf only after the walk (see ``backward``). Tensors, nodes and the
-    tape are made and walked on the calling thread only: the pool's threads
-    (see the module docstring) see plain arrays.
+    Data is immutable by convention after construction. Only ``gelu`` may
+    write over its input, where a caller that reads it no more passes
+    ``overwrite_x``. Two tensors may share one gradient array. Gradients are
+    written in place only by ``training.clip_grad_norm``, which scales each
+    distinct array once, so every tensor that shares one sees it scaled. A
+    recorded op output (see ``recording``) gets a ``_Node`` on the tape,
+    which links to its parents' nodes, not to the parent tensors: an op
+    output that no ``grad_fn`` reads is freed once the caller lets go of it.
+    An unrecorded output has no node and does not require grad. A leaf's
+    gradient is complete when ``backward`` returns, not before: a weight
+    gradient larger than the arrays it is made from reaches its leaf only
+    after the walk (see ``backward``). Tensors, nodes and the tape are made
+    and walked on the calling thread only: the pool's threads (see the
+    module docstring) see plain arrays.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_node", "__weakref__")
@@ -186,11 +186,9 @@ def _records(*parents) -> bool:
 
 
 _BLOCK = 1 << 16  # elements per block of a cache-blocked pass: a few float32 blocks fit in L2
-# Blocks in about a last-level cache: 16 MB of float32. A ``pointwise_mlp``
-# forward tile's hidden map spans this many. With block-sized tiles, the
-# forward at (18, 96, 24, 24) took 32.9 ms and at (18, 192, 12, 12) 19.4 ms;
-# with these, one tile each, 20.2 and 13.8 ms (2-vCPU Xeon VM), the same
-# bits. ``_gemm_parts`` reads a matrix larger than this once for all items.
+# Blocks in about a last-level cache: 16 MB of float32. A tile of
+# ``pointwise_mlp``'s lean backward spans this many blocks of its hidden map.
+# ``_gemm_parts`` reads a matrix larger than this once for all items.
 _LLC_BLOCKS = 64
 
 
@@ -547,8 +545,8 @@ def _map_parts(ufunc, out, *operands):
     """``ufunc(*operands, out=out)``, one pass over ``out``, the operands
     broadcast to its ndim, split over the parts in slabs of ``out`` (see
     ``_slabs``). Returns ``out``."""
-    def part(idx):
-        ufunc(*(_at(a, idx) for a in operands), out=out[idx])
+    def part(idx):  # with the Ellipsis, out[()] of a 0-d out stays a 0-d view
+        ufunc(*(_at(a, idx) for a in operands), out=out[idx + (Ellipsis,)])
 
     _parallel(part, _slabs(out.shape, 1, _PART_CALL))
     return out
@@ -911,45 +909,22 @@ def _gemm_parts(a, b, out, bias=None):
 # normalization / activation / pooling / head ops
 
 
-def layer_norm_channels(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6,
-                        overwrite_x: bool = False) -> Tensor:
-    """Normalize a (N, C, H, W) map across C at every spatial position.
-
-    The normalise and affine passes are split by items, or by rows of a
-    single item, over the parts (see ``_parallel``); each part reads its
-    whole slice of x before it writes its slice of y. ``overwrite_x`` lets
-    y be written into x's buffer, as ``gelu``'s does: a caller passes it
-    only when nothing reads x's data afterwards. It takes effect when the
-    output is not taped and ``x.data`` is C-contiguous and writeable;
-    otherwise y is a new array, as without it.
-    """
+def layer_norm_channels(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
+    """Normalize a (N, C, H, W) map across C at every spatial position, into
+    a new array (see ``_ln_forward``)."""
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     if x.ndim != 4:
         raise ShapeError(f"layer_norm_channels expects 4D input, got {x.shape}")
-    n, c, h, w = x.shape
+    c = x.shape[1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"gamma/beta must be ({c},), got {gamma.shape}/{beta.shape}")
     _check_same_dtype(x, gamma, beta)
 
-    xd, taped = x.data, _records(x, gamma, beta)
-    if overwrite_x and not taped and xd.flags.c_contiguous and xd.flags.writeable:
-        y = xd
-    else:
-        y = np.empty(x.shape, dtype=x.dtype)
-    # Only backward reads xhat, so without a tape y takes its buffer.
-    xhat = np.empty(x.shape, dtype=x.dtype) if taped else y
-    mu, inv = np.empty((n, 1, h, w), dtype=x.dtype), np.empty((n, 1, h, w), dtype=x.dtype)
-    g4, b4 = gamma.data[None, :, None, None], beta.data[None, :, None, None]
-
-    def part(idx):
-        _ln_normalize(xd[idx], xhat[idx], mu[idx], inv[idx], eps)
-        np.multiply(xhat[idx], g4, out=y[idx])
-        y[idx] += b4
-
-    # Charged 7 passes per float, a quarter of its cost: splitting paid off
-    # only on maps of more than about a million floats.
-    _parallel(part, _slabs(x.shape, 7, _PART_LOOP, axes=(0, 2)))
+    # Only backward reads xhat, so without a tape none is kept.
+    xhat = np.empty(x.shape, dtype=x.dtype) if _records(x, gamma, beta) else None
+    y, _, inv = _ln_forward(x.data, gamma.data, beta.data, eps, xhat)
+    g4 = gamma.data[None, :, None, None]
 
     def grad_fn(g):
         return _ln_grad(g, xhat, inv, g4)
@@ -957,10 +932,33 @@ def layer_norm_channels(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-
     return _from_op(y, (x, gamma, beta), grad_fn, "layer_norm_channels")
 
 
+def _ln_forward(x, gamma, beta, eps, xhat=None):
+    """Channel layer norm of the (N, C, H, W) array ``x`` into a new array y,
+    the normalised input first written into ``xhat`` if given, else into y.
+    Returns y and the per-position mean and inverse std, each (N, 1, H, W).
+    The normalise and affine passes are split by items, or by rows of a
+    single item, over the parts (see ``_parallel``)."""
+    n, _, h, w = x.shape
+    y = np.empty(x.shape, dtype=x.dtype)
+    if xhat is None:
+        xhat = y
+    mu, inv = np.empty((n, 1, h, w), dtype=x.dtype), np.empty((n, 1, h, w), dtype=x.dtype)
+    g4, b4 = gamma[None, :, None, None], beta[None, :, None, None]
+
+    def part(idx):
+        _ln_normalize(x[idx], xhat[idx], mu[idx], inv[idx], eps)
+        np.multiply(xhat[idx], g4, out=y[idx])
+        y[idx] += b4
+
+    # Charged 7 passes per float, a quarter of its cost: splitting paid off
+    # only on maps of more than about a million floats.
+    _parallel(part, _slabs(x.shape, 7, _PART_LOOP, axes=(0, 2)))
+    return y, mu, inv
+
+
 def _ln_normalize(x, out, mu, inv, eps):
-    """(x - mean) * inv_std over axis 1 of a (N, C, H, W) array, into ``out``,
-    which may be ``x``: x is read whole before ``out`` is written. The
-    per-position mean and inverse std go to ``mu`` and ``inv``, each
+    """(x - mean) * inv_std over axis 1 of a (N, C, H, W) array, into ``out``.
+    The per-position mean and inverse std go to ``mu`` and ``inv``, each
     (N, 1, H, W). The squares for the variance are taken one tile of
     positions (see ``_position_tiles``) at a time, in block-sized scratch."""
     n, c, h, w = x.shape
@@ -1072,11 +1070,11 @@ def _gelu_run(xf, yf, df=None):
 
 
 def _position_tiles(n, c, h, w, blocks=1):
-    """Index tuples of the tiles ``pointwise_mlp`` walks on an (N, ., H, W) map,
-    each a 4-D view of about ``blocks * _BLOCK // c`` positions, so that c
-    channels of the tile span about ``blocks`` blocks: runs of whole items
-    where an item is smaller, otherwise bands of whole rows of one item. The
-    last run or band may be short."""
+    """Index tuples of the tiles ``pointwise_mlp``'s backward walks on an
+    (N, ., H, W) map, each a 4-D view of about ``blocks * _BLOCK // c``
+    positions, so that c channels of the tile span about ``blocks`` blocks:
+    runs of whole items where an item is smaller, otherwise bands of whole
+    rows of one item. The last run or band may be short."""
     p = max(1, blocks * _BLOCK // c)
     if h * w <= p:
         run = p // (h * w)
@@ -1088,19 +1086,19 @@ def _position_tiles(n, c, h, w, blocks=1):
 
 def pointwise_mlp(f: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor,
                   w2: Tensor, b2: Tensor, scale: Tensor, eps: float = 1e-6) -> Tensor:
-    """A block's pointwise half on a (N, C, H, W) map, one tile at a time:
+    """A block's pointwise half on a (N, C, H, W) map:
     ``scale * (pw2(gelu(pw1(layer_norm_channels(f, gamma, beta)))))``, where
     pw1 and pw2 are 1x1 convs with (K, C, 1, 1) and (C, K, 1, 1) weights.
 
-    The forward's tiles (see ``_position_tiles``) are runs of whole items,
-    or bands of rows of one, whose (K, P) hidden maps span about
-    ``_LLC_BLOCKS`` blocks, so that they stay in the last-level cache: every
-    block map of a ``tiny`` train step at 96x96 is one tile. Each tile calls
-    the public ``conv2d`` and ``gelu(overwrite_x=True)`` with recording off,
-    so the output is bit for bit that of the five ops in turn, each of those
-    calls runs its finite check and splits its own work over the parts. The
-    tiles run one after another: the tracer times the public ops on one span
-    stack, so they are called from this thread alone. The tape keeps ``f``
+    The forward is one pass over the whole map, taped or not. The norm goes
+    into a new array, split over the parts as ``layer_norm_channels``
+    splits it; then the public ``conv2d``, ``gelu(overwrite_x=True)`` and
+    ``conv2d`` run with recording off, so the output is bit for bit that of
+    the five ops in turn, and each of those calls runs its finite check and
+    splits its own work over the parts. The norm's output is freed once pw1
+    has read it, and pw2's output is scaled in place and returned: an
+    untaped call holds at most the K-wide hidden map and one C map beside
+    ``f``, where the five ops hold one more C map. The tape keeps ``f``
     and the per-position mean and inverse std of the norm: one C map, where
     the five ops keep eleven (gradient checkpointing, Chen et al., arXiv
     1604.06174). Backward rebuilds the norm, pw1 and GELU (the GEMM
@@ -1119,9 +1117,10 @@ def pointwise_mlp(f: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor
     into g or ``f``'s data. The schedule follows the shape of the weights:
 
     - Few positions per channel (``_BLOCK // C < C``, stages 3-4, where a
-      (C, K) partial outweighs a tile's K-wide maps): the forward's tiles,
-      one at a time on the calling thread, each GEMM and GELU split over
-      the parts.
+      (C, K) partial outweighs a tile's K-wide maps): tiles whose (K, M)
+      hidden maps span about ``_LLC_BLOCKS`` blocks, so that they stay in
+      the last-level cache, one at a time on the calling thread, each GEMM
+      and GELU split over the parts.
     - Many (stages 1-2): tiles of about a block of C map, ``_THREADS`` at a
       time, a tile per part, where each tile holds a part's work. The
       splits inside a part run inline (see ``_parallel``).
@@ -1141,22 +1140,17 @@ def pointwise_mlp(f: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor
     params = (gamma, beta, w1, b1, w2, b2, scale)
     _check_same_dtype(f, *params)
 
-    forward_tiles = _position_tiles(n, k, h, w, _LLC_BLOCKS)
-    one = ConvSpec(kernel=(1, 1))
-    g4, beta4, s4 = (t.data[None, :, None, None] for t in (gamma, beta, scale))
-    out = np.empty(f.shape, dtype=f.dtype)
-    mu, inv = np.empty((n, 1, h, w), dtype=f.dtype), np.empty((n, 1, h, w), dtype=f.dtype)
-    with recording(False):
-        for t in forward_tiles:
-            ft = f.data[t]
-            y = np.empty(ft.shape, dtype=f.dtype)
-            _ln_normalize(ft, y, mu[t], inv[t], eps)
-            y *= g4
-            y += beta4
-            a = gelu(conv2d(Tensor(y), w1, b1, one), overwrite_x=True)
-            np.multiply(conv2d(a, w2, b2, one).data, s4, out=out[t])
-
     fd, dt = f.data, f.dtype
+    one = ConvSpec(kernel=(1, 1))
+    y, mu, inv = _ln_forward(fd, gamma.data, beta.data, eps)
+    with recording(False):
+        a = conv2d(Tensor(y), w1, b1, one)
+        del y  # the norm's output is dead once pw1 has read it
+        out = conv2d(gelu(a, overwrite_x=True), w2, b2, one).data
+        del a  # and the hidden map once pw2 has
+    _map_parts(np.multiply, out, out, scale.data[None, :, None, None])
+
+    g4 = gamma.data[None, :, None, None]
     gd, betad = gamma.data[:, None], beta.data[:, None]
     w1m, b1v, w2m, b2d, sd = w1.data.reshape(k, c), b1.data, w2.data.reshape(c, k), b2.data, scale.data
     lean = _BLOCK // c < c
@@ -1164,7 +1158,7 @@ def pointwise_mlp(f: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor
     per_position = 3 * c * k / _MACS_PER_PASS + 24 * k
 
     def grad_fn(g):
-        tiles = forward_tiles if lean else _position_tiles(n, c, h, w)
+        tiles = _position_tiles(n, k, h, w, _LLC_BLOCKS) if lean else _position_tiles(n, c, h, w)
         step = 1 if lean or _POOL is None else _THREADS
         rounds = []  # tiles run together, a tile per part
         for lo in range(0, len(tiles), step):

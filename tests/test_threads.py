@@ -146,11 +146,10 @@ def test_pool_changes_no_bits_layer_norm(pool, monkeypatch, shape):
 
     def run():
         y = T.layer_norm_channels(x, gamma, beta)
-        untaped = T.layer_norm_channels(T.Tensor(x.data.copy()), T.Tensor(gamma.data),
-                                        T.Tensor(beta.data), overwrite_x=True)
+        untaped = T.layer_norm_channels(T.Tensor(x.data), *(T.Tensor(p.data) for p in (gamma, beta)))
         return [y.data, untaped.data, *grads_of(y, 3)]
 
-    assert_pool_changes_no_bits(monkeypatch, run, "layer_norm_channels")
+    assert_pool_changes_no_bits(monkeypatch, run, "_ln_forward")
 
 
 def pointwise_params(c):
@@ -172,6 +171,20 @@ def test_pool_changes_no_bits_pointwise_mlp(pool, monkeypatch):
         return [y.data, *grads_of(y, 3)]
 
     assert_pool_changes_no_bits(monkeypatch, run, "tile_grads", "_gemm_parts")
+
+
+def test_pool_changes_no_bits_untaped_pointwise_mlp(pool, monkeypatch):
+    # an eval block's pointwise half on tiny's stage-1 map of one 224x224
+    # clip: the norm, both GEMMs, GELU and the layer scale each split
+    c = 96
+    f = make((9, c, 56, 56))
+    params = [T.Tensor(p.data) for p in pointwise_params(c)]
+
+    def run():
+        return [T.pointwise_mlp(f, *params).data]
+
+    assert_pool_changes_no_bits(monkeypatch, run, "_ln_forward", "_gemm_parts", "_gelu_blocks",
+                                "_map_parts")
 
 
 def test_pool_changes_no_bits_pointwise_mlp_row_bands(pool, monkeypatch):
