@@ -24,11 +24,12 @@ and set, or is 1 (``OPENBLAS_NUM_THREADS=1``), there is no pool and every
 kernel runs in one part on the calling thread.
 
 The private kernels cut their work into disjoint parts with ``_cut`` or
-``_slabs`` and run them through ``_parallel``: the dense conv's forward,
-input-gradient and weight-gradient GEMMs (``_gemm_parts``, with the bias
-added in each part); the depth-wise conv's channel blocks, forward and
-backward; GELU's blocks; layer norm's normalise and affine, also in
-``pointwise_mlp``'s forward; the parts of ``all_finite``; the blocks of
+``_slabs`` and run them through ``_parallel``: the GEMMs of the dense
+conv's forward, input gradient and weight gradient and of ``pointwise_mlp``,
+by rows of the weight (``_gemm_parts``, which adds the bias to each part's
+rows); the depth-wise conv's channel blocks, forward and backward; GELU's
+blocks; layer norm's normalise and affine, also in ``pointwise_mlp``'s
+forward; the parts of ``all_finite``; the blocks of
 ``training.adamw_step``; ``pointwise_mlp``'s backward tiles at stages 1-2,
 a tile per part; and ``add``, ``scale_channels`` and ``model``'s
 ``tile_grid`` and collage copies. A cut has more than one part only where
@@ -187,8 +188,9 @@ def _records(*parents) -> bool:
 
 _BLOCK = 1 << 16  # elements per block of a cache-blocked pass: a few float32 blocks fit in L2
 # Blocks in about a last-level cache: 16 MB of float32. A tile of
-# ``pointwise_mlp``'s lean backward spans this many blocks of its hidden map.
-# ``_gemm_parts`` reads a matrix larger than this once for all items.
+# ``pointwise_mlp``'s lean backward spans this many blocks of its hidden map,
+# and ``_gemm_parts`` copies all items' columns into one GEMM only for a
+# weight larger than this (see there).
 _LLC_BLOCKS = 64
 
 
@@ -574,13 +576,13 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"mul shape mismatch: {a.shape} vs {b.shape}")
     ad, bd = a.data, b.data
-    return _from_op(ad * bd, (a, b), lambda g: (g * bd, g * ad), "mul")
+    return _from_op(np.asarray(ad * bd), (a, b), lambda g: (g * bd, g * ad), "mul")
 
 
 def mul_const(x: Tensor, arr) -> Tensor:
     """Elementwise product with an untracked array (drop-path masks)."""
     arr = np.asarray(arr, dtype=x.dtype)
-    return _from_op(x.data * arr, (x,), lambda g: (g * arr,), "mul_const")
+    return _from_op(np.asarray(x.data * arr), (x,), lambda g: (g * arr,), "mul_const")
 
 
 def scale_channels(x: Tensor, alpha: Tensor) -> Tensor:
@@ -612,7 +614,8 @@ def sum_all(x: Tensor) -> Tensor:
     def grad_fn(g):
         return (np.full(shape, g, dtype=dt),)
 
-    return _from_op(x.data.sum(dtype=x.dtype), (x,), grad_fn, "sum_all")
+    # numpy returns a 0-d result as a scalar; Tensor.data is an array
+    return _from_op(np.asarray(x.data.sum(dtype=x.dtype)), (x,), grad_fn, "sum_all")
 
 
 # ---------------------------------------------------------------------------
@@ -862,47 +865,35 @@ def _conv_dense(x, weight, bias, spec, ho, wo, need_gx):
 
 def _gemm_parts(a, b, out, bias=None):
     """``out[i] = a @ b[i]``, plus ``bias`` (M,) on each row if given, for the
-    (M, K) matrix ``a`` and each of the items of ``b``, (N, K, P). Split by
-    items, with two exceptions, which run one GEMM over all items' columns,
-    (K, N*P), split by rows of ``a``:
+    (M, K) matrix ``a`` and each of the items of ``b``, (N, K, P), split by
+    rows of ``a``: each part multiplies its rows by every item's columns and
+    adds the bias to its rows while they are in cache. Row parts make the
+    same bits as one GEMM for every GEMM the model runs, and keep the parts
+    even where items would not (9 frames on 2 threads: 4 and 5).
 
-    - one item;
-    - an ``a`` larger than the last-level cache (``_LLC_BLOCKS`` blocks) that
-      outweighs ``b`` and ``out`` together (M*K > N*P*(M+K)): each part then
-      reads its rows of ``a`` from memory once, not once per item, for a
-      copy of ``b`` and of ``out``. That is the neck's forward and input
-      gradient in training: with ``tiny``'s 61 MiB weight on 2 clips at
-      96x96, 9.4-11.4 -> 5.9-7.9 ms and 10.1-10.2 -> 6.2-6.3 ms (2-vCPU Xeon
-      VM). An ``a`` the cache holds gains nothing, and there BLAS may sum a
-      wider GEMM in another order (``toy``'s neck on 4 clips did).
-
-    Each part adds the bias to its part while that is in cache. Either path
-    gives the same bits for every GEMM the model runs."""
+    An ``a`` larger than the last-level cache (``_LLC_BLOCKS`` blocks) that
+    outweighs ``b`` and ``out`` together (M*K > N*P*(M+K)) is multiplied by
+    a (K, N*P) copy of all items' columns into an (M, N*P) product, which
+    each part copies into its rows of ``out``: a part then reads its rows of
+    ``a`` from memory once, not once per item. That is the neck's forward
+    and input gradient in training: with ``tiny``'s 61 MiB weight on 2 clips
+    at 96x96, 9.4-11.4 -> 5.9-7.9 ms and 10.1-10.2 -> 6.2-6.3 ms (2-vCPU
+    Xeon VM). An ``a`` the cache holds gains nothing, and there BLAS may sum
+    the wider GEMM in another order (``toy``'s neck on 4 clips did)."""
     n, (m, k), p = b.shape[0], a.shape, b.shape[2]
-    work = m * k * p / _MACS_PER_PASS  # per item
-
-    if n > 1 and (m * k <= _LLC_BLOCKS * _BLOCK or m * k <= n * p * (m + k)):
-        def part(s):
-            np.matmul(a, b[s], out=out[s])
-            if bias is not None:
-                out[s] += bias[:, None]
-
-        _parallel(part, _cut(n, work, _PART_CALL))
-        return
-    if n == 1:
-        cols, wide = b, out
-    else:  # the caller makes the (M, N*P) product, which the parts copy into out
+    cols, prod = b, out
+    if n > 1 and m * k > max(_LLC_BLOCKS * _BLOCK, n * p * (m + k)):
         cols = np.ascontiguousarray(b.transpose(1, 0, 2)).reshape(1, k, n * p)
-        wide = np.empty((1, m, n * p), dtype=out.dtype)
+        prod = np.empty((1, m, n * p), dtype=out.dtype)
 
     def part(s):
-        np.matmul(a[s], cols, out=wide[:, s])
-        if wide is not out:
-            out[:, s] = wide[0, s].reshape(-1, n, p).swapaxes(0, 1)
+        np.matmul(a[s], cols, out=prod[:, s])
+        if prod is not out:
+            out[:, s] = prod[0, s].reshape(-1, n, p).swapaxes(0, 1)
         if bias is not None:
             out[:, s] += bias[s, None]
 
-    _parallel(part, _cut(m, n * work / m, _PART_CALL))
+    _parallel(part, _cut(m, n * k * p / _MACS_PER_PASS, _PART_CALL))
 
 
 # ---------------------------------------------------------------------------

@@ -189,8 +189,8 @@ def test_conv2d_strided_dilated_vs_oracle(stride, dilation):
 
 def test_conv2d_1x1_forward_copies_nothing(monkeypatch, pool):
     # The 1x1 im2col is a view of the input, so the GEMM reads it in place.
-    # A large map's GEMM is split over tensor's thread pool, by items or by
-    # rows of the weight for one item: every part's GEMM reads x in place too.
+    # A large map's GEMM is split over tensor's thread pool by rows of the
+    # weight, for all items at once: every part's GEMM reads x in place too.
     operands = []
     matmul = np.matmul
 
@@ -890,6 +890,22 @@ def test_add_of_scalars_runs_forward_and_backward():
     T.backward(T.sum_all(T.mul(s, s)))
     assert np.array_equal(a.grad, np.full(a.shape, 2 * s.data, dtype=np.float32))
     assert np.array_equal(b.grad, np.full(b.shape, 2 * s.data, dtype=np.float32))
+
+
+def test_scalar_outputs_hold_0d_arrays():
+    # numpy hands back a 0-d result of a reduction or product as a scalar,
+    # not an array, so sum_all, mul and mul_const must make it one
+    a = make((3, 4), seed=1, requires_grad=True)
+    x = T.Tensor(np.float32(1.5), requires_grad=True)
+    outs = [T.sum_all(a), T.mul(x, x), T.mul_const(x, 2.0)]
+    for out in outs:
+        assert type(out.data) is np.ndarray and out.shape == () and out.requires_grad
+    total = T.sum_all(T.mul_const(T.mul(outs[0], outs[1]), np.float32(0.5)))
+    assert type(total.data) is np.ndarray
+    T.backward(T.add(total, outs[2]))
+    s = np.float32(a.data.sum(dtype=np.float32))
+    assert np.array_equal(a.grad, np.full(a.shape, np.float32(0.5) * x.data * x.data, np.float32))
+    assert np.allclose(x.grad, 0.5 * s * 2 * 1.5 + 2.0)
 
 
 def test_malloc_trim_runs_once_per_backward_with_a_deferred_gradient_of_32_mib(monkeypatch):

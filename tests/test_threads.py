@@ -60,9 +60,10 @@ def grads_of(y, seed):
     return [a for a in y._grad_fn(g) if a is not None]
 
 
-# tiny's stage-1 block map on 2 clips at 96x96 (split by items), and a
-# stage-2 map of one 224x224 frame (split by rows)
-@pytest.mark.parametrize("shape", [(18, 96, 24, 24), (1, 192, 28, 28)], ids=["items", "rows"])
+# tiny's stage-1 block map on 2 clips at 96x96, and a stage-2 map of one
+# 224x224 frame: either way each GEMM splits by rows of its weight, for all
+# items at once
+@pytest.mark.parametrize("shape", [(18, 96, 24, 24), (1, 192, 28, 28)], ids=["18-items", "1-item"])
 def test_pool_changes_no_bits_dense_conv(pool, monkeypatch, shape):
     cout = 4 * shape[1]
     x = make(shape, requires_grad=True)
@@ -266,6 +267,30 @@ def test_pool_changes_no_bits_adamw_and_clip_grad_norm(pool, monkeypatch):
     assert_pool_changes_no_bits(monkeypatch, run, "adamw_step")
 
 
+def test_pool_changes_no_bits_in_a_tiny_train_step_and_eval_forward(pool, monkeypatch):
+    # the kernels' splits at the model's own shapes: the logits of an eval
+    # forward of one 9x224x224 clip, and all 220 gradients of a train step on
+    # 2 clips at 96x96, seed 0
+    m = M.build_model(M.make_config("tiny"), 0)
+    params = m.parameters()
+
+    def run():
+        r = rng(0)
+        clip = r.standard_normal((m.config.frames, 3, 224, 224)).astype(np.float32)
+        logits = m.forward(T.Tensor(clip), training=False).data
+        clips = r.standard_normal((2 * m.config.frames, 3, 96, 96)).astype(np.float32)
+        loss, _ = T.softmax_cross_entropy(m.forward(T.Tensor(clips), training=True, rng=r),
+                                          np.array([0, 1]))
+        T.backward(loss)
+        grads = [p.grad for p in params.values()]
+        m.zero_grad()
+        return [logits, *grads]
+
+    assert_pool_changes_no_bits(monkeypatch, run, "_gemm_parts", "tile_grads", "_ln_forward",
+                                "_gelu_blocks", "_map_parts", "_conv_depthwise")
+    assert len(params) == 220
+
+
 # ---------------------------------------------------------------------------
 # three parts: a 2- or 4-thread machine never cuts ``n * i // 3``
 
@@ -308,9 +333,11 @@ def test_cut_and_slabs_make_three_uneven_parts(three_parts, monkeypatch):
     assert T._slabs((7, 5), least, least) == [()]
 
 
-# The dense conv at shapes whose items (10) and rows (160, 640) do not divide by 3
+# The dense conv on 10 items, on the 9 frames of tiny's stage-1 map of one
+# 224x224 clip, and at rows (160, 640) that do not divide by 3
 @pytest.mark.parametrize("check, args", [
     (test_pool_changes_no_bits_dense_conv, [(10, 96, 24, 24)]),
+    (test_pool_changes_no_bits_dense_conv, [(9, 96, 56, 56)]),
     (test_pool_changes_no_bits_dense_conv, [(1, 160, 28, 28)]),
     (test_pool_changes_no_bits_depthwise_conv, []),
     (test_pool_changes_no_bits_gelu, []),
@@ -320,9 +347,9 @@ def test_cut_and_slabs_make_three_uneven_parts(three_parts, monkeypatch):
     (test_pool_changes_no_bits_pointwise_mlp_collaged, []),
     (test_pool_changes_no_bits_pointwise_mlp_row_bands, []),
     (test_pool_changes_no_bits_adamw_and_clip_grad_norm, []),
-], ids=["dense_conv-items", "dense_conv-rows", "depthwise_conv", "gelu", "layer_norm-items",
-        "layer_norm-rows", "pointwise_mlp", "pointwise_mlp-collaged", "pointwise_mlp-row-bands",
-        "adamw"])
+], ids=["dense_conv-items", "dense_conv-9-items", "dense_conv-rows", "depthwise_conv", "gelu",
+        "layer_norm-items", "layer_norm-rows", "pointwise_mlp", "pointwise_mlp-collaged",
+        "pointwise_mlp-row-bands", "adamw"])
 def test_three_parts_change_no_bits(three_parts, monkeypatch, check, args):
     check(T._POOL, monkeypatch, *args)
     assert 3 in three_parts, sorted(set(three_parts))
