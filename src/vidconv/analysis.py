@@ -154,16 +154,6 @@ def compute_cam(model, clip, class_index: int) -> np.ndarray:
     return _normalize_cam(cam)
 
 
-def write_pgm(path, image: np.ndarray):
-    """8-bit binary portable greymap from a [0, 1] float image."""
-    img = np.clip(np.asarray(image), 0.0, 1.0)
-    data = (img * 255.0 + 0.5).astype(np.uint8)
-    h, w = data.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode())
-        fh.write(data.tobytes())
-
-
 # ---------------------------------------------------------------------------
 # ablation suites
 

@@ -25,32 +25,32 @@ kernel runs in one part on the calling thread.
 
 The private kernels cut their work into disjoint parts with ``_cut`` or
 ``_slabs`` and run them through ``_parallel``: the GEMMs of the dense
-conv's forward, input gradient and weight gradient and of ``pointwise_mlp``,
-by rows of the weight (``_gemm_parts``, which adds the bias to each part's
-rows); the depth-wise conv's channel blocks, forward and backward; GELU's
-blocks; layer norm's normalise and affine, also in ``pointwise_mlp``'s
-forward; the parts of ``all_finite``; the blocks of
-``training.adamw_step``; ``pointwise_mlp``'s backward tiles at stages 1-2,
-a tile per part; and ``add``, ``scale_channels`` and ``model``'s
-``tile_grid`` and collage copies. A cut has more than one part only where
-each part holds enough work (``_PART_CALL``, ``_PART_LOOP``), and
-``_parallel`` runs a cut of one part inline: small maps, such as all of the
-``toy`` variant's, start no thread. GELU's backward product and
-``training.clip_grad_norm``'s float64 dots run on the calling thread. In
-a ``tiny`` train step at 96x96 the product split 9 times, each on a
-(2, 1536, 18, 18) map that took 0.47 ms split and 0.45 ms inline, and the
-dots split only the neck weight's gradient, 1 of 220, saving about 3.5 ms
-of a 2 s step (2-vCPU Xeon VM). No part reorders a reduction, so every
-output and gradient is bit for bit that of one part. Parts never touch
-the tape or ``recording``, call no public function of this module,
-``model`` or ``training`` (a tracer may wrap those, and time them on one
-span stack), and allocate nothing much larger than a block: the caller
-makes the outputs and any larger scratch, because glibc gives each thread
-its own heap, which keeps what it frees (a ``tiny`` train step peaked
-24 MB higher when ``pointwise_mlp``'s backward tiles made their K-wide
-arrays on the pool). A part may call the kernels that split: a split made
-inside a part runs its pieces inline, on that part's thread (see
-``_parallel``).
+conv's forward, input gradient and weight gradient and of
+``pointwise_mlp``, by rows of the weight (``_gemm_parts``, which adds the
+bias to each part's rows); the depth-wise conv's channel blocks, forward
+and backward; GELU's blocks; layer norm's normalise and affine, also in
+``pointwise_mlp``'s forward; the parts of ``all_finite``; the blocks of
+``training.adamw_step``; in ``pointwise_mlp``'s backward, which walks its
+tiles on the calling thread, each tile's GEMMs, GELU and dy/dx product; and
+``add``, ``scale_channels`` and ``model``'s ``tile_grid`` and collage
+copies. A cut has more than one part only where each part holds enough work
+(``_PART_CALL``, ``_PART_LOOP``), and ``_parallel`` runs a cut of one part
+inline: small maps, such as all of the ``toy`` variant's, start no thread.
+GELU's backward product and ``training.clip_grad_norm``'s float64 dots run
+on the calling thread. In a ``tiny`` train step at 96x96 the product split
+9 times, each on a (2, 1536, 18, 18) map that took 0.47 ms split and 0.45
+ms inline, and the dots split only the neck weight's gradient, 1 of 220,
+saving about 3.5 ms of a 2 s step (2-vCPU Xeon VM). No part reorders a
+reduction, so every output and gradient is bit for bit that of one part.
+Parts never touch the tape or ``recording``, call no public function of
+this module, ``model`` or ``training`` (a tracer may wrap those, and time
+them on one span stack), and allocate nothing much larger than a block: the
+caller makes the outputs and any larger scratch, because glibc gives each
+thread its own heap, which keeps what it frees (a ``tiny`` train step
+peaked 24 MB higher when ``pointwise_mlp``'s backward tiles, then run a
+tile per part, made their K-wide arrays on the pool). A part calls no
+kernel that splits: every pool thread may be running a part of the outer
+split, and the inner split would wait on them.
 
 Weight gradients made last. ``backward`` walks the tape from the loss to the
 stem, freeing each op's saved arrays as it passes. A weight gradient larger
@@ -188,9 +188,9 @@ def _records(*parents) -> bool:
 
 _BLOCK = 1 << 16  # elements per block of a cache-blocked pass: a few float32 blocks fit in L2
 # Blocks in about a last-level cache: 16 MB of float32. A tile of
-# ``pointwise_mlp``'s lean backward spans this many blocks of its hidden map,
-# and ``_gemm_parts`` copies all items' columns into one GEMM only for a
-# weight larger than this (see there).
+# ``pointwise_mlp``'s backward at stages 3-4 spans this many blocks of its
+# hidden map, and ``_gemm_parts`` copies all items' columns into one GEMM
+# only for a weight larger than this (see there).
 _LLC_BLOCKS = 64
 
 
@@ -238,10 +238,6 @@ class _Job:
         self.done.acquire()
 
 
-# ``on``: this thread is running a part of a split (see ``_parallel``)
-_in_part = threading.local()
-
-
 class _Pool:
     """Daemon threads, started at the first hand-over, that run ``_Job``s in
     the caller's numpy error state (numpy keeps one per thread). This is the
@@ -266,7 +262,6 @@ class _Pool:
         return job
 
     def _work(self):
-        _in_part.on = True  # every job is a part of a split
         while True:
             job = self._jobs.get()
             try:
@@ -327,23 +322,18 @@ def _parallel(part, pieces):
     numbers): the first on the calling thread, the rest on the pool,
     each in the caller's numpy error state. Returns once every part has,
     then re-raises the first error a part raised, in the order of
-    ``pieces``. Parts must write disjoint outputs. A call made from inside
-    a part runs its pieces inline, in order: every pool thread may be
-    running a part of the call outside it, which waits on this one."""
-    if _POOL is None or len(pieces) == 1 or getattr(_in_part, "on", False):
+    ``pieces``. Parts must write disjoint outputs."""
+    if _POOL is None or len(pieces) == 1:
         for piece in pieces:
             part(piece)
         return
     err = np.geterr()
     jobs = [_POOL.run(part, piece, err) for piece in pieces[1:]]
     errors = []
-    _in_part.on = True
     try:
         part(pieces[0])
     except BaseException as exc:  # re-raised below, once the pool's parts are done
         errors.append(exc)
-    finally:
-        _in_part.on = False
     for job in jobs:
         with job.done:
             if job.error is not None:
@@ -533,10 +523,11 @@ def backward(root: Tensor):
 
 def _accumulate(p, holder, g):
     """Add ``g``, a gradient for node ``p``, onto ``holder``: ``p`` itself for
-    an op output, the tensor for a leaf."""
+    an op output, the tensor for a leaf. numpy returns a 0-d product or sum
+    as a scalar; the gradient handed on is always an array."""
     if g.shape != p.shape or g.dtype != p.dtype:
         raise ShapeError(f"grad {g.dtype} {g.shape} for tensor {p.dtype} {p.shape}")
-    holder.grad = g if holder.grad is None else holder.grad + g
+    holder.grad = np.asarray(g if holder.grad is None else holder.grad + g)
 
 
 # ---------------------------------------------------------------------------
@@ -1061,11 +1052,12 @@ def _gelu_run(xf, yf, df=None):
 
 
 def _position_tiles(n, c, h, w, blocks=1):
-    """Index tuples of the tiles ``pointwise_mlp``'s backward walks on an
-    (N, ., H, W) map, each a 4-D view of about ``blocks * _BLOCK // c``
-    positions, so that c channels of the tile span about ``blocks`` blocks:
-    runs of whole items where an item is smaller, otherwise bands of whole
-    rows of one item. The last run or band may be short."""
+    """Index tuples of the tiles that ``pointwise_mlp``'s backward and
+    ``_ln_normalize`` walk on an (N, ., H, W) map, each a 4-D view of about
+    ``blocks * _BLOCK // c`` positions, so that c channels of the tile span
+    about ``blocks`` blocks: runs of whole items where an item is smaller,
+    otherwise bands of whole rows of one item. The last run or band may be
+    short."""
     p = max(1, blocks * _BLOCK // c)
     if h * w <= p:
         run = p // (h * w)
@@ -1098,23 +1090,26 @@ def pointwise_mlp(f: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor
     gradient, the sum over positions of g * (W2 a + b2), is read off the
     (C, K) sum of g a^T that pw2's weight gradient needs anyway.
 
-    Backward is one function of a tile, run on one of two schedules. The
-    tile is copied channel-major, (C, M) for its M positions, so that every
-    GEMM is one 2-D GEMM through ``_gemm_parts`` and a weight gradient is
-    one GEMM over all M positions (as in ``_conv_dense``'s backward). The
-    first tile writes the (C, K) sums; a later one writes partials, added
-    in tile order, so the sums are those of one thread. The layer scale
-    multiplies g, a C map, rather than W2, a (C, K) one. Nothing is written
-    into g or ``f``'s data. The schedule follows the shape of the weights:
+    Backward walks tiles of positions one at a time on the calling thread,
+    and splits each tile's GEMMs, GELU and dy/dx product over the parts.
+    A tile is copied channel-major, (C, M) for its M positions, so that
+    every GEMM is one 2-D GEMM through ``_gemm_parts`` and a weight gradient
+    is one GEMM over all M positions (as in ``_conv_dense``'s backward). The
+    first tile writes the (C, K) sums; each later one writes partials into
+    one pair of buffers, added in tile order. The layer scale multiplies g,
+    a C map, rather than W2, a (C, K) one. Nothing is written into g or
+    ``f``'s data.
 
-    - Few positions per channel (``_BLOCK // C < C``, stages 3-4, where a
-      (C, K) partial outweighs a tile's K-wide maps): tiles whose (K, M)
-      hidden maps span about ``_LLC_BLOCKS`` blocks, so that they stay in
-      the last-level cache, one at a time on the calling thread, each GEMM
-      and GELU split over the parts.
-    - Many (stages 1-2): tiles of about a block of C map, ``_THREADS`` at a
-      time, a tile per part, where each tile holds a part's work. The
-      splits inside a part run inline (see ``_parallel``).
+    The tiles have two sizes, and the tile order fixes every gradient's
+    bits. Where a block of C map holds fewer positions than channels
+    (``_BLOCK // C < C``, stages 3-4), a (C, K) partial outweighs a tile's
+    K-wide maps, so the tiles are as large as the last-level cache holds:
+    (K, M) hidden maps of about ``_LLC_BLOCKS`` blocks. Elsewhere (stages
+    1-2) a tile is about a block of C map. One rule of 16 or 64 blocks of
+    hidden map at every stage moved the stage 1-2 gradients of a ``tiny``
+    train step in their last bits (up to 7.7e-7 of each one's largest
+    entry), and 64 blocks raised the peak RSS of two such steps at 96x96
+    from 744-747 to 770-776 MB (2-vCPU Xeon VM).
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -1145,32 +1140,16 @@ def pointwise_mlp(f: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor
     gd, betad = gamma.data[:, None], beta.data[:, None]
     w1m, b1v, w2m, b2d, sd = w1.data.reshape(k, c), b1.data, w2.data.reshape(c, k), b2.data, scale.data
     lean = _BLOCK // c < c
-    # a part's work per position: three GEMMs of C x K, and GELU with dy/dx over K
-    per_position = 3 * c * k / _MACS_PER_PASS + 24 * k
 
     def grad_fn(g):
         tiles = _position_tiles(n, k, h, w, _LLC_BLOCKS) if lean else _position_tiles(n, c, h, w)
-        step = 1 if lean or _POOL is None else _THREADS
-        rounds = []  # tiles run together, a tile per part
-        for lo in range(0, len(tiles), step):
-            group = range(lo, min(lo + step, len(tiles)))
-            pooled = min(fd[tiles[j]].size for j in group) // c * per_position >= _PART_LOOP
-            rounds += [group] if pooled else [[j] for j in group]
-        # The buffers of each part of a pooled round, made here (see the
-        # module docstring): pw1's output and GELU's dy/dx, flat, sized by
-        # the largest tile, of which a tile takes a prefix, and the (C, K)
-        # and (K, C) partials. A tile run alone makes its own.
-        parts, kmax = max(map(len, rounds)), max(fd[t].size for t in tiles) // c * k
-        sets = [(np.empty(kmax, dtype=dt), np.empty(kmax, dtype=dt),
-                 np.empty((c, k), dtype=dt), np.empty((k, c), dtype=dt))
-                for _ in range(parts if parts > 1 else 0)]
         gf = np.empty_like(fd)
-        gza, gw1 = np.empty((c, k), dtype=dt), np.empty((k, c), dtype=dt)
-        results = [None] * len(tiles)
 
-        def tile_grads(piece):
-            j, bufs = piece  # tile j, and its part's buffers, or None
-            t = tiles[j]
+        def tile_grads(t, za, zw1):
+            # Writes tile t's input gradient into gf and its (C, K) and
+            # (K, C) sums into za and zw1, and returns its sums over
+            # positions. Its arrays are freed on return, before the next
+            # tile makes its own.
             ft = fd[t]
             # Written into a new array: for a tile of one item the views of
             # fd and g below are the arrays themselves, not copies.
@@ -1179,13 +1158,8 @@ def pointwise_mlp(f: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor
             xhat *= inv_t
             y = xhat * gd
             y += betad
-            size = k * y.shape[1]
-            if bufs is None:  # made here, so that dy/dx is freed once read
-                bufs = (np.empty(size, dtype=dt), np.empty(size, dtype=dt),
-                        *((np.empty_like(gza), np.empty_like(gw1)) if j else ()))
-            a, d = (buf[:size].reshape(k, -1) for buf in bufs[:2])
-            za, zw1 = bufs[2:] if j else (gza, gw1)  # the first tile writes the sums
-            del bufs
+            a = np.empty((k, y.shape[1]), dtype=dt)
+            d = np.empty_like(a)
             _gemm_parts(w1m, y[None], a[None], b1v)  # pw1 and its bias, as conv2d runs them
             _gelu_blocks(a.reshape(-1), a.reshape(-1), d.reshape(-1))
             gt = np.ascontiguousarray(_channel_major(g[t])).reshape(c, -1)
@@ -1193,25 +1167,25 @@ def pointwise_mlp(f: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor
             ga = a  # a is dead once g a^T is summed
             _gemm_parts(w2m.T, (gt * sd[:, None])[None], ga[None])
             _map_parts(np.multiply, ga, ga, d)
-            del a, d
+            del d  # dy/dx is freed once read
             _gemm_parts(ga, y.T[None], zw1[None])
             gy = np.empty_like(xhat)
             _gemm_parts(w1m.T, ga[None], gy[None])
             gx, gg, gbt = _ln_grad(gy[None, :, None], xhat[None, :, None], inv_t[None, :, None], g4)
             gf[t] = gx.reshape(c, ft.shape[0], *ft.shape[2:]).swapaxes(0, 1)
-            results[j] = gt.sum(axis=1), ga.sum(axis=1), gg, gbt, za, zw1
+            return gt.sum(axis=1), ga.sum(axis=1), gg, gbt
 
+        gza, gw1 = np.empty((c, k), dtype=dt), np.empty((k, c), dtype=dt)
+        za, zw1 = gza, gw1  # the first tile writes the sums
         sums = [np.zeros(size, dtype=dt) for size in (c, k, c, c)]
-        for r in rounds:
-            _parallel(tile_grads, [(j, sets[i] if len(r) > 1 else None) for i, j in enumerate(r)])
-            for j in r:  # in tile order, whichever thread ran the tile
-                *vectors, za, zw1 = results[j]
-                for total, v in zip(sums, vectors):
-                    total += v
-                if j:
-                    gza += za
-                    gw1 += zw1
-                results[j] = None
+        for j, t in enumerate(tiles):
+            for total, v in zip(sums, tile_grads(t, za, zw1)):
+                total += v
+            if j:
+                gza += za
+                gw1 += zw1
+            else:  # the partials of every later tile
+                za, zw1 = np.empty_like(gza), np.empty_like(gw1)
         gsum, gb1, ggamma, gbeta = sums
         # pw2's output is W2 a + b2, so sum(g * it) over positions is the
         # diagonal of W2 gza^T plus b2 * sum(g)

@@ -7,8 +7,7 @@ import pytest
 from vidconv import analysis
 from vidconv import tensor as T
 from vidconv.analysis import (ablation_rows, cam_from_capture, compute_cam, count_flops,
-                              order_permutation, plan_layers, run_ablation, shuffle_eval,
-                              write_pgm)
+                              order_permutation, plan_layers, run_ablation, shuffle_eval)
 from vidconv.data import SyntheticDataset
 from vidconv.errors import ConfigError
 from vidconv.model import build_model, make_config
@@ -292,15 +291,6 @@ def test_compute_cam_contract_on_toy_model():
     assert cam.max() == pytest.approx(1.0)
     with pytest.raises(ValueError):
         compute_cam(model, clip, class_index=7)
-
-
-def test_write_pgm(tmp_path):
-    img = rng(4).random((6, 8))
-    path = tmp_path / "map.pgm"
-    write_pgm(path, img)
-    raw = path.read_bytes()
-    assert raw.startswith(b"P5\n8 6\n255\n")
-    assert len(raw) == len(b"P5\n8 6\n255\n") + 48
 
 
 # ---------------------------------------------------------------------------

@@ -685,8 +685,8 @@ GRAD_FN_CASES = {
         leaf((2, 8, 6, 6)), leaf((16, 8, 3, 3), 1), leaf((16,), 2),
         T.ConvSpec(kernel=(3, 3), dilation=(2, 2))),
     "linear-deferred": lambda: T.linear(leaf((2, 3)), leaf((16, 3), 1), leaf((16,), 2)),
-    # stages 1-2's schedule over single items and over bands of rows, both a
-    # tile per part on the pool; the lean schedule over two items and one
+    # stages 1-2's block-sized tiles, of single items and of bands of rows;
+    # stages 3-4's cache-sized tiles, over two items and one
     "pointwise_mlp-items": pointwise_case((2, 96, 24, 24)),
     "pointwise_mlp-row-bands": pointwise_case((1, 96, 48, 48)),
     "pointwise_mlp-lean": pointwise_case((2, 288, 6, 6)),
@@ -906,6 +906,18 @@ def test_scalar_outputs_hold_0d_arrays():
     s = np.float32(a.data.sum(dtype=np.float32))
     assert np.array_equal(a.grad, np.full(a.shape, np.float32(0.5) * x.data * x.data, np.float32))
     assert np.allclose(x.grad, 0.5 * s * 2 * 1.5 + 2.0)
+
+
+@pytest.mark.parametrize("op, want", [
+    (lambda x: T.mul(x, x), 3.0), (lambda x: T.mul_const(x, 2.0), 2.0), (lambda x: T.add(x, x), 2.0),
+], ids=["mul", "mul_const", "add"])
+def test_0d_leaf_gradients_are_0d_arrays(op, want):
+    # numpy hands back the product or sum of 0-d arrays as a scalar, so
+    # backward must make each gradient it hands on an array
+    x = T.Tensor(np.float32(1.5), requires_grad=True)
+    T.backward(op(x))
+    assert type(x.grad) is np.ndarray and x.grad.shape == () and x.grad.dtype == np.float32
+    assert x.grad == want
 
 
 def test_malloc_trim_runs_once_per_backward_with_a_deferred_gradient_of_32_mib(monkeypatch):

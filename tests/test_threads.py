@@ -171,7 +171,7 @@ def test_pool_changes_no_bits_pointwise_mlp(pool, monkeypatch):
         y = T.pointwise_mlp(f, *params)
         return [y.data, *grads_of(y, 3)]
 
-    assert_pool_changes_no_bits(monkeypatch, run, "tile_grads", "_gemm_parts")
+    assert_pool_changes_no_bits(monkeypatch, run, "_gemm_parts")
 
 
 def test_pool_changes_no_bits_untaped_pointwise_mlp(pool, monkeypatch):
@@ -190,26 +190,32 @@ def test_pool_changes_no_bits_untaped_pointwise_mlp(pool, monkeypatch):
 
 def test_pool_changes_no_bits_pointwise_mlp_row_bands(pool, monkeypatch):
     # tiny's stage-2 map of one 224x224 frame: backward's tiles are three
-    # bands of rows, the last short, run a tile per part, _THREADS at a time
+    # bands of rows (0, 12 and 24, the last short), walked in order on the
+    # calling thread, and each band's five GEMMs split
     c = 192
     f = make((1, c, 28, 28), requires_grad=True)
     params = pointwise_params(c)
-    rounds, parallel = [], T._parallel
+    seen, in_backward, bands = splits_seen(monkeypatch), [], []
+    channel_major, row_bytes = T._channel_major, f.data.strides[2]
 
-    def spy(part, pieces):
-        if part.__name__ == "tile_grads":
-            rounds.append(len(pieces))
-        return parallel(part, pieces)
+    def spy(a):  # the channel-major copy of each of f's tiles
+        if np.may_share_memory(a, f.data):
+            offset = a.__array_interface__["data"][0] - f.data.__array_interface__["data"][0]
+            bands.append((threading.current_thread().name, offset // row_bytes))
+        return channel_major(a)
 
-    monkeypatch.setattr(T, "_parallel", spy)
+    monkeypatch.setattr(T, "_channel_major", spy)
 
     def run():
         y = T.pointwise_mlp(f, *params)
-        return [y.data, *grads_of(y, 3)]
+        seen.clear()
+        grads = grads_of(y, 3)
+        in_backward.extend(seen)
+        return [y.data, *grads]
 
-    assert_pool_changes_no_bits(monkeypatch, run, "tile_grads", "_gemm_parts")
-    on_pool = [min(T._THREADS, 3 - lo) for lo in range(0, 3, T._THREADS)]
-    assert rounds == on_pool + [1, 1, 1], rounds  # then with no pool, one tile at a time
+    assert_pool_changes_no_bits(monkeypatch, run, "_gemm_parts")
+    assert in_backward == ["_gemm_parts.<locals>.part"] * 15, in_backward  # none with no pool
+    assert bands == [(threading.current_thread().name, row) for row in (0, 12, 24)] * 2, bands
 
 
 def test_pool_changes_no_bits_pointwise_mlp_collaged(pool, monkeypatch):
@@ -228,7 +234,8 @@ def test_pool_changes_no_bits_pointwise_mlp_collaged(pool, monkeypatch):
         return [y.data, *grads]
 
     assert_pool_changes_no_bits(monkeypatch, run, "_gemm_parts", "_gelu_blocks", "_map_parts")
-    assert "tile_grads" not in " ".join(in_backward), in_backward
+    assert {"_gemm_parts.<locals>.part", "_gelu_blocks.<locals>.part",
+            "_map_parts.<locals>.part"} <= set(in_backward), in_backward
 
 
 def test_pool_changes_no_bits_elementwise_and_collage(pool, monkeypatch):
@@ -267,28 +274,27 @@ def test_pool_changes_no_bits_adamw_and_clip_grad_norm(pool, monkeypatch):
     assert_pool_changes_no_bits(monkeypatch, run, "adamw_step")
 
 
+def tiny_eval_and_train_step(m):
+    """The logits of an eval forward of one 9x224x224 clip, and the gradients
+    of a train step on 2 clips at 96x96, seed 0."""
+    r = rng(0)
+    clip = r.standard_normal((m.config.frames, 3, 224, 224)).astype(np.float32)
+    logits = m.forward(T.Tensor(clip), training=False).data
+    clips = r.standard_normal((2 * m.config.frames, 3, 96, 96)).astype(np.float32)
+    loss, _ = T.softmax_cross_entropy(m.forward(T.Tensor(clips), training=True, rng=r),
+                                      np.array([0, 1]))
+    T.backward(loss)
+    grads = [p.grad for p in m.parameters().values()]
+    m.zero_grad()
+    return [logits, *grads]
+
+
 def test_pool_changes_no_bits_in_a_tiny_train_step_and_eval_forward(pool, monkeypatch):
-    # the kernels' splits at the model's own shapes: the logits of an eval
-    # forward of one 9x224x224 clip, and all 220 gradients of a train step on
-    # 2 clips at 96x96, seed 0
+    # the kernels' splits at the model's own shapes, over all 220 gradients
     m = M.build_model(M.make_config("tiny"), 0)
-    params = m.parameters()
-
-    def run():
-        r = rng(0)
-        clip = r.standard_normal((m.config.frames, 3, 224, 224)).astype(np.float32)
-        logits = m.forward(T.Tensor(clip), training=False).data
-        clips = r.standard_normal((2 * m.config.frames, 3, 96, 96)).astype(np.float32)
-        loss, _ = T.softmax_cross_entropy(m.forward(T.Tensor(clips), training=True, rng=r),
-                                          np.array([0, 1]))
-        T.backward(loss)
-        grads = [p.grad for p in params.values()]
-        m.zero_grad()
-        return [logits, *grads]
-
-    assert_pool_changes_no_bits(monkeypatch, run, "_gemm_parts", "tile_grads", "_ln_forward",
-                                "_gelu_blocks", "_map_parts", "_conv_depthwise")
-    assert len(params) == 220
+    assert_pool_changes_no_bits(monkeypatch, lambda: tiny_eval_and_train_step(m), "_gemm_parts",
+                                "_ln_forward", "_gelu_blocks", "_map_parts", "_conv_depthwise")
+    assert len(m.parameters()) == 220
 
 
 # ---------------------------------------------------------------------------
@@ -380,34 +386,31 @@ def test_parallel_raises_the_first_error_once_every_part_is_done(pool):
         T._parallel(second_fails, [slice(0, 1), slice(1, 2)])
 
 
-def test_parallel_inside_a_part_runs_inline(monkeypatch):
-    # A part waits on any split it makes, and every pool thread may be
-    # running a part of the split outside it: on a pool of one thread, the
-    # two inner splits handed to it would wait on each other for ever.
-    monkeypatch.setattr(T, "_POOL", T._Pool(1))  # its own: a deadlock strands no other test
-    monkeypatch.setattr(T, "_THREADS", 2)
-    x = rng(0).standard_normal((2, 3, 64, 64)).astype(np.float32)
-    out, threads, after = np.empty_like(x), [[], []], []
+def test_no_part_makes_a_split_in_a_tiny_train_step_and_eval_forward(pool, monkeypatch):
+    # A part that made a split would wait on it, while every pool thread may
+    # be running a part of the split outside it: no kernel splits in a part.
+    parallel, running, nested, lock = T._parallel, [0], [], threading.Lock()
 
-    def outer(i):
-        def inner(j):
-            threads[i].append(threading.current_thread().name)
-            np.multiply(x[i, j], x[i, j], out=out[i, j])
+    def spy(part, pieces):
+        if running[0]:
+            nested.append(part.__qualname__)
 
-        T._parallel(inner, range(3))
+        def counted(piece):
+            with lock:
+                running[0] += 1
+            try:
+                part(piece)
+            finally:
+                with lock:
+                    running[0] -= 1
 
-    def caller():
-        T._parallel(outer, [0, 1])
-        # the caller's next split, made outside any part, goes to the pool again
-        T._parallel(lambda i: after.append(threading.current_thread().name), [0, 1])
+        counted.__qualname__ = part.__qualname__
+        return parallel(counted, pieces)
 
-    thread = threading.Thread(target=caller, daemon=True)
-    thread.start()
-    thread.join(timeout=30)
-    assert not thread.is_alive(), "a split inside a part did not return"
-    assert threads == [[thread.name] * 3, ["vidconv-0"] * 3]
-    assert np.array_equal(out, x * x)
-    assert sorted(after) == sorted([thread.name, "vidconv-0"])
+    monkeypatch.setattr(T, "_parallel", spy)
+    m = M.build_model(M.make_config("tiny"), 0)
+    tiny_eval_and_train_step(m)
+    assert nested == [], sorted(set(nested))
 
 
 def test_gelu_on_minus_inf_in_a_pool_part_raises_numerics_error_not_a_warning(pool, monkeypatch):
