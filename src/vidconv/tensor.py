@@ -187,11 +187,10 @@ def _records(*parents) -> bool:
 
 
 _BLOCK = 1 << 16  # elements per block of a cache-blocked pass: a few float32 blocks fit in L2
-# Blocks in about a last-level cache: 16 MB of float32. A tile of
-# ``pointwise_mlp``'s backward at stages 3-4 spans this many blocks of its
-# hidden map, and ``_gemm_parts`` copies all items' columns into one GEMM
-# only for a weight larger than this (see there).
-_LLC_BLOCKS = 64
+# Blocks of hidden map in a tile of ``pointwise_mlp``'s backward: 4 MB of
+# float32, enough that each tile's GELU splits over the parts, and few enough
+# that the tiles add no peak memory (see there).
+_TILE_BLOCKS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -859,28 +858,18 @@ def _gemm_parts(a, b, out, bias=None):
     (M, K) matrix ``a`` and each of the items of ``b``, (N, K, P), split by
     rows of ``a``: each part multiplies its rows by every item's columns and
     adds the bias to its rows while they are in cache. Row parts make the
-    same bits as one GEMM for every GEMM the model runs, and keep the parts
-    even where items would not (9 frames on 2 threads: 4 and 5).
-
-    An ``a`` larger than the last-level cache (``_LLC_BLOCKS`` blocks) that
-    outweighs ``b`` and ``out`` together (M*K > N*P*(M+K)) is multiplied by
-    a (K, N*P) copy of all items' columns into an (M, N*P) product, which
-    each part copies into its rows of ``out``: a part then reads its rows of
-    ``a`` from memory once, not once per item. That is the neck's forward
-    and input gradient in training: with ``tiny``'s 61 MiB weight on 2 clips
-    at 96x96, 9.4-11.4 -> 5.9-7.9 ms and 10.1-10.2 -> 6.2-6.3 ms (2-vCPU
-    Xeon VM). An ``a`` the cache holds gains nothing, and there BLAS may sum
-    the wider GEMM in another order (``toy``'s neck on 4 clips did)."""
+    same bits as one GEMM per item for every GEMM the model runs, and keep
+    the parts even where items would not (9 frames on 2 threads: 4 and 5).
+    A part reads its rows of ``a`` once per item. For the neck's 61 MiB
+    weight in training (2 clips at 96x96, 2-vCPU Xeon VM), one GEMM over a
+    copy of all items' columns took 7.8-8.8 ms, not 11.9-13.5, forward, and
+    11.4-13.2 ms, not 20.2-23.7, for the input gradient: about 0.6% of a
+    ``tiny`` train step, which did not pay for a second layout and a size
+    rule."""
     n, (m, k), p = b.shape[0], a.shape, b.shape[2]
-    cols, prod = b, out
-    if n > 1 and m * k > max(_LLC_BLOCKS * _BLOCK, n * p * (m + k)):
-        cols = np.ascontiguousarray(b.transpose(1, 0, 2)).reshape(1, k, n * p)
-        prod = np.empty((1, m, n * p), dtype=out.dtype)
 
     def part(s):
-        np.matmul(a[s], cols, out=prod[:, s])
-        if prod is not out:
-            out[:, s] = prod[0, s].reshape(-1, n, p).swapaxes(0, 1)
+        np.matmul(a[s], b, out=out[:, s])
         if bias is not None:
             out[:, s] += bias[s, None]
 
@@ -1052,12 +1041,13 @@ def _gelu_run(xf, yf, df=None):
 
 
 def _position_tiles(n, c, h, w, blocks=1):
-    """Index tuples of the tiles that ``pointwise_mlp``'s backward and
-    ``_ln_normalize`` walk on an (N, ., H, W) map, each a 4-D view of about
-    ``blocks * _BLOCK // c`` positions, so that c channels of the tile span
-    about ``blocks`` blocks: runs of whole items where an item is smaller,
-    otherwise bands of whole rows of one item. The last run or band may be
-    short."""
+    """Index tuples of the tiles of an (N, ., H, W) map, each a 4-D view of
+    about ``blocks * _BLOCK // c`` positions, so that c channels of the tile
+    span about ``blocks`` blocks: runs of whole items where an item is
+    smaller, otherwise bands of whole rows of one item. The last run or band
+    may be short. ``_ln_normalize`` walks one-block tiles of its C map, and
+    ``pointwise_mlp``'s backward tiles of ``_TILE_BLOCKS`` blocks of its
+    hidden map."""
     p = max(1, blocks * _BLOCK // c)
     if h * w <= p:
         run = p // (h * w)
@@ -1100,16 +1090,22 @@ def pointwise_mlp(f: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor
     a C map, rather than W2, a (C, K) one. Nothing is written into g or
     ``f``'s data.
 
-    The tiles have two sizes, and the tile order fixes every gradient's
-    bits. Where a block of C map holds fewer positions than channels
-    (``_BLOCK // C < C``, stages 3-4), a (C, K) partial outweighs a tile's
-    K-wide maps, so the tiles are as large as the last-level cache holds:
-    (K, M) hidden maps of about ``_LLC_BLOCKS`` blocks. Elsewhere (stages
-    1-2) a tile is about a block of C map. One rule of 16 or 64 blocks of
-    hidden map at every stage moved the stage 1-2 gradients of a ``tiny``
-    train step in their last bits (up to 7.7e-7 of each one's largest
-    entry), and 64 blocks raised the peak RSS of two such steps at 96x96
-    from 744-747 to 770-776 MB (2-vCPU Xeon VM).
+    Every tile spans about ``_TILE_BLOCKS`` blocks of the K-wide hidden map,
+    and the tile order fixes every gradient's bits. A stage 1-2 tile, runs
+    of whole items or bands of rows, then holds enough work for its GELU and
+    dy/dx product to split over the parts as its GEMMs do (a short last band
+    may not); a stage 3-4 collage of a few clips is one tile or a few
+    bands. The peak RSS of two ``tiny`` train steps on 2 clips at 96x96, by
+    tile size (2-vCPU Xeon VM, numpy 2.4):
+
+    ============  ===========
+    tile blocks   peak RSS MB
+    ============  ===========
+    8             747-748
+    16            741-745
+    32            753
+    64            764
+    ============  ===========
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -1139,10 +1135,8 @@ def pointwise_mlp(f: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor
     g4 = gamma.data[None, :, None, None]
     gd, betad = gamma.data[:, None], beta.data[:, None]
     w1m, b1v, w2m, b2d, sd = w1.data.reshape(k, c), b1.data, w2.data.reshape(c, k), b2.data, scale.data
-    lean = _BLOCK // c < c
 
     def grad_fn(g):
-        tiles = _position_tiles(n, k, h, w, _LLC_BLOCKS) if lean else _position_tiles(n, c, h, w)
         gf = np.empty_like(fd)
 
         def tile_grads(t, za, zw1):
@@ -1178,7 +1172,7 @@ def pointwise_mlp(f: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor
         gza, gw1 = np.empty((c, k), dtype=dt), np.empty((k, c), dtype=dt)
         za, zw1 = gza, gw1  # the first tile writes the sums
         sums = [np.zeros(size, dtype=dt) for size in (c, k, c, c)]
-        for j, t in enumerate(tiles):
+        for j, t in enumerate(_position_tiles(n, k, h, w, _TILE_BLOCKS)):
             for total, v in zip(sums, tile_grads(t, za, zw1)):
                 total += v
             if j:

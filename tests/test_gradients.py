@@ -201,45 +201,20 @@ def test_composite_chain_gradients():
 
 
 
-@pytest.mark.parametrize("shape,tiles", [
-    ((5, 3, 2, 2), [(2, 3, 2, 2), (2, 3, 2, 2), (1, 3, 2, 2)]),  # runs of whole items
-    ((2, 3, 5, 3), [(1, 3, 2, 3), (1, 3, 2, 3), (1, 3, 1, 3)] * 2),  # bands of rows
-], ids=["item-runs", "row-bands"])
-def test_pointwise_mlp_gradients(monkeypatch, shape, tiles):
-    # _BLOCK = 24 makes tiles of 8 positions on 3 channels: 2x2 items run two
-    # at a time, 5x3 items split into bands of 2 rows, and the last run or
-    # band of each is short.
-    monkeypatch.setattr(T, "_BLOCK", 24)
-    n, c, h, w = shape
-    assert [np.empty(shape)[t].shape for t in T._position_tiles(n, c, h, w)] == tiles
-    k = 4 * c
-    r = rng(90)
-    arrays = {"x": randn(r, shape), "g": 1.0 + 0.2 * randn(r, (c,)), "b": 0.1 * randn(r, (c,)),
-              "w1": 0.5 * randn(r, (k, c, 1, 1)), "b1": 0.3 * randn(r, (k,)),
-              "w2": 0.5 * randn(r, (c, k, 1, 1)), "b2": 0.3 * randn(r, (c,)),
-              "s": 1.0 + 0.3 * randn(r, (c,))}
-
-    def build(t):
-        y = T.pointwise_mlp(t["x"], t["g"], t["b"], t["w1"], t["b1"], t["w2"], t["b2"], t["s"])
-        return T.sum_all(T.mul(y, y))
-
-    check_gradients(build, arrays, rel_tol=REL_TOL)
-
-
-@pytest.mark.parametrize("shape,block,tiles", [
-    ((2, 6, 3, 3), 24, [(2, 6, 3, 3)]),  # a 2-item collage: the whole map is one tile
-    ((5, 6, 2, 2), 3, [(2, 6, 2, 2), (2, 6, 2, 2), (1, 6, 2, 2)]),  # runs of whole items
-    ((2, 6, 3, 3), 3, [(1, 6, 2, 3), (1, 6, 1, 3)] * 2),  # bands of rows
+@pytest.mark.parametrize("shape,positions,tiles", [
+    ((2, 6, 3, 3), 18, [(2, 6, 3, 3)]),  # a 2-item collage: the whole map is one tile
+    ((5, 6, 2, 2), 8, [(2, 6, 2, 2), (2, 6, 2, 2), (1, 6, 2, 2)]),  # runs of whole items
+    ((2, 6, 5, 3), 8, [(1, 6, 2, 3), (1, 6, 2, 3), (1, 6, 1, 3)] * 2),  # bands of rows
 ], ids=["one-tile", "item-runs", "row-bands"])
-def test_pointwise_mlp_lean_gradients(monkeypatch, shape, block, tiles):
-    # A _BLOCK of 24 or 3 floats holds fewer positions than the 6 channels,
-    # so backward takes the lean schedule (the collaged blocks' one) over the
-    # forward's tiles, 64 blocks of the 24-channel hidden map each; with
+def test_pointwise_mlp_gradients(monkeypatch, shape, positions, tiles):
+    # A _BLOCK that makes _TILE_BLOCKS blocks of the 24-channel hidden map
+    # hold 18 or 8 positions: 2x2 items run two at a time, 5x3 items split
+    # into bands of 2 rows, and the last run or band of each is short. With
     # more than one tile, the weight gradients are added tile by tile.
-    monkeypatch.setattr(T, "_BLOCK", block)
     n, c, h, w = shape
     k = 4 * c
-    assert [np.empty(shape)[t].shape for t in T._position_tiles(n, k, h, w, T._LLC_BLOCKS)] == tiles
+    monkeypatch.setattr(T, "_BLOCK", positions * k // T._TILE_BLOCKS)
+    assert [np.empty(shape)[t].shape for t in T._position_tiles(n, k, h, w, T._TILE_BLOCKS)] == tiles
     r = rng(91)
     arrays = {"x": randn(r, shape), "g": 1.0 + 0.2 * randn(r, (c,)), "b": 0.1 * randn(r, (c,)),
               "w1": 0.5 * randn(r, (k, c, 1, 1)), "b1": 0.3 * randn(r, (k,)),
@@ -251,7 +226,7 @@ def test_pointwise_mlp_lean_gradients(monkeypatch, shape, block, tiles):
         return T.sum_all(T.mul(y, y))
 
     check_gradients(build, arrays, rel_tol=REL_TOL)
-    # backward rebuilds pw1 (the one GEMM with a bias) once per forward tile
+    # backward rebuilds pw1 (the one GEMM with a bias) once per tile
     y = build({name: T.Tensor(a, requires_grad=True) for name, a in arrays.items()})
     pw1, gemm_parts = [], T._gemm_parts
 
@@ -318,11 +293,11 @@ def test_whole_model_gradients(wiring):
     assert not bad, f"{wiring}: finite differences disagree with backward: {bad}"
 
 
-def test_whole_model_gradients_through_one_item_lean_tiles(monkeypatch):
-    # A _BLOCK of 4 floats holds fewer positions than the 3 to 5 channels of
-    # stages 2-4, so their blocks' backward takes the lean schedule over the
-    # forward's tiles, of 256 floats of hidden map each: one item apiece.
-    # With drop path off, each block's add hands its one gradient to both
-    # the residual and pointwise_mlp.
-    monkeypatch.setattr(T, "_BLOCK", 4)
+def test_whole_model_gradients_through_small_tiles(monkeypatch):
+    # A _BLOCK of 16 floats makes pointwise_mlp's backward tiles 256 floats
+    # of hidden map: bands of 4 rows at stage 1, one item apiece at stages
+    # 2 and 3, and the whole 2-item collage at stage 4. With drop path off,
+    # each block's add hands its one gradient to both the residual and
+    # pointwise_mlp.
+    monkeypatch.setattr(T, "_BLOCK", 16)
     test_whole_model_gradients("default")

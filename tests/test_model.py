@@ -505,13 +505,13 @@ def _arrays_kept_by(grad_fn):
     return list(arrays.values())
 
 
-@pytest.mark.parametrize("block_floats", [None, 512], ids=["block-tiles", "lean"])
+@pytest.mark.parametrize("block_floats", [None, 512], ids=["block-tiles", "row-bands"])
 def test_collaged_block_tape_keeps_only_the_fused_map_and_its_stats(monkeypatch, block_floats):
     # A collaged training block runs its pointwise half as pointwise_mlp too.
     # Its tape keeps the fused map and two (N, 1, H, W) stat maps; the rest
-    # is parameter-sized. With _BLOCK = 512, a block of the 32-channel map
-    # holds fewer positions than channels, so backward walks the cache-sized
-    # tiles of tiny's stage-3 and stage-4 blocks.
+    # is parameter-sized. At the real _BLOCK backward walks the map as one
+    # tile; with _BLOCK = 512, a tile of the 128-channel hidden map holds 64
+    # positions, and backward walks bands of 5 rows of each item.
     from vidconv import model as M
     block = build_model(toy_config(), 6).layers[2].blocks[0]  # with the temporal branch
     if block_floats is not None:

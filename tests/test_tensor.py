@@ -579,10 +579,10 @@ def _pointwise_five_ops(f, gamma, beta, w1, b1, w2, b2, scale):
 
 
 # tiny's stage-1 and stage-2 block maps: 2 clips at 96x96 (runs of whole
-# items) and 1 clip at 224x224 (bands of rows)
+# items) and 1 clip at 224x224 (bands of rows at stage 1, single items at 2)
 TINY_PRE_COLLAGE_SHAPES = [(18, 96, 24, 24), (18, 192, 12, 12), (9, 96, 56, 56), (9, 192, 28, 28)]
-# tiny's stage-3 and stage-4 collages of 2 clips at 96x96: a block of C map
-# holds fewer positions than C, so backward takes the lean path
+# tiny's stage-3 and stage-4 collages of 2 clips at 96x96: backward walks
+# each as one tile
 TINY_COLLAGED_SHAPES = [(2, 384, 18, 18), (2, 768, 9, 9)]
 
 
@@ -647,9 +647,9 @@ def test_pointwise_mlp_checks_shapes():
 @pytest.mark.parametrize("n", [1, 2])
 def test_pointwise_mlp_backward_leaves_the_residual_gradient_and_its_input_alone(n):
     # A block whose drop path is off adds its input to pointwise_mlp's output,
-    # and add's backward hands one gradient array to both. On 288 channels
-    # backward takes the lean schedule, here over one tile: the whole map. At
-    # n = 1 the tile's channel-major views of g and f are those arrays.
+    # and add's backward hands one gradient array to both. Backward walks
+    # the map as one tile. At n = 1 the tile's channel-major views of g and
+    # f are those arrays.
     c = 288
     x, f = (make((n, c, 6, 6), seed=s, requires_grad=True) for s in (1, 2))
     before = f.data.copy()
@@ -685,12 +685,12 @@ GRAD_FN_CASES = {
         leaf((2, 8, 6, 6)), leaf((16, 8, 3, 3), 1), leaf((16,), 2),
         T.ConvSpec(kernel=(3, 3), dilation=(2, 2))),
     "linear-deferred": lambda: T.linear(leaf((2, 3)), leaf((16, 3), 1), leaf((16,), 2)),
-    # stages 1-2's block-sized tiles, of single items and of bands of rows;
-    # stages 3-4's cache-sized tiles, over two items and one
-    "pointwise_mlp-items": pointwise_case((2, 96, 24, 24)),
-    "pointwise_mlp-row-bands": pointwise_case((1, 96, 48, 48)),
-    "pointwise_mlp-lean": pointwise_case((2, 288, 6, 6)),
-    "pointwise_mlp-lean-one-item": pointwise_case((1, 288, 6, 6)),
+    # tiles of runs of items (4 and 2) and of bands of rows (48 and 8), and
+    # maps of two items and of one that are one tile
+    "pointwise_mlp-items": pointwise_case((6, 96, 24, 24)),
+    "pointwise_mlp-row-bands": pointwise_case((1, 96, 56, 56)),
+    "pointwise_mlp-one-tile": pointwise_case((2, 288, 6, 6)),
+    "pointwise_mlp-one-item": pointwise_case((1, 288, 6, 6)),
 }
 
 

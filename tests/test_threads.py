@@ -83,11 +83,10 @@ def test_pool_changes_no_bits_dense_conv(pool, monkeypatch, shape):
 
 
 # The GEMMs of tiny's neck in training, on 2 clips at 96x96 and at 224x224
-# (3x3 and 7x7 output pixels): the (2304, 6912) weight overflows the
-# last-level cache and outweighs the columns and the output, so _gemm_parts
-# runs one GEMM over both items' columns, split by rows of the weight.
+# (3x3 and 7x7 output pixels): _gemm_parts splits the (2304, 6912) weight by
+# rows, and each part multiplies its rows by each item's columns.
 @pytest.mark.parametrize("pixels", [9, 49])
-def test_gemm_parts_over_all_items_gives_the_bits_of_a_gemm_per_item(pool, monkeypatch, pixels):
+def test_gemm_parts_by_rows_gives_the_bits_of_a_gemm_per_item(pool, monkeypatch, pixels):
     r = rng(0)
     w = (0.01 * r.standard_normal((2304, 6912))).astype(np.float32)  # 61 MiB
     bias = r.standard_normal(2304).astype(np.float32)
@@ -163,15 +162,23 @@ def pointwise_params(c):
 
 
 def test_pool_changes_no_bits_pointwise_mlp(pool, monkeypatch):
+    # tiny's stage-1 map on 2 clips at 96x96: backward's tiles are runs of 4
+    # items, whose GEMMs, GELU and dy/dx product each split
     c = 96
     f = make((18, c, 24, 24), requires_grad=True)
     params = pointwise_params(c)
+    seen, in_backward = splits_seen(monkeypatch), []
 
     def run():
         y = T.pointwise_mlp(f, *params)
-        return [y.data, *grads_of(y, 3)]
+        seen.clear()
+        grads = grads_of(y, 3)
+        in_backward.extend(seen)
+        return [y.data, *grads]
 
     assert_pool_changes_no_bits(monkeypatch, run, "_gemm_parts")
+    assert {"_gemm_parts.<locals>.part", "_gelu_blocks.<locals>.part",
+            "_map_parts.<locals>.part"} <= set(in_backward), in_backward
 
 
 def test_pool_changes_no_bits_untaped_pointwise_mlp(pool, monkeypatch):
@@ -189,11 +196,11 @@ def test_pool_changes_no_bits_untaped_pointwise_mlp(pool, monkeypatch):
 
 
 def test_pool_changes_no_bits_pointwise_mlp_row_bands(pool, monkeypatch):
-    # tiny's stage-2 map of one 224x224 frame: backward's tiles are three
-    # bands of rows (0, 12 and 24, the last short), walked in order on the
+    # tiny's stage-3 collage of one 224x224 clip: backward's tiles are three
+    # bands of rows (0, 16 and 32, the last short), walked in order on the
     # calling thread, and each band's five GEMMs split
-    c = 192
-    f = make((1, c, 28, 28), requires_grad=True)
+    c = 384
+    f = make((1, c, 42, 42), requires_grad=True)
     params = pointwise_params(c)
     seen, in_backward, bands = splits_seen(monkeypatch), [], []
     channel_major, row_bytes = T._channel_major, f.data.strides[2]
@@ -214,12 +221,12 @@ def test_pool_changes_no_bits_pointwise_mlp_row_bands(pool, monkeypatch):
         return [y.data, *grads]
 
     assert_pool_changes_no_bits(monkeypatch, run, "_gemm_parts")
-    assert in_backward == ["_gemm_parts.<locals>.part"] * 15, in_backward  # none with no pool
-    assert bands == [(threading.current_thread().name, row) for row in (0, 12, 24)] * 2, bands
+    assert in_backward.count("_gemm_parts.<locals>.part") == 15, in_backward  # none with no pool
+    assert bands == [(threading.current_thread().name, row) for row in (0, 16, 32)] * 2, bands
 
 
 def test_pool_changes_no_bits_pointwise_mlp_collaged(pool, monkeypatch):
-    # tiny's stage-3 collage on 2 clips at 96x96: the lean backward, whose
+    # tiny's stage-3 collage on 2 clips at 96x96: backward's one tile, whose
     # GEMMs split by rows, and whose GELU and dy/dx product split by blocks
     c = 384
     f = make((2, c, 18, 18), requires_grad=True)
