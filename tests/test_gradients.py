@@ -201,16 +201,20 @@ def test_composite_chain_gradients():
 
 
 
-@pytest.mark.parametrize("shape,positions,tiles", [
+# pointwise_mlp's backward tiles: a _BLOCK that makes _TILE_BLOCKS blocks
+# of the 24-channel hidden map hold 18 or 8 positions, so that 2x2 items run
+# two at a time, 5x3 items split into bands of 2 rows, and the last run or
+# band of each is short.
+POINTWISE_TILE_CASES = pytest.mark.parametrize("shape,positions,tiles", [
     ((2, 6, 3, 3), 18, [(2, 6, 3, 3)]),  # a 2-item collage: the whole map is one tile
     ((5, 6, 2, 2), 8, [(2, 6, 2, 2), (2, 6, 2, 2), (1, 6, 2, 2)]),  # runs of whole items
     ((2, 6, 5, 3), 8, [(1, 6, 2, 3), (1, 6, 2, 3), (1, 6, 1, 3)] * 2),  # bands of rows
 ], ids=["one-tile", "item-runs", "row-bands"])
-def test_pointwise_mlp_gradients(monkeypatch, shape, positions, tiles):
-    # A _BLOCK that makes _TILE_BLOCKS blocks of the 24-channel hidden map
-    # hold 18 or 8 positions: 2x2 items run two at a time, 5x3 items split
-    # into bands of 2 rows, and the last run or band of each is short. With
-    # more than one tile, the weight gradients are added tile by tile.
+
+
+def pointwise_tile_case(monkeypatch, shape, positions, tiles):
+    # Sets _BLOCK for the case, checks its tiles, and returns float64 inputs
+    # and a loss over pointwise_mlp's output.
     n, c, h, w = shape
     k = 4 * c
     monkeypatch.setattr(T, "_BLOCK", positions * k // T._TILE_BLOCKS)
@@ -225,8 +229,22 @@ def test_pointwise_mlp_gradients(monkeypatch, shape, positions, tiles):
         y = T.pointwise_mlp(t["x"], t["g"], t["b"], t["w1"], t["b1"], t["w2"], t["b2"], t["s"])
         return T.sum_all(T.mul(y, y))
 
+    return arrays, build
+
+
+@POINTWISE_TILE_CASES
+def test_pointwise_mlp_gradients(monkeypatch, shape, positions, tiles):
+    # With more than one tile, the weight gradients are added tile by tile.
+    arrays, build = pointwise_tile_case(monkeypatch, shape, positions, tiles)
     check_gradients(build, arrays, rel_tol=REL_TOL)
-    # backward rebuilds pw1 (the one GEMM with a bias) once per tile
+
+
+@POINTWISE_TILE_CASES
+def test_pointwise_mlp_backward_rebuilds_pw1_once_per_tile(monkeypatch, shape, positions, tiles):
+    # pw1 is the one GEMM with a bias; backward runs it at each tile's
+    # (1, C, M) shape, in tile order.
+    arrays, build = pointwise_tile_case(monkeypatch, shape, positions, tiles)
+    c = shape[1]
     y = build({name: T.Tensor(a, requires_grad=True) for name, a in arrays.items()})
     pw1, gemm_parts = [], T._gemm_parts
 
